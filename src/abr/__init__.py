@@ -4,8 +4,8 @@ Everything here works over exact rationals (fractions.Fraction); there is
 no floating point anywhere, so every reported sign, certificate, and
 counterexample is a proof-grade artifact.  The package covers:
 
-- signed minors, exact determinants, and the kernel of a tall cyclic
-  projection matrix (``linalg``);
+- exact determinants, signed minors, and the integer sign kernel behind
+  every color, validator and certificate (``linalg``);
 - planar and lifted point sequences with wire formats and validators
   (``sequences``);
 - the four equivalent color oracles (kernel/heights, determinant,

@@ -18,6 +18,11 @@ reference tuple and cached.
 The planar counterpart: for points (t_i, h_i) on the d-dimensional moment
 curve the determinant factors as Vandermonde(t) * [order-d divided
 difference of h], so the color equals the divided-difference sign.
+
+The oracles and ``divided_difference`` are the Fraction references.  The
+table builders, ``LazyDivdiffColors`` (which memoizes colors) and the
+one-switch certificate take their signs from the integer kernel of
+``linalg`` instead, with no ``divided_difference`` call per tuple.
 """
 
 from __future__ import annotations
@@ -26,15 +31,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from typing import NamedTuple
 
 from .errors import (
+    BadShapeError,
     DegenerateInputError,
     IdentityViolationError,
     InvariantError,
     WrongOrientationError,
 )
-from .linalg import Matrix, Sign, as_fraction, complementary_minors, det, signed_minor_kernel
+from .linalg import (
+    Matrix,
+    MomentKernel,
+    Sign,
+    SignKernel,
+    as_fraction,
+    cleared_column,
+    det,
+    signed_minor_kernel,
+)
 from .sequences import LiftedSequence, PlanarSequence
 from .tables import Color, ColoringTable, _check_tuple
 
@@ -328,81 +344,89 @@ def one_switch_certificate(points, *, allow_zero=False):
     d = len(pts[0])
     if len(pts) != d + 2:
         raise InvariantError(f"need d+2 = {d + 2} points in R^{d}, got {len(pts)}")
-    lifted = Matrix(tuple([tuple(1 for _ in pts)] + [
-        tuple(pt[coord] for pt in pts) for coord in range(d)
-    ]))
-    projection = Matrix(tuple(lifted.entries[:-1]))
-    minors = complementary_minors(projection)
-    for (a, b), value in sorted(minors.items()):
-        if value == 0:
-            raise DegenerateInputError(
-                f"projection minor delta[{a},{b}] vanishes", witness=(a, b)
-            )
-        if value < 0:
-            raise DegenerateInputError(
-                f"projection minor delta[{a},{b}] is negative; projections are not cyclic",
-                witness=(a, b),
-            )
-    d_values = tuple(det(lifted.delete_columns(j)) for j in range(d + 2))
+    if d < 2:
+        raise BadShapeError("need at least two rows")
+    kernel = SignKernel([cleared_column(pt) for pt in pts])
+    minors, d_ints, zeros, switches = certify_one_switch(kernel, tuple(range(d + 2)), allow_zero)
+    # An integer minor or determinant is the rational one times its columns' scales.
+    scales = [column[0] for column in kernel.columns]
+    total = prod(scales)
+    minors = {(a, b): Fraction(v, total // (scales[a] * scales[b])) for (a, b), v in minors.items()}
+    d_values = tuple(Fraction(v, total // scale) for v, scale in zip(d_ints, scales))
+    ratios = tuple(minors[(j, d + 1)] / minors[(0, j)] for j in range(1, d + 1))
+    return OneSwitchCertificate(d_values, minors, ratios, switches, zeros)
+
+
+def certify_one_switch(kernel, tup, allow_zero=False):
+    """Integer core of ``one_switch_certificate`` over the kernel columns
+    ``tup``, every check included: returns the minors (keyed by deleted
+    position pairs), deletion determinants, zero positions, switch count."""
+    d = len(tup) - 2
+    last = d + 1
+    minors = {}
+    for a, b in combinations(range(d + 2), 2):
+        value = minors[(a, b)] = kernel.minor(tup[:a] + tup[a + 1:b] + tup[b + 1:])
+        if value <= 0:
+            problem = "vanishes" if value == 0 else "is negative; projections are not cyclic"
+            raise DegenerateInputError(f"projection minor delta[{a},{b}] {problem}",
+                                       witness=(a, b))
+    d_values = tuple(kernel.value(tup[:j] + tup[j + 1:]) for j in range(d + 2))
     zero_positions = tuple(j for j, v in enumerate(d_values) if v == 0)
     if zero_positions and not allow_zero:
         raise DegenerateInputError(
             f"deletion determinant D_{zero_positions[0]} vanishes",
             witness=zero_positions,
         )
-    last = d + 1
+    # Column scales leave one common factor in the three terms of each
+    # identity and one common positive factor in every ratio.
     for j in range(1, d + 1):
         lhs = d_values[j] * minors[(0, last)]
         rhs = d_values[0] * minors[(j, last)] + d_values[last] * minors[(0, j)]
         if lhs != rhs:
             raise IdentityViolationError(f"deletion identity fails at j={j}")
-    ratios = tuple(minors[(j, last)] / minors[(0, j)] for j in range(1, d + 1))
-    for a, b in zip(ratios, ratios[1:]):
-        if not a > b:
+    for j in range(1, d):
+        if not minors[(j, last)] * minors[(0, j + 1)] > minors[(j + 1, last)] * minors[(0, j)]:
             raise IdentityViolationError("minor ratios are not strictly decreasing")
-    signs = [Sign.of(v) for v in d_values if v != 0]
+    signs = [v > 0 for v in d_values if v != 0]
     switches = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     if switches > 1:
         raise IdentityViolationError(
             f"deletion signs switch {switches} times; the certificate forbids more than one"
         )
-    return OneSwitchCertificate(d_values, minors, ratios, switches, zero_positions)
+    return minors, d_values, zero_positions, switches
+
+
+def _color_of(value, tup, message):
+    if value == 0:
+        raise DegenerateInputError(message, witness=tup)
+    return Color.POSITIVE if value > 0 else Color.NEGATIVE
 
 
 def color_table(s):
-    """Color every increasing (d+1)-tuple of a lifted sequence with the
-    determinant oracle."""
+    """Color every increasing (d+1)-tuple of a lifted sequence by the sign
+    of its determinant, taken from the sequence's integer kernel."""
     if not isinstance(s, LiftedSequence):
         raise InvariantError("color_table needs a LiftedSequence")
-    r = s.dimension + 1
-
-    def colorer(tup):
-        try:
-            return color_by_determinant([s.points[i] for i in tup])
-        except DegenerateInputError as exc:
-            raise DegenerateInputError(str(exc), witness=tup) from exc
-
-    return ColoringTable.from_function(len(s), r, colorer)
-
-
-def _divdiff_color(p, tup):
-    value = divided_difference([p.points[i] for i in tup])
-    if value == 0:
-        raise DegenerateInputError("divided difference vanishes", witness=tup)
-    return Color.POSITIVE if value > 0 else Color.NEGATIVE
+    value = s.kernel.value
+    return ColoringTable.from_function(len(s), s.dimension + 1, lambda tup: _color_of(
+        value(tup), tup, "lifted determinant vanishes"))
 
 
 def divdiff_color_table(p, order):
     """Color every increasing (order+1)-tuple of a planar sequence by the
-    sign of its order-d divided difference."""
+    sign of its order-d divided difference (the moment-lift kernel sign,
+    cross-checked against the integer closed form per tuple)."""
     if not isinstance(p, PlanarSequence):
         raise InvariantError("divdiff_color_table needs a PlanarSequence")
-    return ColoringTable.from_function(len(p), order + 1, lambda tup: _divdiff_color(p, tup))
+    value = MomentKernel(p.points, order).value
+    return ColoringTable.from_function(len(p), order + 1, lambda tup: _color_of(
+        value(tup), tup, "divided difference vanishes"))
 
 
 class LazyDivdiffColors:
     """Duck-typed stand-in for ColoringTable that computes divided-difference
-    signs on demand; used when the dense table would blow the size guard."""
+    signs on demand; used when the dense table would blow the size guard.
+    Colors are memoized: a search reads each tuple about twenty times."""
 
     def __init__(self, p, order):
         if not isinstance(p, PlanarSequence):
@@ -410,11 +434,13 @@ class LazyDivdiffColors:
         self.sequence = p
         self.n = len(p)
         self.r = order + 1
+        self.kernel = MomentKernel(p.points, order)
         self._cache = {}
 
     def color(self, tup):
         _check_tuple(tup, self.n, self.r)
         hit = self._cache.get(tup)
         if hit is None:
-            hit = self._cache[tup] = _divdiff_color(self.sequence, tup)
+            hit = self._cache[tup] = _color_of(self.kernel.value(tup), tup,
+                                               "divided difference vanishes")
         return hit

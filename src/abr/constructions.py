@@ -280,7 +280,8 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
     every projected d-tuple is automatically positively oriented); heights
     are independent random rationals.  Draws are rejected wholesale until
     no (d+1)-tuple is affinely degenerate, so the output passes both
-    validators.  Identical seeds give identical sequences.
+    validators in full: general position by an exhaustive scan, cyclic
+    projections by construction.  Identical seeds give identical sequences.
     """
     if not isinstance(d, int) or d < 2:
         raise InvariantError(f"dimension must be an integer >= 2, got {d!r}")
@@ -288,6 +289,8 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
         raise InvariantError(f"need n >= d+1 points, got n={n!r}")
     if not isinstance(seed, int):
         raise InvariantError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(bits, int) or bits < 1:
+        raise InvariantError(f"bits must be an integer >= 1, got {bits!r}")
     rng = random.Random(seed)
     for _ in range(max_retries):
         ts = _increasing_rationals(rng, n, bits)

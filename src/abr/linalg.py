@@ -1,16 +1,18 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra and the integer sign kernel.
 
-Scalars are ``fractions.Fraction`` throughout; Fraction keeps numerator and
-denominator reduced with a positive denominator, so equality is structural
-and results are canonical.  Floats are rejected everywhere: a binary float
-smuggled into an exact pipeline silently poisons every determinant sign
-downstream.
+Scalars are ``fractions.Fraction`` at the API edge; Fraction keeps numerator
+and denominator reduced with a positive denominator, so equality is
+structural and results are canonical.  Floats are rejected everywhere: a
+binary float smuggled into an exact pipeline silently poisons every
+determinant sign downstream.
 
-The determinant clears denominators column by column and then runs
-fraction-free (Bareiss) elimination over plain Python integers.  Column
-clearing matters: the matrices built elsewhere in this package have columns
+Determinants clear denominators column by column (``cleared_column``) and
+then run fraction-free (Bareiss) elimination over plain Python integers.
+Column clearing matters: the matrices built in this package have columns
 that share one point's denominator, while a row mixes denominators of every
 point, so per-column scales stay small where per-row scales would explode.
+``SignKernel``, the integer kernel behind every color, validator and
+one-switch certificate, clears each point once and caches its minors.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import lcm, prod
 
 from .errors import (
     BadIndicesError,
     BadShapeError,
+    IdentityViolationError,
     InvariantError,
     NonSquareError,
     ParseError,
@@ -164,16 +168,78 @@ def det(m):
     """Exact determinant of a square Matrix."""
     if m.rows != m.cols:
         raise NonSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    scale = 1
-    columns = []
-    for j in range(n):
-        col = m.column(j)
-        mult = lcm(*(x.denominator for x in col)) if n > 1 else col[0].denominator
-        scale *= mult
-        columns.append([x.numerator * (mult // x.denominator) for x in col])
-    grid = [[columns[j][i] for j in range(n)] for i in range(n)]
-    return Fraction(_int_det_bareiss(grid), scale)
+    columns = [cleared_column(m.column(j)) for j in range(m.cols)]
+    grid = [[column[i + 1] for column in columns] for i in range(m.rows)]
+    return Fraction(_int_det_bareiss(grid), prod(column[0] for column in columns))
+
+
+def cleared_column(coords):
+    """Integer column (L, L*x_1, ..., L*x_k) for a point x; L > 0 is the lcm
+    of the denominators, so determinant signs are unchanged."""
+    scale = lcm(*(x.denominator for x in coords))
+    return (scale,) + tuple(x.numerator * (scale // x.denominator) for x in coords)
+
+
+class SignKernel:
+    """Integer determinants over subsets of cleared columns of d+1 rows:
+    ``minor(sub)`` is the d x d minor of rows 0..d-1 over a d-subset, cached
+    in ``minors`` (at most ``max_cached``, about 150-200 bytes each);
+    ``value(tup)`` is the determinant over a (d+1)-subset by Laplace
+    expansion along row d, d+1 multiply-adds of cached minors."""
+
+    max_cached = 1 << 18
+
+    def __init__(self, columns):
+        self.columns = columns
+        self.d = len(columns[0]) - 1
+        self.minors = {}
+
+    def minor(self, sub):
+        value = self.minors.get(sub)
+        if value is None:
+            cols = self.columns
+            value = _int_det_bareiss([[cols[i][row] for i in sub] for row in range(self.d)])
+            if len(self.minors) < self.max_cached:
+                self.minors[sub] = value
+        return value
+
+    def value(self, tup):
+        d, cols = self.d, self.columns
+        total = 0
+        for j in range(d + 1):
+            term = cols[tup[j]][d] * self.minor(tup[:j] + tup[j + 1:])
+            total += -term if (d - j) & 1 else term
+        return total
+
+
+class MomentKernel(SignKernel):
+    """SignKernel on the moment lift (1, t, ..., t^(d-1), h) of planar points
+    with increasing t: each value is a positive multiple of the order-d
+    divided difference, and its sign is checked against the integer closed
+    form sum_j (-1)^(d-j) a_j q_j^(d-1) W_j prod_(k!=j) b_k (t = p/q,
+    h = a/b, W_j the product of the positive cross differences
+    p_y q_x - p_x q_y over the tuple without j)."""
+
+    def __init__(self, points, d):
+        # Orders below 1 never reach value(): table guards refuse them first.
+        power = max(d - 1, 0)
+        self.closed = [(t.numerator, t.denominator, h.numerator * t.denominator ** power,
+                        h.denominator) for t, h in points]
+        super().__init__([cleared_column(tuple(t ** k for k in range(1, d)) + (h,))
+                          for t, h in points])
+
+    def value(self, tup):
+        value = super().value(tup)
+        pts = [self.closed[i] for i in tup]
+        closed = 0
+        for j, (_, _, g, _) in enumerate(pts):
+            rest = pts[:j] + pts[j + 1:]
+            g *= prod(b for *_, b in rest) * prod(
+                py * qx - px * qy for (px, qx, *_), (py, qy, *_) in combinations(rest, 2))
+            closed += -g if (self.d - j) & 1 else g
+        if (value > 0) != (closed > 0) or (value < 0) != (closed < 0):
+            raise IdentityViolationError(f"kernel and closed form differ in sign at {tup}")
+        return value
 
 
 def signed_minor_kernel(p):

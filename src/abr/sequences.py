@@ -10,7 +10,9 @@ Two shapes of data flow through the package:
 A lifted sequence is *cyclically ordered* when every increasing d-tuple of
 projections spans a positively oriented simplex with a row of ones on top;
 validators below check that, plus the nondegeneracy conditions the coloring
-oracles rely on.
+oracles rely on.  The three validators share one scan loop over integer
+kernel values: a lifted sequence's ``kernel`` (built lazily, shared with the
+color table), or a ``linalg.MomentKernel`` on a planar moment lift.
 
 Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
 
@@ -24,10 +26,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InvariantError, ParseError, TooFewPointsError
-from .linalg import Matrix, as_fraction, det, format_rational, parse_rational
+from .linalg import (MomentKernel, SignKernel, as_fraction, cleared_column, format_rational,
+                     parse_rational)
+from .linalg import det  # noqa: F401  kept bound here; bench/test_bench.py traces it
 
 VALID = "valid"
 INVALID = "invalid"
@@ -134,6 +139,11 @@ class LiftedSequence:
         """Same points in the opposite order (orientation repair)."""
         return LiftedSequence(self.dimension, self.points[::-1])
 
+    @cached_property
+    def kernel(self):
+        """Integer kernel of the columns (1, z_i, h_i), shared by every pass."""
+        return SignKernel([cleared_column(pt) for pt in self.points])
+
 
 def moment_lift(p, d):
     """Lift a planar sequence onto the d-dimensional moment curve.
@@ -148,55 +158,29 @@ def moment_lift(p, d):
     return LiftedSequence(d, pts)
 
 
-def _projection_matrix(s, tup):
-    d = s.dimension
-    rows = [tuple(1 for _ in tup)]
-    for coord in range(d - 1):
-        rows.append(tuple(s.points[i][coord] for i in tup))
-    return Matrix(tuple(rows))
-
-
-def _lifted_matrix(s, tup):
-    d = s.dimension
-    rows = [tuple(1 for _ in tup)]
-    for coord in range(d):
-        rows.append(tuple(s.points[i][coord] for i in tup))
-    return Matrix(tuple(rows))
-
-
-def validate_cyclic_projections(s, *, max_failures=16, max_tuples=None):
-    """Check that every increasing d-tuple of projections is positively
-    oriented.
-
-    Collects up to ``max_failures`` violations (zero or negative
-    determinant).  If every checked tuple came out negative the reasons are
-    rewritten to "wrong_orientation": the sequence is fine backwards.
-    ``max_tuples`` bounds the scan; hitting it without a violation yields
-    status "unverified".
-    """
-    d = s.dimension
-    if len(s) < d:
-        raise TooFewPointsError(f"need at least {d} points, got {len(s)}")
+def _scan(n, r, value, zero_reason, negative_reason, max_failures, max_tuples):
+    """The validators' shared loop over the kernel values of r-tuples, in lex
+    order: a zero value fails with ``zero_reason``, a negative one with
+    ``negative_reason`` unless that is None."""
+    if n < r:
+        raise TooFewPointsError(f"need at least {r} points, got {n}")
     failures = []
-    checked = 0
-    positive = negative = zero = 0
-    for tup in combinations(range(len(s)), d):
+    checked = positive = zero = 0
+    for tup in combinations(range(n), r):
         if max_tuples is not None and checked >= max_tuples:
             if failures:
                 break
             return ValidationReport(UNVERIFIED, (), checked)
         checked += 1
-        value = det(_projection_matrix(s, tup))
-        if value > 0:
+        v = value(tup)
+        if v > 0:
             positive += 1
-        elif value == 0:
-            zero += 1
-            failures.append((tup, ZERO_DETERMINANT))
-        else:
-            negative += 1
-            failures.append((tup, NEGATIVE_DETERMINANT))
-        if len(failures) >= max_failures:
-            break
+            continue
+        zero += v == 0
+        if v == 0 or negative_reason:
+            failures.append((tup, zero_reason if v == 0 else negative_reason))
+            if len(failures) >= max_failures:
+                break
     if not failures:
         return ValidationReport(VALID, (), checked)
     if zero == 0 and positive == 0:
@@ -204,54 +188,31 @@ def validate_cyclic_projections(s, *, max_failures=16, max_tuples=None):
     return ValidationReport(INVALID, tuple(failures), checked)
 
 
+def validate_cyclic_projections(s, *, max_failures=16, max_tuples=None):
+    """Check that every increasing d-tuple of projections is positively
+    oriented, collecting up to ``max_failures`` zero or negative minors.  If
+    every checked tuple came out negative the reasons are rewritten to
+    "wrong_orientation": the sequence is fine backwards.  ``max_tuples``
+    bounds the scan; hitting it without a violation yields "unverified"."""
+    return _scan(len(s), s.dimension, s.kernel.minor, ZERO_DETERMINANT,
+                 NEGATIVE_DETERMINANT, max_failures, max_tuples)
+
+
 def validate_general_position(s, *, max_failures=16, max_tuples=None):
     """Check that no increasing (d+1)-tuple of lifted points is affinely
     degenerate (zero determinant with a row of ones on top)."""
-    d = s.dimension
-    if len(s) < d + 1:
-        raise TooFewPointsError(f"need at least {d + 1} points, got {len(s)}")
-    failures = []
-    checked = 0
-    for tup in combinations(range(len(s)), d + 1):
-        if max_tuples is not None and checked >= max_tuples:
-            if failures:
-                break
-            return ValidationReport(UNVERIFIED, (), checked)
-        checked += 1
-        if det(_lifted_matrix(s, tup)) == 0:
-            failures.append((tup, ZERO_DETERMINANT))
-            if len(failures) >= max_failures:
-                break
-    if not failures:
-        return ValidationReport(VALID, (), checked)
-    return ValidationReport(INVALID, tuple(failures), checked)
+    return _scan(len(s), s.dimension + 1, s.kernel.value, ZERO_DETERMINANT, None,
+                 max_failures, max_tuples)
 
 
 def validate_d_general_position(p, d, *, max_failures=16, max_tuples=None):
     """Check that every increasing (d+1)-tuple of a planar sequence has a
     nonzero order-d divided difference (no d+1 points on one polynomial
     graph of degree < d)."""
-    from .coloring import divided_difference
-
     if not isinstance(d, int) or d < 1:
         raise InvariantError(f"order must be a positive int, got {d!r}")
-    if len(p) < d + 1:
-        raise TooFewPointsError(f"need at least {d + 1} points, got {len(p)}")
-    failures = []
-    checked = 0
-    for tup in combinations(range(len(p)), d + 1):
-        if max_tuples is not None and checked >= max_tuples:
-            if failures:
-                break
-            return ValidationReport(UNVERIFIED, (), checked)
-        checked += 1
-        if divided_difference([p.points[i] for i in tup]) == 0:
-            failures.append((tup, ZERO_DIVIDED_DIFFERENCE))
-            if len(failures) >= max_failures:
-                break
-    if not failures:
-        return ValidationReport(VALID, (), checked)
-    return ValidationReport(INVALID, tuple(failures), checked)
+    return _scan(len(p), d + 1, MomentKernel(p.points, d).value, ZERO_DIVIDED_DIFFERENCE,
+                 None, max_failures, max_tuples)
 
 
 _PLANAR_FIELDS = {"kind", "points"}

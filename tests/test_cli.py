@@ -236,3 +236,72 @@ def test_stdin_sequence_roundtrip():
     code, result, _ = run("search", "-", stdin=table_csv)
     assert code == 0
     assert json.loads(result)["size"] == 5
+
+
+def test_generate_random_summary_reports_exhaustive_checks(tmp_path):
+    # C(30, 4) = 27,405 tuples: more than the summary scan cap, all checked
+    # by the generator itself
+    out = tmp_path / "r.json"
+    code, stdout, _ = run("generate", "random", "--d", "3", "--n", "30", "--seed", "1",
+                          "-o", str(out))
+    assert code == 0
+    assert stdout == b"kind=lifted d=3 n=30 seed=1 cyclic=valid general_position=valid\n"
+    assert len(parse_sequence(out.read_bytes())) == 30
+
+
+@pytest.mark.parametrize("bits", ["0", "-4"])
+def test_generate_random_rejects_nonpositive_bits(bits):
+    code, stdout, stderr = run("generate", "random", "--n", "5", "--bits", bits)
+    assert code == 2
+    assert stdout == b""
+    assert stderr == f"error: bits must be an integer >= 1, got {bits}\n".encode()
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["color"], ["check", "monotone"], ["check", "one-switch"], ["search"],
+])
+def test_degenerate_lifted_input_witness(tmp_path, command):
+    # points 0, 1, 4, 5 all lie on the surface h = z_2; earlier tuples do not
+    points = [[str(t), str(t * t), str(t ** 3 if t < 4 else t * t)] for t in range(8)]
+    src = _write_json(tmp_path / "s.json", {"kind": "lifted", "dimension": 3,
+                                            "points": points})
+    code, stdout, stderr = run(*command, src)
+    assert code == 4
+    assert stdout == b""
+    assert stderr == b"error: degenerate lifted tuple (0, 1, 4, 5)\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["color", "--d", "3"], ["check", "monotone", "--d", "3"], ["search", "--d", "3"],
+])
+def test_degenerate_planar_input_witness(tmp_path, command):
+    points = [[str(t), str(t * t)] for t in range(7)]
+    src = _write_json(tmp_path / "p.json", {"kind": "planar", "points": points})
+    code, stdout, stderr = run(*command[:-2], src, *command[-2:])
+    assert code == 4
+    assert stdout == b""
+    if command[0] == "color":  # colored through the moment lift
+        assert stderr == b"error: degenerate lifted tuple (0, 1, 2, 3)\n"
+    else:
+        assert stderr == b"error: divided difference vanishes\n"
+
+
+def test_generate_moment_capped_summary_builds_few_minors(tmp_path, monkeypatch, capsys):
+    from math import comb
+
+    from abr import cli, linalg
+
+    calls = []
+    bareiss = linalg._int_det_bareiss
+    monkeypatch.setattr(linalg, "_int_det_bareiss", lambda a: calls.append(1) or bareiss(a))
+    out = tmp_path / "m.json"
+    assert cli.main(["generate", "moment", "--d", "3", "--n", "400", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "kind=lifted d=3 n=400 cyclic=unverified general_position=unverified\n")
+    # the capped scans touch at most 20,000 tuples each, never all C(400, 3) minors
+    assert len(calls) <= 5 * 20000 < comb(400, 3)

@@ -13,6 +13,7 @@ from abr import (
     LazyDivdiffColors,
     PlanarSequence,
     WrongOrientationError,
+    build_cluster_parabola,
     color_by_crossing,
     color_by_determinant,
     color_by_heights,
@@ -260,6 +261,19 @@ def test_divdiff_color_table_and_lazy_agree():
     for tup, col in dense:
         assert lazy.color(tup) is col
         assert lazy.color(tup) is col  # cached second read
+
+
+def test_lazy_colors_match_dense_on_em_and_name_degenerate_witness():
+    seq, _ = build_cluster_parabola(3, 2)
+    lazy = LazyDivdiffColors(seq, 3)
+    dense = divdiff_color_table(seq, 3)
+    for tup, col in dense:
+        assert lazy.color(tup) is col
+        assert lazy.color(tup) is col
+    with pytest.raises(DegenerateInputError) as info:
+        LazyDivdiffColors(PlanarSequence(tuple((t, t * t) for t in range(6))), 3).color(
+            (1, 2, 4, 5))
+    assert info.value.witness == (1, 2, 4, 5)
 
 
 def test_divdiff_table_matches_lifted_table():

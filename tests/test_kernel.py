@@ -1,0 +1,239 @@
+"""The integer sign kernel against the Fraction reference oracles."""
+
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+
+import pytest
+
+from abr import (
+    Color,
+    DegenerateInputError,
+    IdentityViolationError,
+    LiftedSequence,
+    Matrix,
+    PlanarSequence,
+    ValidationReport,
+    build_cluster_parabola,
+    color_by_determinant,
+    complementary_minors,
+    det,
+    divided_difference,
+    moment_lift,
+    one_switch_certificate,
+    random_cyclic_instance,
+    validate_cyclic_projections,
+    validate_d_general_position,
+    validate_general_position,
+)
+from abr.linalg import MomentKernel, SignKernel, cleared_column
+
+from _helpers import rand_fraction, rand_planar_tuple, seeded
+
+F = Fraction
+
+
+def sign(value):
+    return (value > 0) - (value < 0)
+
+
+def lifted_matrix(points):
+    d = len(points[0])
+    return Matrix(tuple([tuple(1 for _ in points)]
+                        + [tuple(pt[c] for pt in points) for c in range(d)]))
+
+
+def reference_scan(n, r, value, zero_reason, negative_reason, max_failures=16,
+                   max_tuples=None):
+    """The validators' contract, written out per tuple over Fraction values."""
+    failures, checked, positive, zero = [], 0, 0, 0
+    for tup in combinations(range(n), r):
+        if max_tuples is not None and checked >= max_tuples:
+            if failures:
+                break
+            return ValidationReport("unverified", (), checked)
+        checked += 1
+        v = value(tup)
+        if v > 0:
+            positive += 1
+            continue
+        if v == 0:
+            zero += 1
+            failures.append((tup, zero_reason))
+        elif negative_reason:
+            failures.append((tup, negative_reason))
+        else:
+            continue
+        if len(failures) >= max_failures:
+            break
+    if not failures:
+        return ValidationReport("valid", (), checked)
+    if zero == 0 and positive == 0:
+        failures = [(tup, "wrong_orientation") for tup, _ in failures]
+    return ValidationReport("invalid", tuple(failures), checked)
+
+
+def reference_reports(s, **kw):
+    d = s.dimension
+    cyclic = reference_scan(
+        len(s), d, lambda tup: det(lifted_matrix([s.points[i][:-1] for i in tup])),
+        "zero_determinant", "negative_determinant", **kw)
+    general = reference_scan(
+        len(s), d + 1, lambda tup: det(lifted_matrix([s.points[i] for i in tup])),
+        "zero_determinant", None, **kw)
+    return cyclic, general
+
+
+# ------------------------------------------------------------ kernel signs
+
+def test_kernel_matches_divided_difference_on_em3_quadruples():
+    seq, _ = build_cluster_parabola(3, 2)
+    kernel = MomentKernel(seq.points, 3)
+    for tup in combinations(range(len(seq)), 4):
+        want = divided_difference([seq.points[i] for i in tup])
+        assert sign(kernel.value(tup)) == sign(want)
+
+
+def test_kernel_matches_divided_difference_on_random_tuples():
+    rng = seeded(2024)
+    for order in range(1, 6):
+        for _ in range(60):
+            pts = rand_planar_tuple(rng, order + 1, bits=10)
+            if rng.random() < 0.2:
+                # heights of a polynomial of degree < order: divided difference 0
+                coeffs = [rand_fraction(rng, 6) for _ in range(order)]
+                pts = [(t, sum(c * t ** k for k, c in enumerate(coeffs))) for t, _ in pts]
+            kernel = MomentKernel(pts, order)
+            assert sign(kernel.value(tuple(range(order + 1)))) == sign(divided_difference(pts))
+
+
+def test_kernel_zero_divided_difference():
+    # order 3 on a quadratic: every quadruple vanishes in both forms
+    pts = [(F(t), F(t * t, 3)) for t in (-2, 0, 1, 5, 7)]
+    kernel = MomentKernel(pts, 3)
+    for tup in combinations(range(5), 4):
+        assert kernel.value(tup) == 0
+
+
+def test_kernel_cross_check_catches_a_wrong_minor():
+    pts = [(F(t), F(t ** 3 + t, 7)) for t in range(5)]
+    kernel = MomentKernel(pts, 3)
+    tup = (1, 2, 3, 4)
+    assert kernel.value(tup) != 0
+    for sub in combinations(tup, 3):
+        kernel.minors[sub] = -kernel.minors[sub]
+    with pytest.raises(IdentityViolationError):
+        kernel.value(tup)
+
+
+def test_kernel_matches_determinant_oracle_on_lifted_instances():
+    rng = seeded(5150)
+    for d in (2, 3, 4, 5):
+        for _ in range(6):
+            inst = random_cyclic_instance(d, d + 3, rng.randrange(1 << 30), bits=12)
+            for tup in combinations(range(len(inst)), d + 1):
+                pts = [inst.points[i] for i in tup]
+                value = inst.kernel.value(tup)
+                want = Color.POSITIVE if value > 0 else Color.NEGATIVE
+                assert color_by_determinant(pts) is want
+
+
+def test_kernel_value_is_scaled_determinant():
+    rng = seeded(77)
+    for d in (2, 3, 4):
+        pts = [tuple(rand_fraction(rng, 9) for _ in range(d)) for _ in range(d + 1)]
+        kernel = SignKernel([cleared_column(pt) for pt in pts])
+        scale = 1
+        for column in kernel.columns:
+            scale *= column[0]
+        assert Fraction(kernel.value(tuple(range(d + 1))), scale) == det(lifted_matrix(pts))
+
+
+def test_kernel_cache_is_bounded(monkeypatch):
+    inst = random_cyclic_instance(2, 12, 3)
+    monkeypatch.setattr(SignKernel, "max_cached", 5)
+    kernel = SignKernel(inst.kernel.columns)
+    for tup in combinations(range(12), 3):
+        assert kernel.value(tup) == inst.kernel.value(tup)
+    assert len(kernel.minors) == 5
+
+
+# -------------------------------------------------------------- validators
+
+def moment_cubic(n, d=3):
+    return moment_lift(PlanarSequence(tuple((t, t ** 3) for t in range(n))), d)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: moment_cubic(7),
+    lambda: moment_cubic(7).reversed(),
+    lambda: moment_lift(PlanarSequence(tuple((t, 0) for t in range(6))), 3),
+    lambda: moment_lift(PlanarSequence(tuple((t, t * t) for t in range(7))), 4),
+    lambda: LiftedSequence(3, ((0, 0, 0), (1, 1, 1), (1, 1, 5), (3, 9, 2), (4, 16, 7))),
+    lambda: LiftedSequence(3, ((0, 0, 1), (1, 1, 2), (3, 9, 3), (2, 4, 4), (5, 25, 0))),
+    lambda: random_cyclic_instance(4, 9, 12345, bits=6),
+], ids=["moment", "reversed", "flat", "quadratic-d4", "repeated-projection", "mixed",
+        "random-d4"])
+def test_validators_match_determinant_reference(make):
+    s = make()
+    for kw in ({}, {"max_failures": 2}, {"max_tuples": 3}, {"max_tuples": 40},
+               {"max_failures": 1, "max_tuples": 7}):
+        cyclic, general = reference_reports(s, **kw)
+        assert validate_cyclic_projections(s, **kw) == cyclic
+        assert validate_general_position(s, **kw) == general
+
+
+def test_d_general_position_matches_divided_difference_reference():
+    planar = [
+        PlanarSequence(tuple((t, t ** 3) for t in range(7))),
+        PlanarSequence(tuple((t, (t - 3) ** 2) for t in range(-2, 6))),
+        PlanarSequence(tuple(rand_planar_tuple(seeded(8), 9, bits=5))),
+    ]
+    for p in planar:
+        for order in (1, 2, 3, 4):
+            for kw in ({}, {"max_failures": 3}, {"max_tuples": 5}):
+                want = reference_scan(
+                    len(p), order + 1,
+                    lambda tup: divided_difference([p.points[i] for i in tup]),
+                    "zero_divided_difference", None, **kw)
+                assert validate_d_general_position(p, order, **kw) == want
+
+
+def test_capped_scan_builds_minors_lazily():
+    s = moment_cubic(400)
+    cap = 2000
+    assert validate_cyclic_projections(s, max_tuples=cap).status == "unverified"
+    assert validate_general_position(s, max_tuples=cap).status == "unverified"
+    assert len(s.kernel.minors) <= 4 * cap < comb(400, 3)
+
+
+# ----------------------------------------------------------- one-switch
+
+def test_one_switch_fields_match_matrix_reference():
+    rng = seeded(8080)
+    for _ in range(40):
+        d = rng.randrange(2, 6)
+        inst = random_cyclic_instance(d, d + 2, rng.randrange(1 << 30), bits=9)
+        pts = list(inst.points)
+        cert = one_switch_certificate(pts, allow_zero=True)
+        lifted = lifted_matrix(pts)
+        projection = Matrix(lifted.entries[:-1])
+        minors = complementary_minors(projection)
+        d_values = tuple(det(lifted.delete_columns(j)) for j in range(d + 2))
+        ratios = tuple(minors[(j, d + 1)] / minors[(0, j)] for j in range(1, d + 1))
+        assert cert.minors == minors
+        assert cert.d_values == d_values
+        assert cert.ratios == ratios
+        nonzero = [v > 0 for v in d_values if v != 0]
+        assert cert.switch_count == sum(a != b for a, b in zip(nonzero, nonzero[1:]))
+        assert cert.zero_positions == tuple(j for j, v in enumerate(d_values) if v == 0)
+
+
+def test_one_switch_degenerate_messages_unchanged():
+    flat = [(F(t), F(t * t), F(0)) for t in range(5)]
+    with pytest.raises(DegenerateInputError, match=r"^deletion determinant D_0 vanishes$"):
+        one_switch_certificate(flat)
+    twisted = [(F(0), F(0)), (F(2), F(1)), (F(1), F(5)), (F(3), F(2))]
+    with pytest.raises(DegenerateInputError,
+                       match=r"^projection minor delta\[0,3\] is negative"):
+        one_switch_certificate(twisted)
