@@ -13,17 +13,12 @@ bytes.
 Exit codes: 0 success, 2 usage or malformed input, 3 generation failure,
 4 degenerate or wrongly oriented input, 5 violated property or identity,
 6 search budget exhausted (suppressed by --best-effort).
-
-The environment variable ABR_THREADS (an integer >= 0, 0 meaning auto)
-caps internal parallelism.  The current implementation is sequential, so
-any cap is trivially honored; the variable is still validated.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import combinations
 from math import comb
@@ -44,22 +39,20 @@ from .constructions import (
     random_cyclic_instance,
 )
 from .errors import (
-    BadIndicesError,
-    BadShapeError,
+    AbrError,
     DegenerateInputError,
     GenerationFailedError,
     IdentityViolationError,
     InvariantError,
-    NonSquareError,
     ParameterSearchFailedError,
     ParseError,
     TooFewPointsError,
-    TooLargeError,
     WrongOrientationError,
 )
 from .linalg import Matrix, plucker_residual
 from .sequences import (
     PlanarSequence,
+    load_json,
     moment_lift,
     parse_sequence,
     serialize_sequence,
@@ -74,6 +67,16 @@ EXIT_GENERATION = 3
 EXIT_DEGENERATE = 4
 EXIT_VIOLATION = 5
 EXIT_BUDGET = 6
+
+# Exit code of each error class; a class not listed takes its nearest base's.
+EXIT_CODES = {
+    AbrError: EXIT_USAGE,
+    GenerationFailedError: EXIT_GENERATION,
+    ParameterSearchFailedError: EXIT_GENERATION,
+    DegenerateInputError: EXIT_DEGENERATE,
+    WrongOrientationError: EXIT_DEGENERATE,
+    IdentityViolationError: EXIT_VIOLATION,
+}
 
 _SUMMARY_TUPLE_CAP = 20000
 
@@ -117,10 +120,7 @@ def _load_input(path):
         raise ParseError(f"input is not UTF-8: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+        obj = load_json(text)
         if isinstance(obj, dict) and "kind" in obj:
             return parse_sequence(data)
         if isinstance(obj, dict) and "colors" in obj:
@@ -474,45 +474,15 @@ def _build_parser():
     return parser
 
 
-def _validate_threads_env():
-    raw = os.environ.get("ABR_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"ABR_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ParseError(f"ABR_THREADS must be >= 0, got {value}")
-
-
 def main(argv=None):
-    try:
-        _validate_threads_env()
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvariantError, TooLargeError, TooFewPointsError,
-            NonSquareError, BadShapeError, BadIndicesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GenerationFailedError, ParameterSearchFailedError) as exc:
+    except AbrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for attempt in getattr(exc, "attempts", ()):
             print(f"  base {attempt[0]}: {attempt[1]}", file=sys.stderr)
-        return EXIT_GENERATION
-    except (DegenerateInputError, WrongOrientationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except IdentityViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return next(EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in EXIT_CODES)
 
 
 if __name__ == "__main__":

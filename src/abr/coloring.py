@@ -44,7 +44,6 @@ from .errors import (
 from .linalg import (
     Matrix,
     MomentKernel,
-    Sign,
     SignKernel,
     as_fraction,
     cleared_column,
@@ -52,7 +51,7 @@ from .linalg import (
     signed_minor_kernel,
 )
 from .sequences import LiftedSequence, PlanarSequence
-from .tables import Color, ColoringTable, _check_tuple
+from .tables import Color, ColoringTable, _rank
 
 
 class HeightPair(NamedTuple):
@@ -317,9 +316,6 @@ class OneSwitchCertificate:
     switch_count: int
     zero_positions: tuple
 
-    def deletion_signs(self):
-        return tuple(Sign.of(v) for v in self.d_values)
-
 
 def one_switch_certificate(points, *, allow_zero=False):
     """Certificate that deleting one point at a time flips the tuple color
@@ -426,7 +422,8 @@ def divdiff_color_table(p, order):
 class LazyDivdiffColors:
     """Duck-typed stand-in for ColoringTable that computes divided-difference
     signs on demand; used when the dense table would blow the size guard.
-    Colors are memoized: a search reads each tuple about twenty times."""
+    Colors are memoized by colex rank: a search reads each tuple about
+    twenty times."""
 
     def __init__(self, p, order):
         if not isinstance(p, PlanarSequence):
@@ -438,9 +435,9 @@ class LazyDivdiffColors:
         self._cache = {}
 
     def color(self, tup):
-        _check_tuple(tup, self.n, self.r)
-        hit = self._cache.get(tup)
+        rank = _rank(tup, self.n, self.r)
+        hit = self._cache.get(rank)
         if hit is None:
-            hit = self._cache[tup] = _color_of(self.kernel.value(tup), tup,
-                                               "divided difference vanishes")
+            hit = self._cache[rank] = _color_of(self.kernel.value(tup), tup,
+                                                "divided difference vanishes")
         return hit

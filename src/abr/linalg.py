@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -33,7 +34,7 @@ from .errors import (
     ParseError,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def as_fraction(value):
@@ -46,12 +47,17 @@ def as_fraction(value):
 
 
 def parse_rational(text):
-    """Parse 'p/q' or 'p' (decimal digits, optional sign) into a Fraction."""
+    """Parse 'p/q' or 'p' (ASCII decimal digits, optional sign) into a
+    Fraction."""
     if not isinstance(text, str):
         raise ParseError(f"rational must be a string, got {type(text).__name__}")
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"malformed rational {text!r}; expected 'p/q' or 'p'")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise ParseError(
+            f"rational has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def format_rational(value):
@@ -107,9 +113,6 @@ class Matrix:
             tuple(Fraction(1 if i == j else 0) for j in range(n))
             for i in range(n)
         ))
-
-    def row(self, i):
-        return self.entries[i]
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)

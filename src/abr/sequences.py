@@ -25,6 +25,7 @@ Unknown fields are rejected rather than ignored.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -219,6 +220,18 @@ _PLANAR_FIELDS = {"kind", "points"}
 _LIFTED_FIELDS = {"kind", "dimension", "points"}
 
 
+def load_json(text):
+    """Decode JSON text; malformed JSON, or a number with more digits than
+    Python converts to an int, raises ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:
+        raise ParseError(
+            f"a JSON integer has more than {sys.get_int_max_str_digits()} digits") from exc
+
+
 def parse_sequence(data):
     """Parse a sequence from JSON text (str or UTF-8 bytes).
 
@@ -231,10 +244,7 @@ def parse_sequence(data):
             data = bytes(data).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}") from exc
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    obj = load_json(data)
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     kind = obj.get("kind")

@@ -39,19 +39,37 @@ class Color(enum.Enum):
         return self.value
 
 
-def _colex_rank(tup):
-    rank = 0
-    for pos, c in enumerate(tup):
-        rank += comb(c, pos + 1)
-    return rank
+def _rank(tup, n, r):
+    """Colex rank sum C(c_i, i+1) of a strictly increasing r-tuple of
+    indices below n; any other tuple raises InvariantError."""
+    if len(tup) == r:
+        rank, prev = 0, -1
+        for k, c in enumerate(tup, 1):
+            if c <= prev:
+                break
+            rank += comb(c, k)
+            prev = c
+        else:
+            if prev < n:
+                return rank
+    raise InvariantError(
+        f"need a strictly increasing {r}-tuple of indices below {n}, got {tup!r}"
+    )
 
 
-def _check_tuple(tup, n, r):
-    if len(tup) != r or any(b <= a for a, b in zip(tup, tup[1:])) \
-            or tup[0] < 0 or tup[-1] >= n:
-        raise InvariantError(
-            f"need a strictly increasing {r}-tuple of indices below {n}, got {tup!r}"
-        )
+def _dense_cells(n, r):
+    """C(n, r) for a dense table shape: ints n >= r >= 2 and at most
+    MAX_DENSE_CELLS tuples.  For k = min(r, n - r) >= 1, C(n, r) is at least
+    n and at least 2^k, so a larger n or k is refused before any binomial."""
+    if not (isinstance(n, int) and isinstance(r, int) and n >= r >= 2):
+        raise InvariantError(f"need integer n >= r >= 2, got n={n!r}, r={r!r}")
+    k = min(r, n - r)
+    if k and (n > MAX_DENSE_CELLS or k >= MAX_DENSE_CELLS.bit_length()):
+        raise TooLargeError(f"C(n, {r}) tuples exceed the dense-table guard")
+    cells = comb(n, k)
+    if cells > MAX_DENSE_CELLS:
+        raise TooLargeError(f"{cells} tuples exceed the dense-table guard")
+    return cells
 
 
 def _switches(colors):
@@ -64,6 +82,16 @@ def _lex_subtuples(tup):
     return [tup[:j] + tup[j + 1:] for j in range(len(tup) - 1, -1, -1)]
 
 
+def _leaves_class(colors, monotone):
+    """Whether the colors of an (r+1)-tuple's r-subtuples, in lexicographic
+    order, leave the class: equal ends with another color between them
+    break transitivity (and monotonicity), and a monotone coloring also may
+    not switch more than once between unequal ends."""
+    if colors[0] == colors[-1]:
+        return any(c != colors[0] for c in colors)
+    return monotone and _switches(colors) > 1
+
+
 @dataclass(frozen=True)
 class ColoringTable:
     """Dense coloring of all increasing r-tuples over {0, ..., n-1}."""
@@ -73,14 +101,7 @@ class ColoringTable:
     bits: bytes
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.r, int):
-            raise InvariantError("n and r must be ints")
-        if not (self.n >= self.r >= 2):
-            raise InvariantError(f"need n >= r >= 2, got n={self.n}, r={self.r}")
-        cells = comb(self.n, self.r)
-        if cells > MAX_DENSE_CELLS:
-            raise TooLargeError(f"{cells} tuples exceed the dense-table guard")
-        if len(self.bits) != (cells + 7) // 8:
+        if len(self.bits) != (_dense_cells(self.n, self.r) + 7) // 8:
             raise InvariantError("bit storage has the wrong length")
 
     @property
@@ -90,16 +111,11 @@ class ColoringTable:
     @classmethod
     def from_function(cls, n, r, fn):
         """Build by evaluating fn(tuple) -> Color on every increasing tuple."""
-        if not (isinstance(n, int) and isinstance(r, int) and n >= r >= 2):
-            raise InvariantError(f"need integer n >= r >= 2, got n={n!r}, r={r!r}")
-        cells = comb(n, r)
-        if cells > MAX_DENSE_CELLS:
-            raise TooLargeError(f"{cells} tuples exceed the dense-table guard")
-        store = bytearray((cells + 7) // 8)
+        store = bytearray((_dense_cells(n, r) + 7) // 8)
         for tup in combinations(range(n), r):
             color = fn(tup)
             if color is Color.POSITIVE:
-                rank = _colex_rank(tup)
+                rank = _rank(tup, n, r)
                 store[rank >> 3] |= 1 << (rank & 7)
             elif color is not Color.NEGATIVE:
                 raise InvariantError(f"colorer returned {color!r} for {tup}")
@@ -109,16 +125,16 @@ class ColoringTable:
     def from_colors(cls, n, r, colors):
         """Build from colors listed in lexicographic tuple order; accepts
         Color values or '+'/'-' characters."""
+        cells = _dense_cells(n, r)
         seq = [Color(c) if not isinstance(c, Color) else c for c in colors]
-        if len(seq) != comb(n, r):
-            raise InvariantError(f"expected {comb(n, r)} colors, got {len(seq)}")
+        if len(seq) != cells:
+            raise InvariantError(f"expected {cells} colors, got {len(seq)}")
         it = iter(seq)
         return cls.from_function(n, r, lambda tup: next(it))
 
     def color(self, tup):
         """Color of one increasing tuple (colex-ranked O(r) lookup)."""
-        _check_tuple(tup, self.n, self.r)
-        rank = _colex_rank(tup)
+        rank = _rank(tup, self.n, self.r)
         if self.bits[rank >> 3] >> (rank & 7) & 1:
             return Color.POSITIVE
         return Color.NEGATIVE
@@ -168,9 +184,10 @@ class ColoringTable:
             entries[tup] = Color(parts[r])
             top = max(top, tup[-1])
         n = top + 1
-        if len(entries) != comb(n, r):
+        cells = _dense_cells(n, r)
+        if len(entries) != cells:
             raise ParseError(
-                f"table has {len(entries)} rows but {comb(n, r)} tuples exist for n={n}, r={r}"
+                f"table has {len(entries)} rows but {cells} tuples exist for n={n}, r={r}"
             )
         return cls.from_function(n, r, lambda tup: entries[tup])
 
@@ -194,32 +211,28 @@ class ColoringTable:
             raise ParseError(f"missing table field {exc.args[0]!r}") from exc
         if not isinstance(colors, str) or any(c not in "+-" for c in colors):
             raise ParseError("'colors' must be a string of '+'/'-'")
-        if not isinstance(n, int) or not isinstance(r, int):
-            raise ParseError("'n' and 'r' must be integers")
-        if len(colors) != comb(n, r):
-            raise ParseError(f"expected {comb(n, r)} colors, got {len(colors)}")
+        cells = _dense_cells(n, r)
+        if len(colors) != cells:
+            raise ParseError(f"expected {cells} colors, got {len(colors)}")
         return cls.from_colors(n, r, colors)
 
 
-def is_transitive(table):
-    """(True, None) or (False, witness (r+1)-tuple)."""
-    r = table.r
-    for big in combinations(range(table.n), r + 1):
-        if table.color(big[:-1]) == table.color(big[1:]):
-            want = table.color(big[:-1])
-            for sub in combinations(big, r):
-                if table.color(sub) != want:
-                    return False, big
+def _first_violation(table, monotone):
+    color = table.color
+    for big in combinations(range(table.n), table.r + 1):
+        if _leaves_class([color(sub) for sub in _lex_subtuples(big)], monotone):
+            return False, big
     return True, None
+
+
+def is_transitive(table):
+    """(True, None) or (False, lex-least witness (r+1)-tuple)."""
+    return _first_violation(table, False)
 
 
 def is_monotone(table):
-    """(True, None) or (False, witness (r+1)-tuple)."""
-    for big in combinations(range(table.n), table.r + 1):
-        colors = [table.color(sub) for sub in _lex_subtuples(big)]
-        if _switches(colors) > 1:
-            return False, big
-    return True, None
+    """(True, None) or (False, lex-least witness (r+1)-tuple)."""
+    return _first_violation(table, True)
 
 
 def monotone_implies_transitive_check(table):
@@ -257,13 +270,12 @@ class SearchResult:
         }
 
 
-def longest_monochromatic(table, *, budget=None, assume_transitive=False):
+def longest_monochromatic(table, *, budget=None):
     """Largest index set whose r-subtuples all share one color.
 
-    Depth-first branch and bound over increasing index stacks; a candidate
-    element must keep every newly completed r-subtuple on the target color.
-    With ``assume_transitive`` only the newest consecutive window is checked,
-    which is equivalent for transitive tables and much cheaper.
+    Depth-first branch and bound over increasing index stacks, kept on an
+    explicit stack so no n is too deep; a candidate element must keep every
+    newly completed r-subtuple on the target color.
 
     ``budget`` caps visited nodes deterministically; when it runs out the
     best subset found so far is returned with exhaustive=False.  Ties between
@@ -277,48 +289,46 @@ def longest_monochromatic(table, *, budget=None, assume_transitive=False):
     best_wit = None
     best_color = Color.POSITIVE
     nodes = 0
-    budget_hit = False
 
     def feasible(stack, e, color):
-        if len(stack) < r - 1:
-            return True
-        if assume_transitive and len(stack) >= r - 1:
-            window = tuple(stack[-(r - 1):]) + (e,)
-            return table.color(window) == color
         for sub in combinations(stack, r - 1):
             if table.color(sub + (e,)) != color:
                 return False
         return True
 
-    def extend(stack, color):
-        nonlocal nodes, budget_hit, best_size, best_wit, best_color
-        nodes += 1
-        if budget is not None and nodes > budget:
-            budget_hit = True
-            return
-        if len(stack) >= r:
-            snap = tuple(stack)
-            if len(snap) > best_size or (
-                len(snap) == best_size and (best_wit is None or snap < best_wit)
-            ):
-                best_size, best_wit, best_color = len(snap), snap, color
-        start = stack[-1] + 1 if stack else 0
-        for e in range(start, n):
-            if len(stack) + 1 + (n - 1 - e) < best_size:
-                break
-            if feasible(stack, e, color):
-                stack.append(e)
-                extend(stack, color)
-                stack.pop()
-                if budget_hit:
-                    return
-
     for color in (Color.POSITIVE, Color.NEGATIVE):
-        extend([], color)
-        if budget_hit:
-            break
+        # nexts[i] is the next candidate element after the node stack[:i].
+        stack, nexts = [], []
+        entered = True
+        while True:
+            if entered:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    return SearchResult(best_size, best_wit or (), best_color, False, nodes)
+                if len(stack) >= r:
+                    snap = tuple(stack)
+                    if len(snap) > best_size or (
+                        len(snap) == best_size and (best_wit is None or snap < best_wit)
+                    ):
+                        best_size, best_wit, best_color = len(snap), snap, color
+                nexts.append(stack[-1] + 1 if stack else 0)
+            e = nexts[-1]
+            while e < n and len(stack) + n - e >= best_size:
+                if feasible(stack, e, color):
+                    break
+                e += 1
+            else:
+                nexts.pop()
+                if not stack:
+                    break
+                stack.pop()
+                entered = False
+                continue
+            nexts[-1] = e + 1
+            stack.append(e)
+            entered = True
 
-    return SearchResult(best_size, best_wit or (), best_color, not budget_hit, nodes)
+    return SearchResult(best_size, best_wit or (), best_color, True, nodes)
 
 
 def ramsey_search_tiny(r, k, n_max, cls="monotone", *, max_tuples=64):
@@ -349,48 +359,30 @@ def ramsey_search_tiny(r, k, n_max, cls="monotone", *, max_tuples=64):
 
 
 def _forces(n, r, k, cls):
+    # Tuples are colored in colex order, so a tuple's position is its rank.
+    # The sets a tuple completes are the tuple plus elements below its
+    # minimum: per tuple, the ranks of the r-subtuples (in lex order) of each
+    # (r+1)-set it completes, and of each k-set it completes.
     order = sorted(combinations(range(n), r), key=lambda t: t[::-1])
-    rank = {t: i for i, t in enumerate(order)}
+    completes = [(
+        [[_rank(sub, n, r) for sub in _lex_subtuples((x,) + tup)] for x in range(tup[0])],
+        [[_rank(sub, n, r) for sub in combinations(lower + tup, r)]
+         for lower in combinations(range(tup[0]), k - r)],
+    ) for tup in order]
     colors = [None] * len(order)
+    get = colors.__getitem__
     monotone = cls == "monotone"
-
-    def class_ok(tup):
-        # (r+1)-sets completed by tup: those where tup is the colex-largest
-        # r-subtuple, i.e. tup plus one element below its minimum.
-        for x in range(tup[0]):
-            big = (x,) + tup
-            seq = [colors[rank[sub]] for sub in _lex_subtuples(big)]
-            if monotone:
-                if _switches(seq) > 1:
-                    return False
-            else:
-                if seq[0] == seq[-1] and any(c != seq[0] for c in seq):
-                    return False
-        return True
-
-    def mono_k_completed(tup):
-        # k-sets completed by tup: tup plus k-r elements below its minimum.
-        for lower in combinations(range(tup[0]), k - r):
-            big = lower + tup
-            first = None
-            for sub in combinations(big, r):
-                c = colors[rank[sub]]
-                if first is None:
-                    first = c
-                elif c is not first:
-                    break
-            else:
-                return True
-        return False
 
     def dfs(i):
         if i == len(order):
             return True
-        tup = order[i]
+        bigs, k_sets = completes[i]
         choices = (Color.POSITIVE,) if i == 0 else (Color.POSITIVE, Color.NEGATIVE)
         for c in choices:
             colors[i] = c
-            if class_ok(tup) and not mono_k_completed(tup):
+            other = c.flipped()  # a k-set without it is monochromatic
+            if not any(_leaves_class(list(map(get, big)), monotone) for big in bigs) \
+                    and all(other in map(get, k_set) for k_set in k_sets):
                 if dfs(i + 1):
                     return True
         colors[i] = None

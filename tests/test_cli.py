@@ -1,9 +1,9 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import json
-import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,14 +14,8 @@ CLI = [sys.executable, "-m", "abr.cli"]
 VIOLATING_TABLE = "i0,i1,color\n0,1,+\n0,2,-\n1,2,+\n"
 
 
-def run(*args, stdin=None, env_extra=None):
-    env = dict(os.environ)
-    env.pop("ABR_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
-        CLI + list(args), input=stdin, capture_output=True, env=env
-    )
+def run(*args, stdin=None):
+    proc = subprocess.run(CLI + list(args), input=stdin, capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -215,19 +209,6 @@ def test_parse_errors_are_exit_2(tmp_path):
     assert code == 2  # indices reach 2 but the (0,2) pair is missing
 
 
-def test_abr_threads_validation(tmp_path):
-    src = tmp_path / "m.json"
-    run("generate", "moment", "--n", "5", "-o", str(src))
-    code, _, stderr = run("color", str(src), env_extra={"ABR_THREADS": "soup"})
-    assert code == 2 and b"ABR_THREADS" in stderr
-    code, _, stderr = run("color", str(src), env_extra={"ABR_THREADS": "-1"})
-    assert code == 2
-    code, _, _ = run("color", str(src), env_extra={"ABR_THREADS": "0"})
-    assert code == 0
-    code, _, _ = run("color", str(src), env_extra={"ABR_THREADS": "8"})
-    assert code == 0
-
-
 def test_stdin_sequence_roundtrip():
     code, stdout, _ = run("generate", "moment", "--n", "5")
     assert code == 0
@@ -305,3 +286,31 @@ def test_generate_moment_capped_summary_builds_few_minors(tmp_path, monkeypatch,
         "kind=lifted d=3 n=400 cyclic=unverified general_position=unverified\n")
     # the capped scans touch at most 20,000 tuples each, never all C(400, 3) minors
     assert len(calls) <= 5 * 20000 < comb(400, 3)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": -3, "r": 2, "colors": ""}', "need integer n >= r >= 2, got n=-3, r=2"),
+    ('{"n": 4000000, "r": 2000000, "colors": ""}',
+     "C(n, 2000000) tuples exceed the dense-table guard"),
+    ('{"n": 1' + "0" * 5000 + ', "r": 2, "colors": ""}',
+     "a JSON integer has more than 4300 digits"),
+    ("i0,i1,color\n0," + "9" * 4000 + ",+\n", "C(n, 2) tuples exceed the dense-table guard"),
+    (json.dumps({"kind": "planar", "points": [["1" * 5000, "1"]]}),
+     "point 0: rational has more than 4300 digits"),
+    (json.dumps({"kind": "planar", "points": [["١", "1"]]}),
+     "point 0: malformed rational '١'; expected 'p/q' or 'p'"),
+    (json.dumps({"kind": "planar", "points": [["3\n", "1"]]}),
+     "point 0: malformed rational '3\\n'; expected 'p/q' or 'p'"),
+], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
+        "arabic-digit", "trailing-newline"])
+def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message):
+    from abr import cli
+
+    src = tmp_path / "in"
+    src.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code = cli.main(["check", "monotone", str(src)])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert elapsed < 1.0

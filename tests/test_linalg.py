@@ -160,7 +160,8 @@ def test_parse_format_rational_roundtrip():
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("", "1.5", "1/0", "1/-2", "a/b", "1 / 2", "+ 3", "0x10"):
+    for bad in ("", "1.5", "1/0", "1/-2", "a/b", "1 / 2", "+ 3", "0x10",
+                "\u0661", "1/\u0663", "3\n", "1" * 5000, "1/" + "7" * 5000):
         with pytest.raises(ParseError):
             parse_rational(bad)
 

@@ -176,6 +176,8 @@ def test_parse_sequence_strictness():
         parse_sequence(b"[1, 2]")
     with pytest.raises(ParseError):
         parse_sequence(b"{not json")
+    with pytest.raises(ParseError):  # more digits than int() converts
+        parse_sequence(b'{"kind": "lifted", "dimension": 1' + b"0" * 5000 + b', "points": []}')
     with pytest.raises(ParseError):
         parse_sequence(b'{"kind": "lifted", "points": [["1/1", "2/1"]]}')
     # planar extra: non-increasing abscissas surface as InvariantError

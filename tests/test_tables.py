@@ -125,6 +125,36 @@ def test_monotone_positive_example():
     assert ok is expected
 
 
+def naive_class_witness(table, monotone):
+    """First (r+1)-tuple, in lex order, that breaks the definition."""
+    for big in combinations(range(table.n), table.r + 1):
+        colors = [table.color(sub) for sub in sorted(combinations(big, table.r))]
+        switches = sum(1 for a, b in zip(colors, colors[1:]) if a is not b)
+        ends_agree = table.color(big[:-1]) is table.color(big[1:])
+        broken = switches > 1 if monotone else (ends_agree and len(set(colors)) > 1)
+        if broken:
+            return big
+    return None
+
+
+def test_class_witnesses_match_naive_scan():
+    rng = seeded(31337)
+    seen = set()
+    for r in (2, 3, 4):
+        for _ in range(60):
+            n = rng.randrange(r + 1, r + 5)
+            table = rand_table(rng, n, r)
+            if rng.random() < 0.3:  # colored by the first index alone: monotone
+                cut = rng.randrange(n)
+                table = ColoringTable.from_function(
+                    n, r, lambda tup: Color.POSITIVE if tup[0] < cut else Color.NEGATIVE)
+            for monotone, check in ((True, is_monotone), (False, is_transitive)):
+                want = naive_class_witness(table, monotone)
+                assert check(table) == (want is None, want)
+                seen.add((r, monotone, want is None))
+    assert len(seen) == 12  # every r and class, with and without the property
+
+
 def test_monotone_implies_transitive_on_random_monotone_tables():
     rng = seeded(4242)
     found = 0
@@ -169,6 +199,15 @@ def test_longest_monochromatic_tiny_and_ties():
     result = longest_monochromatic(all_pos)
     assert result.size == 6 and result.witness == (0, 1, 2, 3, 4, 5)
     assert result.color is Color.POSITIVE
+
+
+def test_longest_monochromatic_deep_table():
+    # one stack level per element: a recursive search overflows here
+    table = ColoringTable.from_function(1000, 2, lambda tup: Color.POSITIVE)
+    result = longest_monochromatic(table)
+    assert (result.size, result.witness, result.color) == (1000, tuple(range(1000)),
+                                                            Color.POSITIVE)
+    assert result.exhaustive and result.nodes_visited == 1003
 
 
 def test_longest_monochromatic_budget():
