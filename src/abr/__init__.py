@@ -60,7 +60,6 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    Sign,
     as_fraction,
     complementary_minors,
     det,
@@ -116,7 +115,6 @@ __all__ = [
     "PlanarSequence",
     "RadonCertificate",
     "SearchResult",
-    "Sign",
     "TooFewPointsError",
     "TooLargeError",
     "ValidationReport",

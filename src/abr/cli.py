@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 usage or malformed input, 3 generation failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import combinations
 from math import comb
@@ -52,9 +51,10 @@ from .errors import (
 from .linalg import Matrix, plucker_residual
 from .sequences import (
     PlanarSequence,
+    dump_json,
     load_json,
     moment_lift,
-    parse_sequence,
+    sequence_from_json_obj,
     serialize_sequence,
     validate_cyclic_projections,
     validate_general_position,
@@ -79,10 +79,6 @@ EXIT_CODES = {
 }
 
 _SUMMARY_TUPLE_CAP = 20000
-
-
-def _json_bytes(obj):
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def _read_input(path):
@@ -122,7 +118,7 @@ def _load_input(path):
     if stripped.startswith("{"):
         obj = load_json(text)
         if isinstance(obj, dict) and "kind" in obj:
-            return parse_sequence(data)
+            return sequence_from_json_obj(obj)
         if isinstance(obj, dict) and "colors" in obj:
             return ColoringTable.from_json_obj(obj)
         raise ParseError("JSON input has neither 'kind' (sequence) nor 'colors' (table)")
@@ -133,26 +129,28 @@ def _load_input(path):
 
 def _lifted_table(s, args):
     """Validated lifted sequence (a planar one is moment-lifted to ``--d``)
-    and its color table.  ``--reverse-orientation`` repairs a reversed
-    sequence.  The color pass is the general-position check: it stops at
-    the lex-first zero determinant."""
+    and its color table.  A sequence that is not cyclically ordered but
+    whose reversal is gets WrongOrientationError, or with
+    ``--reverse-orientation`` is replaced by that reversal.  The color pass
+    is the general-position check: it stops at the lex-first zero
+    determinant."""
     if isinstance(s, PlanarSequence):
         s = moment_lift(s, args.d)
     report = validate_cyclic_projections(s)
-    if report.wrong_orientation and args.reverse_orientation:
-        s = s.reversed()
-        report = validate_cyclic_projections(s)
-    if report.wrong_orientation:
-        raise WrongOrientationError(
-            "projections are cyclically ordered only after reversal; "
-            "rerun with --reverse-orientation",
-            witness=report.failures[0][0],
-        )
     if not report.valid:
-        witness = report.failures[0][0] if report.failures else None
-        raise DegenerateInputError(
-            f"projections are not cyclically ordered (witness {witness})", witness=witness
-        )
+        witness = report.failures[0][0]
+        reverse = s.reversed()
+        if not validate_cyclic_projections(reverse).valid:
+            raise DegenerateInputError(
+                f"projections are not cyclically ordered (witness {witness})", witness=witness
+            )
+        if not args.reverse_orientation:
+            raise WrongOrientationError(
+                "projections are cyclically ordered only after reversal; "
+                "rerun with --reverse-orientation",
+                witness=witness,
+            )
+        s = reverse
     if len(s) < s.dimension + 1:
         raise TooFewPointsError(f"need at least {s.dimension + 1} points, got {len(s)}")
     try:
@@ -227,26 +225,21 @@ def _cmd_generate_random(args):
 def _cmd_generate_em(args):
     if args.no_verify:
         seq, params = build_cluster_parabola(args.m, args.base)
-        report_obj = {
-            "m": args.m,
-            "n": len(seq),
-            "max_monotone": None,
-            "exhaustive": False,
-            "params": params.to_json_obj(),
-        }
+        max_monotone, exhaustive = None, False
     else:
         seq, params, report = cluster_parabola_sequence(
             args.m, start_base=args.base, max_base=args.max_base, budget=args.budget
         )
-        report_obj = {
-            "m": report.depth,
-            "n": report.n,
-            "max_monotone": report.max_monotone,
-            "exhaustive": report.exhaustive,
-            "params": params.to_json_obj(),
-        }
+        max_monotone, exhaustive = report.max_monotone, report.exhaustive
+    report_obj = {
+        "m": args.m,
+        "n": len(seq),
+        "max_monotone": max_monotone,
+        "exhaustive": exhaustive,
+        "params": params.to_json_obj(),
+    }
     to_file = _emit(serialize_sequence(seq), args.output)
-    _summary(to_file, _json_bytes(report_obj).decode("utf-8").rstrip("\n"))
+    _summary(to_file, dump_json(report_obj).decode("utf-8").rstrip("\n"))
     return EXIT_OK
 
 
@@ -267,13 +260,13 @@ def _cmd_color(args):
     if args.format == "csv":
         artifact = table.to_csv().encode("utf-8")
     else:
-        artifact = _json_bytes(table.to_json_obj())
+        artifact = dump_json(table.to_json_obj())
     to_file = _emit(artifact, args.output)
     positive, negative = table.counts()
     d = lifted.dimension
     lines = [f"n={len(lifted)} d={d} tuples={table.total} positive={positive} negative={negative}"]
+    mismatches = 0
     if args.cross_check:
-        mismatches = 0
         for tup, color in table:
             pts = [lifted.points[i] for i in tup]
             _, by_heights = color_by_heights(pts)
@@ -283,14 +276,12 @@ def _cmd_color(args):
             if not agree:
                 mismatches += 1
         lines.append(f"mismatches: {mismatches}")
-        if mismatches:
-            for line in lines:
-                _summary(to_file, line)
-            raise IdentityViolationError(
-                f"{mismatches} tuples disagree between color oracles"
-            )
     for line in lines:
         _summary(to_file, line)
+    if mismatches:
+        raise IdentityViolationError(
+            f"{mismatches} tuples disagree between color oracles"
+        )
     return EXIT_OK
 
 
@@ -298,7 +289,7 @@ def _cmd_color(args):
 
 def _report(args, human, obj):
     if args.format == "json":
-        sys.stdout.buffer.write(_json_bytes(obj))
+        sys.stdout.buffer.write(dump_json(obj))
     else:
         print(human)
 
@@ -383,7 +374,7 @@ def _cmd_search(args):
     if args.k is not None:
         payload["k"] = args.k
         payload["reached"] = result.size >= args.k
-    to_file = _emit(_json_bytes(payload), args.output)
+    to_file = _emit(dump_json(payload), args.output)
     if not result.exhaustive:
         _summary(to_file, f"budget exhausted after {result.nodes_visited} nodes")
         if not args.best_effort:

@@ -11,9 +11,8 @@ The tuple's color is positive exactly when
 and this coincides with the sign of the (d+1) x (d+1) determinant whose
 columns are (1, z_i, h_i).  Both oracles are implemented, plus a third one
 for d = 3 that intersects the two diagonals of the projected quadrilateral
-and compares interpolated heights at the crossing; its above/below-to-color
-mapping is calibrated once against the determinant oracle on a fixed
-reference tuple and cached.
+and compares interpolated heights at the crossing: the same rule says the
+color is positive exactly when the even diagonal passes below the odd one.
 
 The planar counterpart: for points (t_i, h_i) on the d-dimensional moment
 curve the determinant factors as Vandermonde(t) * [order-d divided
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import prod
 from typing import NamedTuple
@@ -115,7 +113,7 @@ def radon_certificate(zs):
         )
     if all(m < 0 for m in minors):
         raise WrongOrientationError(
-            "all projection minors are negative; the reversed sequence is cyclic"
+            "all projection minors are negative; projections are not cyclically ordered"
         )
     if any(m < 0 for m in minors):
         raise WrongOrientationError(
@@ -211,17 +209,6 @@ def _crossing_heights(pts):
     return h_even, h_odd
 
 
-@lru_cache(maxsize=1)
-def _positive_means_even_below():
-    """Calibrate the crossing comparison against the determinant oracle on
-    one fixed nondegenerate reference tuple; cached forever after."""
-    ts = [Fraction(v) for v in (0, 1, 2, 3)]
-    reference = [(t, t * t, t ** 3) for t in ts]
-    det_color = color_by_determinant(reference)
-    h_even, h_odd = _crossing_heights(_normalize_points(reference))
-    return (det_color is Color.POSITIVE) == (h_even < h_odd)
-
-
 def color_by_crossing(points):
     """Crossing oracle for d = 3: compare the lifted heights of the two
     diagonals of the projected quadrilateral over their crossing point."""
@@ -231,10 +218,8 @@ def color_by_crossing(points):
     h_even, h_odd = _crossing_heights(pts)
     if h_even == h_odd:
         raise DegenerateInputError("diagonals meet at equal heights")
-    even_below = h_even < h_odd
-    if even_below == _positive_means_even_below():
-        return Color.POSITIVE
-    return Color.NEGATIVE
+    # (-1)^d (H_even - H_odd) > 0 at d = 3
+    return Color.POSITIVE if h_even < h_odd else Color.NEGATIVE
 
 
 def _divdiff_closed(pts):

@@ -52,8 +52,9 @@ class DegenerateInputError(AbrError):
 
 
 class WrongOrientationError(AbrError):
-    """Projections are not positively oriented; for an all-negative sequence
-    reversing the point order usually fixes it."""
+    """Projections are not positively oriented.  Reversing the point order
+    multiplies every d x d projection minor by (-1)^(d(d-1)/2), so it can
+    repair an all-negative sequence only when d = 2 or 3 (mod 4)."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

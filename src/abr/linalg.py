@@ -17,7 +17,6 @@ one-switch certificate, clears each point once and caches its minors.
 
 from __future__ import annotations
 
-import enum
 import re
 import sys
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .errors import (
     InvariantError,
     NonSquareError,
     ParseError,
+    TooLargeError,
 )
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
@@ -61,27 +61,14 @@ def parse_rational(text):
 
 
 def format_rational(value):
-    """Render a Fraction as 'p/q' (always with the denominator)."""
+    """Render a Fraction as 'p/q' (always with the denominator); a part with
+    more digits than Python converts to a string raises TooLargeError."""
     value = as_fraction(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
-class Sign(enum.IntEnum):
-    """Sign of an exact scalar; integer values give the natural total order
-    NEGATIVE < ZERO < POSITIVE."""
-
-    NEGATIVE = -1
-    ZERO = 0
-    POSITIVE = 1
-
-    @classmethod
-    def of(cls, value):
-        value = as_fraction(value)
-        if value > 0:
-            return cls.POSITIVE
-        if value < 0:
-            return cls.NEGATIVE
-        return cls.ZERO
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise TooLargeError(
+            f"an output number has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ UNVERIFIED = "unverified"
 
 ZERO_DETERMINANT = "zero_determinant"
 NEGATIVE_DETERMINANT = "negative_determinant"
-WRONG_ORIENTATION = "wrong_orientation"
 ZERO_DIVIDED_DIFFERENCE = "zero_divided_difference"
 
 
@@ -62,10 +61,6 @@ class ValidationReport:
     @property
     def valid(self):
         return self.status == VALID
-
-    @property
-    def wrong_orientation(self):
-        return any(reason == WRONG_ORIENTATION for _, reason in self.failures)
 
 
 @dataclass(frozen=True)
@@ -166,7 +161,7 @@ def _scan(n, r, value, zero_reason, negative_reason, max_failures, max_tuples):
     if n < r:
         raise TooFewPointsError(f"need at least {r} points, got {n}")
     failures = []
-    checked = positive = zero = 0
+    checked = 0
     for tup in combinations(range(n), r):
         if max_tuples is not None and checked >= max_tuples:
             if failures:
@@ -175,26 +170,21 @@ def _scan(n, r, value, zero_reason, negative_reason, max_failures, max_tuples):
         checked += 1
         v = value(tup)
         if v > 0:
-            positive += 1
             continue
-        zero += v == 0
         if v == 0 or negative_reason:
             failures.append((tup, zero_reason if v == 0 else negative_reason))
             if len(failures) >= max_failures:
                 break
     if not failures:
         return ValidationReport(VALID, (), checked)
-    if zero == 0 and positive == 0:
-        failures = [(tup, WRONG_ORIENTATION) for tup, _ in failures]
     return ValidationReport(INVALID, tuple(failures), checked)
 
 
 def validate_cyclic_projections(s, *, max_failures=16, max_tuples=None):
     """Check that every increasing d-tuple of projections is positively
-    oriented, collecting up to ``max_failures`` zero or negative minors.  If
-    every checked tuple came out negative the reasons are rewritten to
-    "wrong_orientation": the sequence is fine backwards.  ``max_tuples``
-    bounds the scan; hitting it without a violation yields "unverified"."""
+    oriented, collecting up to ``max_failures`` zero or negative minors.
+    ``max_tuples`` bounds the scan; hitting it without a violation yields
+    "unverified"."""
     return _scan(len(s), s.dimension, s.kernel.minor, ZERO_DETERMINANT,
                  NEGATIVE_DETERMINANT, max_failures, max_tuples)
 
@@ -221,8 +211,9 @@ _LIFTED_FIELDS = {"kind", "dimension", "points"}
 
 
 def load_json(text):
-    """Decode JSON text; malformed JSON, or a number with more digits than
-    Python converts to an int, raises ParseError."""
+    """Decode JSON text; malformed JSON, a number with more digits than
+    Python converts to an int, or nesting deeper than the interpreter's
+    recursion limit raises ParseError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -230,6 +221,13 @@ def load_json(text):
     except ValueError as exc:
         raise ParseError(
             f"a JSON integer has more than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON input is nested too deeply") from exc
+
+
+def dump_json(obj):
+    """Canonical JSON bytes: sorted keys, no whitespace, trailing newline."""
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def parse_sequence(data):
@@ -244,7 +242,12 @@ def parse_sequence(data):
             data = bytes(data).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}") from exc
-    obj = load_json(data)
+    return sequence_from_json_obj(load_json(data))
+
+
+def sequence_from_json_obj(obj):
+    """A sequence from its decoded JSON object, with the same checks and
+    errors as ``parse_sequence``."""
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     kind = obj.get("kind")
@@ -280,8 +283,8 @@ def parse_sequence(data):
 
 
 def serialize_sequence(s):
-    """Serialize a sequence to canonical JSON bytes (stable key order, no
-    whitespace, trailing newline); parse_sequence round-trips exactly."""
+    """Serialize a sequence to canonical JSON bytes (``dump_json``);
+    parse_sequence round-trips exactly."""
     if isinstance(s, PlanarSequence):
         obj = {
             "kind": "planar",
@@ -295,4 +298,4 @@ def serialize_sequence(s):
         }
     else:
         raise InvariantError(f"cannot serialize {type(s).__name__}")
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return dump_json(obj)

@@ -17,6 +17,7 @@ Structure predicates:
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -24,6 +25,7 @@ from math import comb
 from .errors import InvariantError, ParseError, TooLargeError
 
 MAX_DENSE_CELLS = 1 << 24
+_INDEX_RE = re.compile(r"[0-9]+")
 
 
 class Color(enum.Enum):
@@ -171,11 +173,14 @@ class ColoringTable:
             parts = line.split(",")
             if len(parts) != r + 1:
                 raise ParseError(f"row has {len(parts)} fields, expected {r + 1}", line=line_no)
+            for x in parts[:r]:
+                if not _INDEX_RE.fullmatch(x):
+                    raise ParseError(f"bad index {x!r} in row {line_no}; expected ASCII digits")
             try:
                 tup = tuple(int(x) for x in parts[:r])
             except ValueError as exc:
                 raise ParseError(f"bad index in row {line_no}: {exc}") from exc
-            if any(i < 0 for i in tup) or list(tup) != sorted(set(tup)):
+            if list(tup) != sorted(set(tup)):
                 raise ParseError(f"indices {tup} must be strictly increasing", line=line_no)
             if parts[r] not in ("+", "-"):
                 raise ParseError(f"bad color {parts[r]!r}", line=line_no)

@@ -132,6 +132,39 @@ def test_color_reverse_orientation_repair(tmp_path):
     assert stdout == fwd_table
 
 
+# reversal multiplies each d x d projection minor by (-1)^(d(d-1)/2), so it
+# repairs neither a mixed d=2 input nor an all-negative d=4 one
+UNREPAIRABLE = {
+    "mixed-d2": (2, [[str(z), str(z * z)] for z in [*range(20, 0, -1), 100]], (0, 1)),
+    "negative-d4": (4, [[str(t), str(t * t), str(-t ** 3), str(t ** 5 + 7 * t)]
+                        for t in range(6)], (0, 1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("flag", [[], ["--reverse-orientation"]], ids=["plain", "reverse"])
+@pytest.mark.parametrize("case", sorted(UNREPAIRABLE))
+def test_unrepairable_orientation_is_not_cyclic(tmp_path, case, flag):
+    d, points, witness = UNREPAIRABLE[case]
+    src = _write_json(tmp_path / "s.json", {"kind": "lifted", "dimension": d,
+                                            "points": points})
+    code, stdout, stderr = run("color", src, *flag)
+    assert (code, stdout) == (4, b"")
+    assert stderr == f"error: projections are not cyclically ordered (witness {witness})\n".encode()
+
+
+def test_sequence_input_is_decoded_once(tmp_path, monkeypatch):
+    from abr import PlanarSequence, cli, moment_lift, serialize_sequence
+
+    src = tmp_path / "m.json"
+    src.write_bytes(serialize_sequence(moment_lift(
+        PlanarSequence(tuple((t, t ** 3) for t in range(6))), 3)))
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **kw: calls.append(1) or loads(*a, **kw))
+    assert cli.main(["color", str(src), "-o", str(tmp_path / "t.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_check_monotone_ok_and_violation(tmp_path):
     src = tmp_path / "m.json"
     run("generate", "random", "--d", "2", "--n", "7", "--seed", "11", "-o", str(src))
@@ -301,8 +334,13 @@ def test_generate_moment_capped_summary_builds_few_minors(tmp_path, monkeypatch,
      "point 0: malformed rational '١'; expected 'p/q' or 'p'"),
     (json.dumps({"kind": "planar", "points": [["3\n", "1"]]}),
      "point 0: malformed rational '3\\n'; expected 'p/q' or 'p'"),
+    ("i0,i1,color\n0,\u0661,+\n", "bad index '\u0661' in row 2; expected ASCII digits"),
+    ("i0,i1,color\n0, 1 ,+\n", "bad index ' 1 ' in row 2; expected ASCII digits"),
+    ("i0,i1,color\n0,1_0,+\n", "bad index '1_0' in row 2; expected ASCII digits"),
+    ('{"a":' + "[" * 100000 + "]" * 100000 + "}", "JSON input is nested too deeply"),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
-        "arabic-digit", "trailing-newline"])
+        "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
+        "csv-underscore-index", "deep-json"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message):
     from abr import cli
 
@@ -314,3 +352,12 @@ def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message):
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert elapsed < 1.0
+
+
+def test_over_long_output_number_is_one_line_exit_2(tmp_path):
+    out = tmp_path / "F.json"
+    code, stdout, stderr = run("generate", "random", "--d", "2", "--n", "3",
+                               "--bits", "15000", "-o", str(out))
+    assert (code, stdout) == (2, b"")
+    assert stderr == b"error: an output number has more than 4300 digits\n"
+    assert not out.exists()

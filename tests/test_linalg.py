@@ -11,7 +11,7 @@ from abr import (
     Matrix,
     NonSquareError,
     ParseError,
-    Sign,
+    TooLargeError,
     as_fraction,
     complementary_minors,
     det,
@@ -166,7 +166,7 @@ def test_parse_rational_rejects_garbage():
             parse_rational(bad)
 
 
-def test_sign_of():
-    assert Sign.of(Fraction(3, 7)) is Sign.POSITIVE
-    assert Sign.of(0) is Sign.ZERO
-    assert Sign.of(-2) is Sign.NEGATIVE
+def test_format_rational_refuses_over_long_output():
+    for value in (Fraction(10 ** 5000), Fraction(1, 3 ** 10000)):
+        with pytest.raises(TooLargeError, match="more than 4300 digits"):
+            format_rational(value)

@@ -84,11 +84,16 @@ def test_validate_cyclic_projections_moment_points():
 
 
 def test_validate_cyclic_projections_reversed():
-    s = lifted_cubic(6).reversed()
-    report = validate_cyclic_projections(s)
-    assert report.wrong_orientation
-    assert not report.valid
-    assert all(reason == "wrong_orientation" for _, reason in report.failures)
+    # reversal multiplies every d x d minor by (-1)^(d(d-1)/2)
+    for d in (2, 3, 4, 5, 6):
+        s = lifted_cubic(d + 3, d).reversed()
+        report = validate_cyclic_projections(s)
+        if d % 4 in (0, 1):
+            assert report.valid
+            continue
+        assert not report.valid
+        assert all(reason == "negative_determinant" for _, reason in report.failures)
+        assert validate_cyclic_projections(s.reversed()).valid
 
 
 def test_validate_cyclic_projections_degenerate():
