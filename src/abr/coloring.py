@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from typing import NamedTuple
 
 from .errors import (
@@ -408,7 +408,7 @@ class LazyDivdiffColors:
     """Duck-typed stand-in for ColoringTable that computes divided-difference
     signs on demand; used when the dense table would blow the size guard.
     Colors are memoized by colex rank: a search reads each tuple about
-    twenty times."""
+    twenty times.  ``positive_among`` evaluates only the candidate bits."""
 
     def __init__(self, p, order):
         if not isinstance(p, PlanarSequence):
@@ -420,9 +420,26 @@ class LazyDivdiffColors:
         self._cache = {}
 
     def color(self, tup):
-        rank = _rank(tup, self.n, self.r)
+        return self._color(_rank(tup, self.n, self.r), tup)
+
+    def _color(self, rank, tup):
         hit = self._cache.get(rank)
         if hit is None:
             hit = self._cache[rank] = _color_of(self.kernel.value(tup), tup,
                                                 "divided difference vanishes")
         return hit
+
+    def positive_among(self, prefix, mask):
+        """The bits y of ``mask`` (each max(prefix) < y < n) for which
+        prefix + (y,) is +."""
+        base = _rank(prefix, self.n, self.r - 1)
+        if mask >> self.n or mask & ((2 << prefix[-1]) - 1):
+            raise InvariantError(f"candidates {mask:#x} do not all extend {prefix!r}")
+        positive = 0
+        while mask:
+            low = mask & -mask
+            y = low.bit_length() - 1
+            if self._color(base + comb(y, self.r), prefix + (y,)) is Color.POSITIVE:
+                positive |= low
+            mask ^= low
+        return positive

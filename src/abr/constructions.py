@@ -33,12 +33,15 @@ from .errors import (
     GenerationFailedError,
     InvariantError,
     ParameterSearchFailedError,
+    TooLargeError,
 )
 from .linalg import format_rational
 from .sequences import PlanarSequence, moment_lift, validate_general_position
 from .tables import MAX_DENSE_CELLS, longest_monochromatic
 
 MAX_BASE = 2 ** 64
+# The deepest m whose 2^(2^(m-1)) points fit the 2^24 guard: 2^(m-1) <= 24.
+MAX_DEPTH = (MAX_DENSE_CELLS.bit_length() - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,25 @@ def _exponent_schedule(steps):
     return sigmas, kappas, nus
 
 
+def _depth_points(m):
+    """2^(2^(m-1)), the size of the depth-m instance.  A depth beyond
+    MAX_DEPTH is refused before the power is computed."""
+    if not isinstance(m, int) or m < 1:
+        raise InvariantError(f"depth must be an integer >= 1, got {m!r}")
+    if m > MAX_DEPTH:
+        raise TooLargeError(
+            f"depth {m} means 2^(2^{m - 1}) points, beyond the {MAX_DENSE_CELLS}-point guard"
+        )
+    return 2 ** (2 ** (m - 1))
+
+
 def build_cluster_parabola(m, base):
     """Build the depth-m instance at a fixed integer base (no verification).
 
     Returns (PlanarSequence of 2^(2^(m-1)) points, ClusterParabolaParams).
+    Refuses m > MAX_DEPTH (TooLargeError) before building anything.
     """
-    if not isinstance(m, int) or m < 1:
-        raise InvariantError(f"depth must be an integer >= 1, got {m!r}")
+    _depth_points(m)
     if not isinstance(base, int) or base < 2:
         raise InvariantError(f"base must be an integer >= 2, got {base!r}")
     sigmas, kappas, nus = _exponent_schedule(m - 1)
@@ -158,11 +173,10 @@ def verify_cluster_parabola(p, m, *, budget=None):
 
     Raises DegenerateInputError if some quadruple has a vanishing third
     divided difference (no color is defined there), and InvariantError if p
-    does not have the depth-m size 2^(2^(m-1)).
+    does not have the depth-m size 2^(2^(m-1)) (TooLargeError for
+    m > MAX_DEPTH).
     """
-    if not isinstance(m, int) or m < 1:
-        raise InvariantError(f"depth must be an integer >= 1, got {m!r}")
-    expected = 2 ** (2 ** (m - 1))
+    expected = _depth_points(m)
     if len(p) != expected:
         raise InvariantError(f"depth {m} means {expected} points, got {len(p)}")
     n = len(p)

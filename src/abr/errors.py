@@ -27,12 +27,14 @@ class InvariantError(AbrError):
 
 
 class ParseError(AbrError):
-    """Input text could not be parsed.  Carries line/column for syntax
-    errors when the underlying JSON decoder provides them."""
+    """Input text could not be parsed.  Carries the line (CSV rows, JSON
+    syntax errors) and the column when the JSON decoder provides it."""
 
     def __init__(self, message, line=None, column=None):
-        if line is not None:
+        if column is not None:
             message = f"{message} (line {line}, column {column})"
+        elif line is not None:
+            message = f"{message} (line {line})"
         super().__init__(message)
         self.line = line
         self.column = column

@@ -4,6 +4,15 @@ A coloring assigns + or - to every increasing r-tuple over {0, ..., n-1}.
 Tables are stored densely, one bit per tuple, indexed by the colexicographic
 rank sum(C(c_i, i+1)); a size guard refuses tables beyond the dense budget.
 
+The checks and the search read rows instead of single tuples.  The row of an
+(r-1)-tuple Q is an int whose bit y is set when Q + (y,) is +.  Every table
+answers one question, ``positive_among(Q, mask)``: which candidate bits y of
+``mask`` make Q + (y,) positive.  A dense table derives its rows once from
+the stored bits (the tuples ending in y fill the colex block
+[C(y, r), C(y+1, r)), prefixes in colex order) and answers ``row & mask``; a
+lazy table evaluates only the candidate bits.  The class rule then runs on
+all candidates y at once, one bit lane per candidate.
+
 Structure predicates:
 
 * transitive: inside every (r+1)-tuple, if the two consecutive r-subtuples
@@ -19,6 +28,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -74,10 +84,6 @@ def _dense_cells(n, r):
     return cells
 
 
-def _switches(colors):
-    return sum(1 for a, b in zip(colors, colors[1:]) if a != b)
-
-
 def _lex_subtuples(tup):
     """The r-subtuples of an (r+1)-tuple in lexicographic order: dropping
     the last element comes first, dropping the first comes last."""
@@ -85,13 +91,17 @@ def _lex_subtuples(tup):
 
 
 def _leaves_class(colors, monotone):
-    """Whether the colors of an (r+1)-tuple's r-subtuples, in lexicographic
-    order, leave the class: equal ends with another color between them
-    break transitivity (and monotonicity), and a monotone coloring also may
-    not switch more than once between unequal ends."""
-    if colors[0] == colors[-1]:
-        return any(c != colors[0] for c in colors)
-    return monotone and _switches(colors) > 1
+    """The lanes in which the colors of an (r+1)-tuple's r-subtuples, in
+    lexicographic order, leave the class.  Each color is an int whose bit is
+    set in the lanes where that subtuple is +; a list of 0/1 colors is the
+    one-lane case.  Two or more switches break monotonicity; they break
+    transitivity when the ends are equal (another color sits between)."""
+    once = twice = 0
+    for a, b in zip(colors, colors[1:]):
+        switch = a ^ b
+        twice |= once & switch
+        once |= switch
+    return twice if monotone else twice & ~(colors[0] ^ colors[-1])
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,29 @@ class ColoringTable:
         it = iter(seq)
         return cls.from_function(n, r, lambda tup: next(it))
 
+    @cached_property
+    def _rows(self):
+        """Rows in colex order of their (r-1)-tuples Q, bit y of a row set
+        when Q + (y,) is +.  The tuples ending in y fill the colex block
+        [C(y, r), C(y+1, r)) in the colex order of their prefixes, so one
+        pass transposes the bits."""
+        n, r = self.n, self.r
+        rows = [0] * comb(n, r - 1)
+        bits = int.from_bytes(self.bits, "little")
+        for y in range(r - 1, n):
+            size = comb(y, r - 1)
+            block = bits >> comb(y, r) & ((1 << size) - 1)
+            bit = 1 << y
+            for q, c in enumerate(f"{block:0{size}b}"[::-1]):
+                if c == "1":
+                    rows[q] |= bit
+        return rows
+
+    def positive_among(self, prefix, mask):
+        """The bits y of ``mask`` (each max(prefix) < y < n) for which
+        prefix + (y,) is +."""
+        return self._rows[_rank(prefix, self.n, self.r - 1)] & mask
+
     def color(self, tup):
         """Color of one increasing tuple (colex-ranked O(r) lookup)."""
         rank = _rank(tup, self.n, self.r)
@@ -146,8 +179,9 @@ class ColoringTable:
             yield tup, self.color(tup)
 
     def counts(self):
-        positive = sum(1 for _, c in self if c is Color.POSITIVE)
-        return positive, self.total - positive
+        total = self.total
+        positive = (int.from_bytes(self.bits, "little") & ((1 << total) - 1)).bit_count()
+        return positive, total - positive
 
     def to_csv(self):
         header = ",".join(f"i{k}" for k in range(self.r)) + ",color"
@@ -223,10 +257,24 @@ class ColoringTable:
 
 
 def _first_violation(table, monotone):
-    color = table.color
-    for big in combinations(range(table.n), table.r + 1):
-        if _leaves_class([color(sub) for sub in _lex_subtuples(big)], monotone):
-            return False, big
+    """Walk the r-tuples T in lex order; the r+1 subtuple colors of every
+    T + (y,), y > max T, are r+1 masks over y, and the lowest violating lane
+    of the first T that has one is the lex-least witness."""
+    n, r = table.n, table.r
+    positive = table.positive_among
+    full = (1 << n) - 1
+    for prefix in combinations(range(n - 1), r - 1):
+        own = positive(prefix, full ^ ((2 << prefix[-1]) - 1))
+        for t in range(prefix[-1] + 1, n - 1):
+            tup = prefix + (t,)
+            lanes = full ^ ((2 << t) - 1)
+            # Lex order: drop y (T's own color in every lane), then drop t
+            # (the prefix's row), then the earlier elements, last to first.
+            colors = [lanes if own >> t & 1 else 0, own & lanes]
+            colors += [positive(tup[:j] + tup[j + 1:], lanes) for j in range(r - 2, -1, -1)]
+            bad = _leaves_class(colors, monotone)
+            if bad:
+                return False, tup + ((bad & -bad).bit_length() - 1,)
     return True, None
 
 
@@ -279,8 +327,10 @@ def longest_monochromatic(table, *, budget=None):
     """Largest index set whose r-subtuples all share one color.
 
     Depth-first branch and bound over increasing index stacks, kept on an
-    explicit stack so no n is too deep; a candidate element must keep every
-    newly completed r-subtuple on the target color.
+    explicit stack so no n is too deep.  Each level keeps a mask of the
+    candidate elements that keep every r-subtuple on the target color;
+    pushing e ANDs in the rows of the new (r-1)-subsets that end in e, and
+    the next candidate is the lowest set bit.
 
     ``budget`` caps visited nodes deterministically; when it runs out the
     best subset found so far is returned with exhaustive=False.  Ties between
@@ -294,42 +344,47 @@ def longest_monochromatic(table, *, budget=None):
     best_wit = None
     best_color = Color.POSITIVE
     nodes = 0
-
-    def feasible(stack, e, color):
-        for sub in combinations(stack, r - 1):
-            if table.color(sub + (e,)) != color:
-                return False
-        return True
+    positive = table.positive_among
 
     for color in (Color.POSITIVE, Color.NEGATIVE):
-        # nexts[i] is the next candidate element after the node stack[:i].
-        stack, nexts = [], []
+        # cands[i] holds the untried candidates after the node stack[:i]: the
+        # elements above stack[i-1] that keep every r-subtuple on ``color``.
+        stack, cands = [], []
+        mask = (1 << n) - 1
         entered = True
         while True:
             if entered:
                 nodes += 1
                 if budget is not None and nodes > budget:
                     return SearchResult(best_size, best_wit or (), best_color, False, nodes)
-                if len(stack) >= r:
+                depth = len(stack)
+                if depth >= r:
                     snap = tuple(stack)
-                    if len(snap) > best_size or (
-                        len(snap) == best_size and (best_wit is None or snap < best_wit)
+                    if depth > best_size or (
+                        depth == best_size and (best_wit is None or snap < best_wit)
                     ):
-                        best_size, best_wit, best_color = len(snap), snap, color
-                nexts.append(stack[-1] + 1 if stack else 0)
-            e = nexts[-1]
-            while e < n and len(stack) + n - e >= best_size:
-                if feasible(stack, e, color):
-                    break
-                e += 1
-            else:
-                nexts.pop()
+                        best_size, best_wit, best_color = depth, snap, color
+                if stack:
+                    # The new (r-1)-subsets are those that end in the new element.
+                    e = stack[-1]
+                    for rest in combinations(stack[:-1], r - 2):
+                        if not mask:
+                            break
+                        hit = positive(rest + (e,), mask)
+                        mask = hit if color is Color.POSITIVE else mask ^ hit
+                cands.append(mask)
+            mask = cands[-1]
+            low = mask & -mask
+            e = low.bit_length() - 1
+            if not mask or len(stack) + n - e < best_size:
+                cands.pop()
                 if not stack:
                     break
                 stack.pop()
                 entered = False
                 continue
-            nexts[-1] = e + 1
+            mask ^= low
+            cands[-1] = mask
             stack.append(e)
             entered = True
 
@@ -382,10 +437,9 @@ def _forces(n, r, k, cls):
         if i == len(order):
             return True
         bigs, k_sets = completes[i]
-        choices = (Color.POSITIVE,) if i == 0 else (Color.POSITIVE, Color.NEGATIVE)
-        for c in choices:
+        for c in (1,) if i == 0 else (1, 0):  # 1 is +
             colors[i] = c
-            other = c.flipped()  # a k-set without it is monochromatic
+            other = c ^ 1  # a k-set without it is monochromatic
             if not any(_leaves_class(list(map(get, big)), monotone) for big in bigs) \
                     and all(other in map(get, k_set) for k_set in k_sets):
                 if dfs(i + 1):

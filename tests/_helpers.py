@@ -61,12 +61,82 @@ def naive_longest_monochromatic(table):
     return size, tuple(range(size)), None
 
 
-def rand_table(rng, n, r):
+def rand_table(rng, n, r, density=0.5):
     from abr import ColoringTable, Color
 
     return ColoringTable.from_function(
-        n, r, lambda tup: Color.POSITIVE if rng.random() < 0.5 else Color.NEGATIVE
+        n, r, lambda tup: Color.POSITIVE if rng.random() < density else Color.NEGATIVE
     )
+
+
+def cupcap_table(rng, n):
+    """Order-2 table (cup +, cap -) of n random integer points with distinct
+    x, redrawn until no three are collinear."""
+    from abr import ColoringTable, Color
+
+    while True:
+        xs = sorted(rng.sample(range(1 << 20), n))
+        ys = [rng.randrange(1 << 20) for _ in range(n)]
+        cross = {(i, j, k): (xs[j] - xs[i]) * (ys[k] - ys[i]) - (ys[j] - ys[i]) * (xs[k] - xs[i])
+                 for i, j, k in combinations(range(n), 3)}
+        if 0 not in cross.values():
+            return ColoringTable.from_function(
+                n, 3, lambda tup: Color.POSITIVE if cross[tup] > 0 else Color.NEGATIVE)
+
+
+def flipped_table(table, cells):
+    """A copy of ``table`` with the colors of ``cells`` swapped."""
+    from abr import ColoringTable
+
+    cells = set(cells)
+    return ColoringTable.from_function(
+        table.n, table.r,
+        lambda tup: table.color(tup).flipped() if tup in cells else table.color(tup))
+
+
+def reference_longest_monochromatic(table, *, budget=None):
+    """The branch and bound of ``longest_monochromatic`` with one ``color``
+    lookup per candidate and r-subtuple: the same nodes in the same order,
+    so the whole SearchResult (nodes_visited and budget exits too) must
+    agree."""
+    from abr import Color, SearchResult
+
+    n, r = table.n, table.r
+    if n < r:
+        return SearchResult(n, tuple(range(n)), Color.POSITIVE, True, 0)
+    best_size, best_wit, best_color, nodes = 0, None, Color.POSITIVE, 0
+
+    def feasible(stack, e, color):
+        return all(table.color(sub + (e,)) is color for sub in combinations(stack, r - 1))
+
+    for color in (Color.POSITIVE, Color.NEGATIVE):
+        stack, nexts, entered = [], [], True
+        while True:
+            if entered:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    return SearchResult(best_size, best_wit or (), best_color, False, nodes)
+                snap = tuple(stack)
+                if len(snap) >= r and (len(snap) > best_size or (
+                        len(snap) == best_size and (best_wit is None or snap < best_wit))):
+                    best_size, best_wit, best_color = len(snap), snap, color
+                nexts.append(stack[-1] + 1 if stack else 0)
+            e = nexts[-1]
+            while e < n and len(stack) + n - e >= best_size:
+                if feasible(stack, e, color):
+                    break
+                e += 1
+            else:
+                nexts.pop()
+                if not stack:
+                    break
+                stack.pop()
+                entered = False
+                continue
+            nexts[-1] = e + 1
+            stack.append(e)
+            entered = True
+    return SearchResult(best_size, best_wit or (), best_color, True, nodes)
 
 
 def seeded(seed):

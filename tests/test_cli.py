@@ -71,6 +71,23 @@ def test_generate_em_no_verify():
     assert report["params"]["base"] == 4
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "6", "--no-verify"], "depth 6 means 2^(2^5) points"),
+    (["--m", "1000000"], "depth 1000000 means 2^(2^999999) points"),
+], ids=["m6-no-verify", "m1000000"])
+def test_generate_em_refuses_depth_beyond_guard(tmp_path, capsys, argv, message):
+    from abr import cli
+
+    out = tmp_path / "em.json"
+    start = time.perf_counter()
+    code = cli.main(["generate", "em", *argv, "-o", str(out)])
+    elapsed = time.perf_counter() - start
+    stdout, stderr = capsys.readouterr()
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {message}, beyond the 16777216-point guard\n"
+    assert elapsed < 1.0 and not out.exists()
+
+
 def test_generate_cupcap_and_search_pipeline(tmp_path):
     out = tmp_path / "cc.json"
     run("generate", "cupcap", "--k", "4", "-o", str(out))
@@ -338,9 +355,10 @@ def test_generate_moment_capped_summary_builds_few_minors(tmp_path, monkeypatch,
     ("i0,i1,color\n0, 1 ,+\n", "bad index ' 1 ' in row 2; expected ASCII digits"),
     ("i0,i1,color\n0,1_0,+\n", "bad index '1_0' in row 2; expected ASCII digits"),
     ('{"a":' + "[" * 100000 + "]" * 100000 + "}", "JSON input is nested too deeply"),
+    ("i0,i1,color\n0,1,+\n0,2,x\n", "bad color 'x' (line 3)"),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
         "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
-        "csv-underscore-index", "deep-json"])
+        "csv-underscore-index", "deep-json", "csv-bad-color"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message):
     from abr import cli
 

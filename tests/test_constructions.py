@@ -10,6 +10,7 @@ from abr import (
     GenerationFailedError,
     InvariantError,
     PlanarSequence,
+    TooLargeError,
     build_cluster_parabola,
     cluster_parabola_sequence,
     cupcap_extremal,
@@ -105,6 +106,15 @@ def test_verify_rejects_wrong_size():
     seq, _ = build_cluster_parabola(3, 2)
     with pytest.raises(InvariantError):
         verify_cluster_parabola(seq, 2)
+
+
+def test_depth_beyond_point_guard_is_refused_before_the_power():
+    seq, _ = build_cluster_parabola(3, 2)
+    for m in (6, 40, 10 ** 6):
+        with pytest.raises(TooLargeError):
+            build_cluster_parabola(m, 2)
+        with pytest.raises(TooLargeError):
+            verify_cluster_parabola(seq, m)
 
 
 def test_verify_budget_not_exhaustive():

@@ -9,8 +9,12 @@ from abr import (
     Color,
     ColoringTable,
     InvariantError,
+    LazyDivdiffColors,
     ParseError,
+    PlanarSequence,
     TooLargeError,
+    build_cluster_parabola,
+    divdiff_color_table,
     is_monotone,
     is_transitive,
     longest_monochromatic,
@@ -18,7 +22,15 @@ from abr import (
     ramsey_search_tiny,
 )
 
-from _helpers import naive_longest_monochromatic, rand_table, seeded
+from _helpers import (
+    cupcap_table,
+    flipped_table,
+    naive_longest_monochromatic,
+    rand_planar_tuple,
+    rand_table,
+    reference_longest_monochromatic,
+    seeded,
+)
 
 
 def table_from_signs(n, r, sign_map):
@@ -137,9 +149,26 @@ def naive_class_witness(table, monotone):
     return None
 
 
+def cupcap_pair():
+    """A cup-cap table with n = 22, r = 3 (transitive) and a copy with three
+    seeded cells flipped so that it is not."""
+    rng = seeded(2222)
+    table = cupcap_table(rng, 22)
+    while True:
+        flipped = flipped_table(table, rng.sample(list(combinations(range(22), 3)), 3))
+        if naive_class_witness(flipped, False) is not None:
+            return table, flipped
+
+
 def test_class_witnesses_match_naive_scan():
     rng = seeded(31337)
     seen = set()
+    for table in cupcap_pair():
+        for monotone, check in ((True, is_monotone), (False, is_transitive)):
+            want = naive_class_witness(table, monotone)
+            assert check(table) == (want is None, want)
+            seen.add((table.r, monotone, want is None))
+    assert seen == {(3, False, True), (3, False, False), (3, True, True), (3, True, False)}
     for r in (2, 3, 4):
         for _ in range(60):
             n = rng.randrange(r + 1, r + 5)
@@ -182,6 +211,51 @@ def test_longest_monochromatic_matches_naive():
         if result.size >= r:
             colors = {table.color(t) for t in combinations(result.witness, r)}
             assert colors == {result.color}
+
+
+SEARCH_BUDGETS = (None, 1, 2, 3, 7, 20, 100, 1000)
+
+
+def test_search_matches_reference_on_seeded_tables():
+    rng = seeded(5150)
+    for r in (2, 3, 4):
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(4):
+                table = rand_table(rng, rng.randrange(r, r + 9), r, density)
+                for budget in SEARCH_BUDGETS:
+                    assert longest_monochromatic(table, budget=budget) == \
+                        reference_longest_monochromatic(table, budget=budget)
+
+
+def test_search_matches_reference_on_cupcap_tables():
+    for table in cupcap_pair():
+        for budget in SEARCH_BUDGETS:
+            assert longest_monochromatic(table, budget=budget) == \
+                reference_longest_monochromatic(table, budget=budget)
+
+
+def test_search_matches_reference_on_dense_and_lazy_em_tables():
+    seq, _ = build_cluster_parabola(3, 2)
+    for table in (divdiff_color_table(seq, 3), LazyDivdiffColors(seq, 3)):
+        for budget in (None, 10, 40, 200):
+            assert longest_monochromatic(table, budget=budget) == \
+                reference_longest_monochromatic(table, budget=budget)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+def test_positive_among_matches_color(lazy):
+    seq = PlanarSequence(tuple(rand_planar_tuple(seeded(64), 8)))
+    table = LazyDivdiffColors(seq, 2) if lazy else divdiff_color_table(seq, 2)
+    full = (1 << 8) - 1
+    for prefix in combinations(range(8), 2):
+        above = full ^ ((2 << prefix[-1]) - 1)
+        want = sum(1 << y for y in range(prefix[-1] + 1, 8)
+                   if table.color(prefix + (y,)) is Color.POSITIVE)
+        assert table.positive_among(prefix, above) == want
+        assert table.positive_among(prefix, above & 0b10101010) == want & 0b10101010
+    for bad in ((0,), (1, 0), (0, 8), (0, 1, 2)):
+        with pytest.raises(InvariantError):
+            table.positive_among(bad, 0)
 
 
 def test_longest_monochromatic_tiny_and_ties():
