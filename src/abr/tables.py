@@ -4,14 +4,13 @@ A coloring assigns + or - to every increasing r-tuple over {0, ..., n-1}.
 Tables are stored densely, one bit per tuple, indexed by the colexicographic
 rank sum(C(c_i, i+1)); a size guard refuses tables beyond the dense budget.
 
-The checks and the search read rows instead of single tuples.  The row of an
-(r-1)-tuple Q is an int whose bit y is set when Q + (y,) is +.  Every table
-answers one question, ``positive_among(Q, mask)``: which candidate bits y of
-``mask`` make Q + (y,) positive.  A dense table derives its rows once from
-the stored bits (the tuples ending in y fill the colex block
-[C(y, r), C(y+1, r)), prefixes in colex order) and answers ``row & mask``; a
-lazy table evaluates only the candidate bits.  The class rule then runs on
-all candidates y at once, one bit lane per candidate.
+The checks and the search read candidate masks instead of single tuples.
+Every table answers one question, ``positive_among(Q, mask)``: for an
+(r-1)-tuple Q, which candidate bits y of ``mask`` make Q + (y,) positive.
+A dense table reads the row of Q (bit y set when Q + (y,) is +) from the
+stored bits once, keeps it, and answers ``row & mask``; a lazy table
+evaluates only the candidate bits, through its memo.  The class rule then
+runs on all candidates y at once, one bit lane per candidate.
 
 Structure predicates:
 
@@ -27,8 +26,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -106,11 +104,20 @@ def _leaves_class(colors, monotone):
 
 @dataclass(frozen=True)
 class ColoringTable:
-    """Dense coloring of all increasing r-tuples over {0, ..., n-1}."""
+    """Dense coloring of all increasing r-tuples over {0, ..., n-1}.
+
+    ``positive_among`` fills the row of a prefix Q (bit y set when Q + (y,)
+    is +) on first use from the stored bits, since Q + (y,) has colex rank
+    rank(Q) + C(y, r), and keeps it in ``_rows``, keyed by rank(Q); a full
+    scan thus reads each bit once.  Past ``max_cached_rows`` rows (about 100
+    bytes each) it reads only the candidates asked for."""
 
     n: int
     r: int
     bits: bytes
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    max_cached_rows = 1 << 18
 
     def __post_init__(self):
         if len(self.bits) != (_dense_cells(self.n, self.r) + 7) // 8:
@@ -144,28 +151,23 @@ class ColoringTable:
         it = iter(seq)
         return cls.from_function(n, r, lambda tup: next(it))
 
-    @cached_property
-    def _rows(self):
-        """Rows in colex order of their (r-1)-tuples Q, bit y of a row set
-        when Q + (y,) is +.  The tuples ending in y fill the colex block
-        [C(y, r), C(y+1, r)) in the colex order of their prefixes, so one
-        pass transposes the bits."""
-        n, r = self.n, self.r
-        rows = [0] * comb(n, r - 1)
-        bits = int.from_bytes(self.bits, "little")
-        for y in range(r - 1, n):
-            size = comb(y, r - 1)
-            block = bits >> comb(y, r) & ((1 << size) - 1)
-            bit = 1 << y
-            for q, c in enumerate(f"{block:0{size}b}"[::-1]):
-                if c == "1":
-                    rows[q] |= bit
-        return rows
-
     def positive_among(self, prefix, mask):
         """The bits y of ``mask`` (each max(prefix) < y < n) for which
         prefix + (y,) is +."""
-        return self._rows[_rank(prefix, self.n, self.r - 1)] & mask
+        key = _rank(prefix, self.n, self.r - 1)
+        row = self._rows.get(key)
+        if row is None:
+            keep = len(self._rows) < self.max_cached_rows
+            wanted = (1 << self.n) - 1 if keep else mask
+            bits, row = self.bits, 0
+            for y in range(prefix[-1] + 1, self.n):
+                if wanted >> y & 1:
+                    rank = key + comb(y, self.r)  # of prefix + (y,)
+                    if bits[rank >> 3] >> (rank & 7) & 1:
+                        row |= 1 << y
+            if keep:
+                self._rows[key] = row
+        return row & mask
 
     def color(self, tup):
         """Color of one increasing tuple (colex-ranked O(r) lookup)."""

@@ -69,21 +69,6 @@ def rand_table(rng, n, r, density=0.5):
     )
 
 
-def cupcap_table(rng, n):
-    """Order-2 table (cup +, cap -) of n random integer points with distinct
-    x, redrawn until no three are collinear."""
-    from abr import ColoringTable, Color
-
-    while True:
-        xs = sorted(rng.sample(range(1 << 20), n))
-        ys = [rng.randrange(1 << 20) for _ in range(n)]
-        cross = {(i, j, k): (xs[j] - xs[i]) * (ys[k] - ys[i]) - (ys[j] - ys[i]) * (xs[k] - xs[i])
-                 for i, j, k in combinations(range(n), 3)}
-        if 0 not in cross.values():
-            return ColoringTable.from_function(
-                n, 3, lambda tup: Color.POSITIVE if cross[tup] > 0 else Color.NEGATIVE)
-
-
 def flipped_table(table, cells):
     """A copy of ``table`` with the colors of ``cells`` swapped."""
     from abr import ColoringTable

@@ -23,7 +23,6 @@ from abr import (
 )
 
 from _helpers import (
-    cupcap_table,
     flipped_table,
     naive_longest_monochromatic,
     rand_planar_tuple,
@@ -153,7 +152,7 @@ def cupcap_pair():
     """A cup-cap table with n = 22, r = 3 (transitive) and a copy with three
     seeded cells flipped so that it is not."""
     rng = seeded(2222)
-    table = cupcap_table(rng, 22)
+    table = divdiff_color_table(PlanarSequence(tuple(rand_planar_tuple(rng, 22, bits=16))), 2)
     while True:
         flipped = flipped_table(table, rng.sample(list(combinations(range(22), 3)), 3))
         if naive_class_witness(flipped, False) is not None:
@@ -240,6 +239,24 @@ def test_search_matches_reference_on_dense_and_lazy_em_tables():
         for budget in (None, 10, 40, 200):
             assert longest_monochromatic(table, budget=budget) == \
                 reference_longest_monochromatic(table, budget=budget)
+
+
+def test_row_cache_is_bounded_and_read_on_demand(monkeypatch):
+    rng = seeded(77)
+    tables = [rand_table(rng, 10, r, 0.8) for r in (2, 3, 4)] + list(cupcap_pair())
+    want = [(is_transitive(t), is_monotone(t), longest_monochromatic(t)) for t in tables]
+    monkeypatch.setattr(ColoringTable, "max_cached_rows", 3)
+    for table, expected in zip(tables, want):
+        table = ColoringTable(table.n, table.r, table.bits)
+        assert (is_transitive(table), is_monotone(table), longest_monochromatic(table)) \
+            == expected
+        assert len(table._rows) <= 3
+    # A check that stops at an early witness reads only the rows it needs.
+    hole = (0,) + tuple(range(2, 9))
+    big = ColoringTable.from_function(
+        16, 8, lambda tup: Color.NEGATIVE if tup == hole else Color.POSITIVE)
+    assert is_transitive(big) == (False, tuple(range(9)))
+    assert len(big._rows) <= 8
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
