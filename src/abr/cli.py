@@ -135,6 +135,11 @@ def _lifted_table(s, args):
     is the general-position check: it stops at the lex-first zero
     determinant."""
     if isinstance(s, PlanarSequence):
+        if args.d >= 2 and len(s) <= args.d:
+            # Refused before any power of t, with the messages of the checks
+            # below: the cyclic scan needs d points, the colors d + 1.
+            need = args.d if len(s) < args.d else args.d + 1
+            raise TooFewPointsError(f"need at least {need} points, got {len(s)}")
         s = moment_lift(s, args.d)
     report = validate_cyclic_projections(s)
     if not report.valid:

@@ -20,8 +20,9 @@ difference of h], so the color equals the divided-difference sign.
 
 The oracles and ``divided_difference`` are the Fraction references.  The
 table builders, ``LazyDivdiffColors`` (which memoizes colors) and the
-one-switch certificate take their signs from the integer kernel of
-``linalg`` instead, with no ``divided_difference`` call per tuple.
+one-switch certificate take their signs from ``linalg.SignKernel`` instead,
+with no ``divided_difference`` call per tuple; a planar color is the
+kernel's sign on the moment-lift columns (``sequences.moment_kernel``).
 """
 
 from __future__ import annotations
@@ -41,15 +42,14 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    MomentKernel,
     SignKernel,
     as_fraction,
     cleared_column,
     det,
     signed_minor_kernel,
 )
-from .sequences import LiftedSequence, PlanarSequence
-from .tables import Color, ColoringTable, _rank
+from .sequences import LiftedSequence, PlanarSequence, moment_coordinates, moment_kernel
+from .tables import Color, ColoringTable, _dense_cells, _rank
 
 
 class HeightPair(NamedTuple):
@@ -270,11 +270,8 @@ def vandermonde_divdiff_residual(points):
     d = len(pts) - 1
     if d < 1:
         raise InvariantError("need at least two points")
-    rows = [tuple(1 for _ in pts)]
-    for e in range(1, d):
-        rows.append(tuple(t ** e for t, _ in pts))
-    rows.append(tuple(h for _, h in pts))
-    value = det(Matrix(tuple(rows)))
+    columns = moment_coordinates(pts, d)
+    value = det(Matrix((tuple(1 for _ in pts),) + tuple(zip(*columns))))
     vandermonde = Fraction(1)
     for i in range(d + 1):
         for j in range(i + 1, d + 1):
@@ -379,7 +376,7 @@ def certify_one_switch(kernel, tup, allow_zero=False):
 
 def _color_of(value, tup, message):
     if value == 0:
-        raise DegenerateInputError(message, witness=tup)
+        raise DegenerateInputError(f"{message} at {tup}", witness=tup)
     return Color.POSITIVE if value > 0 else Color.NEGATIVE
 
 
@@ -395,11 +392,12 @@ def color_table(s):
 
 def divdiff_color_table(p, order):
     """Color every increasing (order+1)-tuple of a planar sequence by the
-    sign of its order-d divided difference (the moment-lift kernel sign,
-    cross-checked against the integer closed form per tuple)."""
+    sign of its order-d divided difference, read as the moment-lift kernel
+    sign.  The table shape is refused before any power of t is formed."""
     if not isinstance(p, PlanarSequence):
         raise InvariantError("divdiff_color_table needs a PlanarSequence")
-    value = MomentKernel(p.points, order).value
+    _dense_cells(len(p), order + 1)
+    value = moment_kernel(p.points, order).value
     return ColoringTable.from_function(len(p), order + 1, lambda tup: _color_of(
         value(tup), tup, "divided difference vanishes"))
 
@@ -407,8 +405,10 @@ def divdiff_color_table(p, order):
 class LazyDivdiffColors:
     """Duck-typed stand-in for ColoringTable that computes divided-difference
     signs on demand; used when the dense table would blow the size guard.
-    Colors are memoized by colex rank: a search reads each tuple about
-    twenty times.  ``positive_among`` evaluates only the candidate bits."""
+    Colors are memoized by colex rank, since a search reads each tuple about
+    twenty times; like the kernel's minors, the memo stops growing at
+    ``SignKernel.max_cached`` entries.  ``positive_among`` evaluates only the
+    candidate bits."""
 
     def __init__(self, p, order):
         if not isinstance(p, PlanarSequence):
@@ -416,7 +416,7 @@ class LazyDivdiffColors:
         self.sequence = p
         self.n = len(p)
         self.r = order + 1
-        self.kernel = MomentKernel(p.points, order)
+        self.kernel = moment_kernel(p.points, order)
         self._cache = {}
 
     def color(self, tup):
@@ -425,8 +425,9 @@ class LazyDivdiffColors:
     def _color(self, rank, tup):
         hit = self._cache.get(rank)
         if hit is None:
-            hit = self._cache[rank] = _color_of(self.kernel.value(tup), tup,
-                                                "divided difference vanishes")
+            hit = _color_of(self.kernel.value(tup), tup, "divided difference vanishes")
+            if len(self._cache) < self.kernel.max_cached:
+                self._cache[rank] = hit
         return hit
 
     def positive_among(self, prefix, mask):

@@ -12,7 +12,9 @@ Column clearing matters: the matrices built in this package have columns
 that share one point's denominator, while a row mixes denominators of every
 point, so per-column scales stay small where per-row scales would explode.
 ``SignKernel``, the integer kernel behind every color, validator and
-one-switch certificate, clears each point once and caches its minors.
+one-switch certificate, clears each point once and caches its minors; a
+planar color is its sign on the moment-lift columns
+(``sequences.moment_kernel``).
 """
 
 from __future__ import annotations
@@ -21,13 +23,11 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm, prod
 
 from .errors import (
     BadIndicesError,
     BadShapeError,
-    IdentityViolationError,
     InvariantError,
     NonSquareError,
     ParseError,
@@ -200,36 +200,6 @@ class SignKernel:
             term = cols[tup[j]][d] * self.minor(tup[:j] + tup[j + 1:])
             total += -term if (d - j) & 1 else term
         return total
-
-
-class MomentKernel(SignKernel):
-    """SignKernel on the moment lift (1, t, ..., t^(d-1), h) of planar points
-    with increasing t: each value is a positive multiple of the order-d
-    divided difference, and its sign is checked against the integer closed
-    form sum_j (-1)^(d-j) a_j q_j^(d-1) W_j prod_(k!=j) b_k (t = p/q,
-    h = a/b, W_j the product of the positive cross differences
-    p_y q_x - p_x q_y over the tuple without j)."""
-
-    def __init__(self, points, d):
-        # Orders below 1 never reach value(): table guards refuse them first.
-        power = max(d - 1, 0)
-        self.closed = [(t.numerator, t.denominator, h.numerator * t.denominator ** power,
-                        h.denominator) for t, h in points]
-        super().__init__([cleared_column(tuple(t ** k for k in range(1, d)) + (h,))
-                          for t, h in points])
-
-    def value(self, tup):
-        value = super().value(tup)
-        pts = [self.closed[i] for i in tup]
-        closed = 0
-        for j, (_, _, g, _) in enumerate(pts):
-            rest = pts[:j] + pts[j + 1:]
-            g *= prod(b for *_, b in rest) * prod(
-                py * qx - px * qy for (px, qx, *_), (py, qy, *_) in combinations(rest, 2))
-            closed += -g if (self.d - j) & 1 else g
-        if (value > 0) != (closed > 0) or (value < 0) != (closed < 0):
-            raise IdentityViolationError(f"kernel and closed form differ in sign at {tup}")
-        return value
 
 
 def signed_minor_kernel(p):

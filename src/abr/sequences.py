@@ -12,7 +12,8 @@ projections spans a positively oriented simplex with a row of ones on top;
 validators below check that, plus the nondegeneracy conditions the coloring
 oracles rely on.  The three validators share one scan loop over integer
 kernel values: a lifted sequence's ``kernel`` (built lazily, shared with the
-color table), or a ``linalg.MomentKernel`` on a planar moment lift.
+color table), or ``moment_kernel`` on the moment lift of a planar sequence.
+``moment_coordinates`` is the one place the lift's coordinates are formed.
 
 Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
 
@@ -31,8 +32,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import InvariantError, ParseError, TooFewPointsError
-from .linalg import (MomentKernel, SignKernel, as_fraction, cleared_column, format_rational,
-                     parse_rational)
+from .linalg import SignKernel, as_fraction, cleared_column, format_rational, parse_rational
 from .linalg import det  # noqa: F401  kept bound here; bench/test_bench.py traces it
 
 VALID = "valid"
@@ -150,8 +150,21 @@ def moment_lift(p, d):
     """
     if not isinstance(d, int) or d < 2:
         raise InvariantError(f"lift dimension must be an int >= 2, got {d!r}")
-    pts = [tuple(t ** e for e in range(1, d)) + (h,) for t, h in p.points]
-    return LiftedSequence(d, pts)
+    return LiftedSequence(d, moment_coordinates(p.points, d))
+
+
+def moment_coordinates(points, d):
+    """The moment-lift coordinates (t, t^2, ..., t^(d-1), h) of planar
+    points (t, h); order d = 1 gives (h,)."""
+    return [tuple(t ** e for e in range(1, d)) + (h,) for t, h in points]
+
+
+def moment_kernel(points, d):
+    """Integer kernel of the moment-lift columns of planar points with
+    increasing t.  The determinant of a (d+1)-tuple is Vandermonde(t) > 0
+    times its order-d divided difference, so the kernel value has the
+    divided difference's sign."""
+    return SignKernel([cleared_column(c) for c in moment_coordinates(points, d)])
 
 
 def _scan(n, r, value, zero_reason, negative_reason, max_failures, max_tuples):
@@ -202,7 +215,7 @@ def validate_d_general_position(p, d, *, max_failures=16, max_tuples=None):
     graph of degree < d)."""
     if not isinstance(d, int) or d < 1:
         raise InvariantError(f"order must be a positive int, got {d!r}")
-    return _scan(len(p), d + 1, MomentKernel(p.points, d).value, ZERO_DIVIDED_DIFFERENCE,
+    return _scan(len(p), d + 1, moment_kernel(p.points, d).value, ZERO_DIVIDED_DIFFERENCE,
                  None, max_failures, max_tuples)
 
 

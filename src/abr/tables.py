@@ -177,8 +177,15 @@ class ColoringTable:
         return Color.NEGATIVE
 
     def __iter__(self):
-        for tup in combinations(range(self.n), self.r):
-            yield tup, self.color(tup)
+        """(tuple, color) in lex order, streamed from the bits: prefixes Q in
+        lex order, then Q + (y,) at colex rank rank(Q) + C(y, r)."""
+        n, r, bits = self.n, self.r, self.bits
+        for prefix in combinations(range(n - 1), r - 1):
+            base = _rank(prefix, n, r - 1)
+            for y in range(prefix[-1] + 1, n):
+                rank = base + comb(y, r)
+                yield prefix + (y,), (Color.POSITIVE if bits[rank >> 3] >> (rank & 7) & 1
+                                      else Color.NEGATIVE)
 
     def counts(self):
         total = self.total

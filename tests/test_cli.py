@@ -319,7 +319,30 @@ def test_degenerate_planar_input_witness(tmp_path, command):
     if command[0] == "color":  # colored through the moment lift
         assert stderr == b"error: degenerate lifted tuple (0, 1, 2, 3)\n"
     else:
-        assert stderr == b"error: divided difference vanishes\n"
+        assert stderr == b"error: divided difference vanishes at (0, 1, 2, 3)\n"
+
+
+@pytest.mark.parametrize("command, d, message", [
+    (["color"], 4000, "need at least 4000 points, got 5"),
+    (["color"], 5, "need at least 6 points, got 5"),
+    (["check", "one-switch"], 4000, "need at least 4000 points, got 5"),
+    (["check", "monotone"], 4000, "need integer n >= r >= 2, got n=5, r=4001"),
+    (["check", "transitive"], 5, "need integer n >= r >= 2, got n=5, r=6"),
+    (["search"], 4000, "need integer n >= r >= 2, got n=5, r=4001"),
+], ids=["color-4000", "color-5", "one-switch-4000", "monotone-4000", "transitive-5",
+        "search-4000"])
+def test_short_planar_input_is_refused_before_any_power(tmp_path, monkeypatch, capsys,
+                                                         command, d, message):
+    from abr import cli, sequences
+
+    def forbidden(points, order):
+        raise AssertionError(f"moment coordinates formed for order {order}")
+
+    monkeypatch.setattr(sequences, "moment_coordinates", forbidden)
+    points = [[str(t), str(t * t)] for t in range(5)]
+    src = _write_json(tmp_path / "p.json", {"kind": "planar", "points": points})
+    assert cli.main([*command, src, "--d", str(d)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_generate_moment_capped_summary_builds_few_minors(tmp_path, monkeypatch, capsys):

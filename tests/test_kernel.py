@@ -9,7 +9,6 @@ import pytest
 from abr import (
     Color,
     DegenerateInputError,
-    IdentityViolationError,
     LiftedSequence,
     Matrix,
     PlanarSequence,
@@ -26,7 +25,8 @@ from abr import (
     validate_d_general_position,
     validate_general_position,
 )
-from abr.linalg import MomentKernel, SignKernel, cleared_column
+from abr.linalg import SignKernel, cleared_column
+from abr.sequences import moment_kernel
 
 from _helpers import rand_fraction, rand_planar_tuple, seeded
 
@@ -84,7 +84,7 @@ def reference_reports(s, **kw):
 
 def test_kernel_matches_divided_difference_on_em3_quadruples():
     seq, _ = build_cluster_parabola(3, 2)
-    kernel = MomentKernel(seq.points, 3)
+    kernel = moment_kernel(seq.points, 3)
     for tup in combinations(range(len(seq)), 4):
         want = divided_difference([seq.points[i] for i in tup])
         assert sign(kernel.value(tup)) == sign(want)
@@ -99,27 +99,25 @@ def test_kernel_matches_divided_difference_on_random_tuples():
                 # heights of a polynomial of degree < order: divided difference 0
                 coeffs = [rand_fraction(rng, 6) for _ in range(order)]
                 pts = [(t, sum(c * t ** k for k, c in enumerate(coeffs))) for t, _ in pts]
-            kernel = MomentKernel(pts, order)
+            kernel = moment_kernel(pts, order)
             assert sign(kernel.value(tuple(range(order + 1)))) == sign(divided_difference(pts))
 
 
 def test_kernel_zero_divided_difference():
-    # order 3 on a quadratic: every quadruple vanishes in both forms
+    # order 3 on a quadratic: every quadruple vanishes
     pts = [(F(t), F(t * t, 3)) for t in (-2, 0, 1, 5, 7)]
-    kernel = MomentKernel(pts, 3)
+    kernel = moment_kernel(pts, 3)
     for tup in combinations(range(5), 4):
         assert kernel.value(tup) == 0
 
 
-def test_kernel_cross_check_catches_a_wrong_minor():
-    pts = [(F(t), F(t ** 3 + t, 7)) for t in range(5)]
-    kernel = MomentKernel(pts, 3)
-    tup = (1, 2, 3, 4)
-    assert kernel.value(tup) != 0
-    for sub in combinations(tup, 3):
-        kernel.minors[sub] = -kernel.minors[sub]
-    with pytest.raises(IdentityViolationError):
-        kernel.value(tup)
+def test_kernel_matches_divided_difference_on_em4_window():
+    # a 12-point window of the depth-4 instance: heights of about 190 bits
+    window = build_cluster_parabola(4, 2)[0].points[120:132]
+    kernel = moment_kernel(window, 3)
+    for tup in combinations(range(12), 4):
+        want = divided_difference([window[i] for i in tup])
+        assert sign(kernel.value(tup)) == sign(want)
 
 
 def test_kernel_matches_determinant_oracle_on_lifted_instances():

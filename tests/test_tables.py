@@ -21,6 +21,7 @@ from abr import (
     monotone_implies_transitive_check,
     ramsey_search_tiny,
 )
+from abr.linalg import SignKernel
 
 from _helpers import (
     flipped_table,
@@ -60,12 +61,14 @@ def test_from_function_agrees_with_color():
 
 def test_iter_order_and_counts():
     rng = seeded(2)
-    table = rand_table(rng, 7, 3)
-    seen = [tup for tup, _ in table]
-    assert seen == list(combinations(range(7), 3))
-    positive, negative = table.counts()
-    assert positive + negative == comb(7, 3)
-    assert positive == sum(1 for _, c in table if c is Color.POSITIVE)
+    for r in (2, 3, 4, 5):
+        table = rand_table(rng, 7, r)
+        seen = list(table)
+        assert [tup for tup, _ in seen] == list(combinations(range(7), r))
+        assert all(color is table.color(tup) for tup, color in seen)
+        positive, negative = table.counts()
+        assert positive + negative == comb(7, r)
+        assert positive == sum(1 for _, c in seen if c is Color.POSITIVE)
 
 
 def test_color_validates_tuples():
@@ -257,6 +260,17 @@ def test_row_cache_is_bounded_and_read_on_demand(monkeypatch):
         16, 8, lambda tup: Color.NEGATIVE if tup == hole else Color.POSITIVE)
     assert is_transitive(big) == (False, tuple(range(9)))
     assert len(big._rows) <= 8
+
+
+def test_lazy_memo_is_bounded(monkeypatch):
+    seq, _ = build_cluster_parabola(3, 2)
+    unbounded = LazyDivdiffColors(seq, 3)
+    want = [longest_monochromatic(unbounded, budget=b) for b in (None, 40)]
+    assert len(unbounded._cache) > 7
+    monkeypatch.setattr(SignKernel, "max_cached", 7)
+    lazy = LazyDivdiffColors(seq, 3)
+    assert [longest_monochromatic(lazy, budget=b) for b in (None, 40)] == want
+    assert len(lazy._cache) <= 7
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
