@@ -19,10 +19,10 @@ curve the determinant factors as Vandermonde(t) * [order-d divided
 difference of h], so the color equals the divided-difference sign.
 
 The oracles and ``divided_difference`` are the Fraction references.  The
-table builders, ``LazyDivdiffColors`` (which memoizes colors) and the
-one-switch certificate take their signs from ``linalg.SignKernel`` instead,
-with no ``divided_difference`` call per tuple; a planar color is the
-kernel's sign on the moment-lift columns (``sequences.moment_kernel``).
+table builders, ``LazyDivdiffColors`` (which keeps rows like a dense table)
+and the one-switch certificate take their signs from ``linalg.SignKernel``
+instead, with no ``divided_difference`` call per tuple; a planar color is
+the kernel's sign on the moment-lift columns (``sequences.moment_kernel``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import prod
 from typing import NamedTuple
 
 from .errors import (
@@ -49,7 +49,7 @@ from .linalg import (
     signed_minor_kernel,
 )
 from .sequences import LiftedSequence, PlanarSequence, moment_coordinates, moment_kernel
-from .tables import Color, ColoringTable, _dense_cells, _rank
+from .tables import Color, ColoringTable, RowTable, _check_shape, _dense_cells, _rank
 
 
 class HeightPair(NamedTuple):
@@ -402,13 +402,12 @@ def divdiff_color_table(p, order):
         value(tup), tup, "divided difference vanishes"))
 
 
-class LazyDivdiffColors:
-    """Duck-typed stand-in for ColoringTable that computes divided-difference
-    signs on demand; used when the dense table would blow the size guard.
-    Colors are memoized by colex rank, since a search reads each tuple about
-    twenty times; like the kernel's minors, the memo stops growing at
-    ``SignKernel.max_cached`` entries.  ``positive_among`` evaluates only the
-    candidate bits."""
+class LazyDivdiffColors(RowTable):
+    """Stand-in for ColoringTable that computes divided-difference signs on
+    demand; used when the dense table would blow the size guard.  A row is
+    filled whole on first read, one kernel sign per Q + (y,), and kept like
+    a dense table's, so a degenerate tuple anywhere in a row that is read
+    raises DegenerateInputError, even one outside the mask asked for."""
 
     def __init__(self, p, order):
         if not isinstance(p, PlanarSequence):
@@ -416,31 +415,17 @@ class LazyDivdiffColors:
         self.sequence = p
         self.n = len(p)
         self.r = order + 1
+        _check_shape(self.n, self.r)
         self.kernel = moment_kernel(p.points, order)
-        self._cache = {}
+        self._rows = {}
 
     def color(self, tup):
-        return self._color(_rank(tup, self.n, self.r), tup)
+        _rank(tup, self.n, self.r)
+        return self._sign(tup)
 
-    def _color(self, rank, tup):
-        hit = self._cache.get(rank)
-        if hit is None:
-            hit = _color_of(self.kernel.value(tup), tup, "divided difference vanishes")
-            if len(self._cache) < self.kernel.max_cached:
-                self._cache[rank] = hit
-        return hit
+    def _sign(self, tup):
+        return _color_of(self.kernel.value(tup), tup, "divided difference vanishes")
 
-    def positive_among(self, prefix, mask):
-        """The bits y of ``mask`` (each max(prefix) < y < n) for which
-        prefix + (y,) is +."""
-        base = _rank(prefix, self.n, self.r - 1)
-        if mask >> self.n or mask & ((2 << prefix[-1]) - 1):
-            raise InvariantError(f"candidates {mask:#x} do not all extend {prefix!r}")
-        positive = 0
-        while mask:
-            low = mask & -mask
-            y = low.bit_length() - 1
-            if self._color(base + comb(y, self.r), prefix + (y,)) is Color.POSITIVE:
-                positive |= low
-            mask ^= low
-        return positive
+    def _row(self, prefix, key):
+        return sum(1 << y for y in range(prefix[-1] + 1, self.n)
+                   if self._sign(prefix + (y,)) is Color.POSITIVE)

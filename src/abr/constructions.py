@@ -171,10 +171,11 @@ def verify_cluster_parabola(p, m, *, budget=None):
     """Search the order-3 coloring of p for its longest monochromatic
     subsequence and report whether it stays within the 2m bound.
 
-    Raises DegenerateInputError if some quadruple has a vanishing third
-    divided difference (no color is defined there), and InvariantError if p
-    does not have the depth-m size 2^(2^(m-1)) (TooLargeError for
-    m > MAX_DEPTH).
+    Raises DegenerateInputError if a quadruple has a vanishing third divided
+    difference (no color is defined there): any quadruple up to m = 3, and
+    one in a row the search reads past the dense guard.  Raises
+    InvariantError if p does not have the depth-m size 2^(2^(m-1))
+    (TooLargeError for m > MAX_DEPTH).
     """
     expected = _depth_points(m)
     if len(p) != expected:

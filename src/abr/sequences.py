@@ -215,6 +215,8 @@ def validate_d_general_position(p, d, *, max_failures=16, max_tuples=None):
     graph of degree < d)."""
     if not isinstance(d, int) or d < 1:
         raise InvariantError(f"order must be a positive int, got {d!r}")
+    if len(p) <= d:  # refused before any power of t is formed
+        raise TooFewPointsError(f"need at least {d + 1} points, got {len(p)}")
     return _scan(len(p), d + 1, moment_kernel(p.points, d).value, ZERO_DIVIDED_DIFFERENCE,
                  None, max_failures, max_tuples)
 

@@ -7,10 +7,10 @@ rank sum(C(c_i, i+1)); a size guard refuses tables beyond the dense budget.
 The checks and the search read candidate masks instead of single tuples.
 Every table answers one question, ``positive_among(Q, mask)``: for an
 (r-1)-tuple Q, which candidate bits y of ``mask`` make Q + (y,) positive.
-A dense table reads the row of Q (bit y set when Q + (y,) is +) from the
-stored bits once, keeps it, and answers ``row & mask``; a lazy table
-evaluates only the candidate bits, through its memo.  The class rule then
-runs on all candidates y at once, one bit lane per candidate.
+Both table types answer it through ``RowTable``: the row of Q (bit y set
+when Q + (y,) is +) is computed whole on first use, from the stored bits
+or from kernel signs, kept, and answered as ``row & mask``.  The class
+rule then runs on all candidates y at once, one bit lane per candidate.
 
 Structure predicates:
 
@@ -67,12 +67,16 @@ def _rank(tup, n, r):
     )
 
 
+def _check_shape(n, r):
+    if not (isinstance(n, int) and isinstance(r, int) and n >= r >= 2):
+        raise InvariantError(f"need integer n >= r >= 2, got n={n!r}, r={r!r}")
+
+
 def _dense_cells(n, r):
     """C(n, r) for a dense table shape: ints n >= r >= 2 and at most
     MAX_DENSE_CELLS tuples.  For k = min(r, n - r) >= 1, C(n, r) is at least
     n and at least 2^k, so a larger n or k is refused before any binomial."""
-    if not (isinstance(n, int) and isinstance(r, int) and n >= r >= 2):
-        raise InvariantError(f"need integer n >= r >= 2, got n={n!r}, r={r!r}")
+    _check_shape(n, r)
     k = min(r, n - r)
     if k and (n > MAX_DENSE_CELLS or k >= MAX_DENSE_CELLS.bit_length()):
         raise TooLargeError(f"C(n, {r}) tuples exceed the dense-table guard")
@@ -102,22 +106,36 @@ def _leaves_class(colors, monotone):
     return twice if monotone else twice & ~(colors[0] ^ colors[-1])
 
 
-@dataclass(frozen=True)
-class ColoringTable:
-    """Dense coloring of all increasing r-tuples over {0, ..., n-1}.
+class RowTable:
+    """Rows of a coloring: bit y of the row of an (r-1)-tuple Q is set when
+    Q + (y,) is +.  A subclass sets ``n``, ``r``, an empty ``_rows`` dict and
+    ``_row(Q, rank(Q))``; rows are kept by rank(Q) up to ``max_cached_rows``
+    (about 100 bytes each)."""
 
-    ``positive_among`` fills the row of a prefix Q (bit y set when Q + (y,)
-    is +) on first use from the stored bits, since Q + (y,) has colex rank
-    rank(Q) + C(y, r), and keeps it in ``_rows``, keyed by rank(Q); a full
-    scan thus reads each bit once.  Past ``max_cached_rows`` rows (about 100
-    bytes each) it reads only the candidates asked for."""
+    max_cached_rows = 1 << 18
+
+    def positive_among(self, prefix, mask):
+        """The bits y of ``mask`` (each max(prefix) < y < n) for which
+        prefix + (y,) is +."""
+        key = _rank(prefix, self.n, self.r - 1)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._row(prefix, key)
+            if len(self._rows) < self.max_cached_rows:
+                self._rows[key] = row
+        return row & mask
+
+
+@dataclass(frozen=True)
+class ColoringTable(RowTable):
+    """Dense coloring of all increasing r-tuples over {0, ..., n-1}.  A row
+    is read from the stored bits, since Q + (y,) has colex rank
+    rank(Q) + C(y, r); a full scan thus reads each bit once."""
 
     n: int
     r: int
     bits: bytes
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    max_cached_rows = 1 << 18
 
     def __post_init__(self):
         if len(self.bits) != (_dense_cells(self.n, self.r) + 7) // 8:
@@ -145,29 +163,24 @@ class ColoringTable:
         """Build from colors listed in lexicographic tuple order; accepts
         Color values or '+'/'-' characters."""
         cells = _dense_cells(n, r)
-        seq = [Color(c) if not isinstance(c, Color) else c for c in colors]
+        seq = []
+        for i, c in enumerate(colors):
+            try:
+                seq.append(Color(c))
+            except ValueError:
+                raise InvariantError(f"bad color {c!r} at position {i}") from None
         if len(seq) != cells:
             raise InvariantError(f"expected {cells} colors, got {len(seq)}")
         it = iter(seq)
         return cls.from_function(n, r, lambda tup: next(it))
 
-    def positive_among(self, prefix, mask):
-        """The bits y of ``mask`` (each max(prefix) < y < n) for which
-        prefix + (y,) is +."""
-        key = _rank(prefix, self.n, self.r - 1)
-        row = self._rows.get(key)
-        if row is None:
-            keep = len(self._rows) < self.max_cached_rows
-            wanted = (1 << self.n) - 1 if keep else mask
-            bits, row = self.bits, 0
-            for y in range(prefix[-1] + 1, self.n):
-                if wanted >> y & 1:
-                    rank = key + comb(y, self.r)  # of prefix + (y,)
-                    if bits[rank >> 3] >> (rank & 7) & 1:
-                        row |= 1 << y
-            if keep:
-                self._rows[key] = row
-        return row & mask
+    def _row(self, prefix, key):
+        bits, r, row = self.bits, self.r, 0
+        for y in range(prefix[-1] + 1, self.n):
+            rank = key + comb(y, r)  # of prefix + (y,)
+            if bits[rank >> 3] >> (rank & 7) & 1:
+                row |= 1 << y
+        return row
 
     def color(self, tup):
         """Color of one increasing tuple (colex-ranked O(r) lookup)."""
@@ -178,14 +191,12 @@ class ColoringTable:
 
     def __iter__(self):
         """(tuple, color) in lex order, streamed from the bits: prefixes Q in
-        lex order, then Q + (y,) at colex rank rank(Q) + C(y, r)."""
-        n, r, bits = self.n, self.r, self.bits
+        lex order, each row read without being kept, then Q + (y,)."""
+        n, r = self.n, self.r
         for prefix in combinations(range(n - 1), r - 1):
-            base = _rank(prefix, n, r - 1)
+            row = self._row(prefix, _rank(prefix, n, r - 1))
             for y in range(prefix[-1] + 1, n):
-                rank = base + comb(y, r)
-                yield prefix + (y,), (Color.POSITIVE if bits[rank >> 3] >> (rank & 7) & 1
-                                      else Color.NEGATIVE)
+                yield prefix + (y,), Color.POSITIVE if row >> y & 1 else Color.NEGATIVE
 
     def counts(self):
         total = self.total

@@ -12,6 +12,7 @@ from abr import (
     InvariantError,
     LazyDivdiffColors,
     PlanarSequence,
+    TooFewPointsError,
     WrongOrientationError,
     build_cluster_parabola,
     color_by_crossing,
@@ -24,6 +25,7 @@ from abr import (
     one_switch_certificate,
     radon_certificate,
     random_cyclic_instance,
+    validate_d_general_position,
     vandermonde_divdiff_residual,
 )
 
@@ -260,7 +262,7 @@ def test_divdiff_color_table_and_lazy_agree():
     assert (lazy.n, lazy.r) == (dense.n, dense.r)
     for tup, col in dense:
         assert lazy.color(tup) is col
-        assert lazy.color(tup) is col  # cached second read
+        assert lazy.color(tup) is col  # second read, from the kernel's kept minors
 
 
 def test_lazy_colors_match_dense_on_em_and_name_degenerate_witness():
@@ -274,6 +276,23 @@ def test_lazy_colors_match_dense_on_em_and_name_degenerate_witness():
         LazyDivdiffColors(PlanarSequence(tuple((t, t * t) for t in range(6))), 3).color(
             (1, 2, 4, 5))
     assert info.value.witness == (1, 2, 4, 5)
+
+
+def test_bad_planar_shapes_are_refused_before_any_power(monkeypatch):
+    from abr import sequences
+
+    def forbidden(points, order):
+        raise AssertionError(f"moment coordinates formed for order {order}")
+
+    monkeypatch.setattr(sequences, "moment_coordinates", forbidden)
+    seq = PlanarSequence(tuple((t, t * t) for t in range(5)))
+    for order in (0, 3000):
+        with pytest.raises(InvariantError) as info:
+            LazyDivdiffColors(seq, order)
+        assert str(info.value) == f"need integer n >= r >= 2, got n=5, r={order + 1}"
+    with pytest.raises(TooFewPointsError) as info:
+        validate_d_general_position(seq, 3000)
+    assert str(info.value) == "need at least 3001 points, got 5"
 
 
 def test_divdiff_table_matches_lifted_table():

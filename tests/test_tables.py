@@ -1,5 +1,6 @@
 """Coloring tables, structure predicates, and subset searches."""
 
+import re
 from itertools import combinations
 from math import comb
 
@@ -8,6 +9,7 @@ import pytest
 from abr import (
     Color,
     ColoringTable,
+    DegenerateInputError,
     InvariantError,
     LazyDivdiffColors,
     ParseError,
@@ -21,7 +23,7 @@ from abr import (
     monotone_implies_transitive_check,
     ramsey_search_tiny,
 )
-from abr.linalg import SignKernel
+from abr.tables import RowTable
 
 from _helpers import (
     flipped_table,
@@ -105,6 +107,10 @@ def test_json_roundtrip():
     assert list(back) == list(table)
     obj = table.to_json_obj()
     assert set(obj) == {"n", "r", "colors"}
+    for colors, message in (("+x+", "bad color 'x' at position 1"),
+                            (["+", None, "-"], "bad color None at position 1")):
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            ColoringTable.from_colors(3, 2, colors)
 
 
 def test_monotone_and_transitive_frozen_counterexample():
@@ -244,15 +250,28 @@ def test_search_matches_reference_on_dense_and_lazy_em_tables():
                 reference_longest_monochromatic(table, budget=budget)
 
 
+def test_lazy_search_matches_reference_on_depth4_em():
+    seq, _ = build_cluster_parabola(4, 2)
+    lazy = LazyDivdiffColors(seq, 3)
+    assert longest_monochromatic(lazy, budget=100) == \
+        reference_longest_monochromatic(lazy, budget=100)
+
+
 def test_row_cache_is_bounded_and_read_on_demand(monkeypatch):
     rng = seeded(77)
-    tables = [rand_table(rng, 10, r, 0.8) for r in (2, 3, 4)] + list(cupcap_pair())
-    want = [(is_transitive(t), is_monotone(t), longest_monochromatic(t)) for t in tables]
-    monkeypatch.setattr(ColoringTable, "max_cached_rows", 3)
-    for table, expected in zip(tables, want):
-        table = ColoringTable(table.n, table.r, table.bits)
-        assert (is_transitive(table), is_monotone(table), longest_monochromatic(table)) \
-            == expected
+    dense = [rand_table(rng, 10, r, 0.8) for r in (2, 3, 4)] + list(cupcap_pair())
+    seq, _ = build_cluster_parabola(3, 2)
+    fresh = [lambda t=t: ColoringTable(t.n, t.r, t.bits) for t in dense]
+    fresh.append(lambda: LazyDivdiffColors(seq, 3))
+
+    def results(table):
+        return is_transitive(table), is_monotone(table), longest_monochromatic(table)
+
+    want = [results(make()) for make in fresh]
+    monkeypatch.setattr(RowTable, "max_cached_rows", 3)
+    for make, expected in zip(fresh, want):
+        table = make()
+        assert results(table) == expected
         assert len(table._rows) <= 3
     # A check that stops at an early witness reads only the rows it needs.
     hole = (0,) + tuple(range(2, 9))
@@ -262,15 +281,16 @@ def test_row_cache_is_bounded_and_read_on_demand(monkeypatch):
     assert len(big._rows) <= 8
 
 
-def test_lazy_memo_is_bounded(monkeypatch):
-    seq, _ = build_cluster_parabola(3, 2)
-    unbounded = LazyDivdiffColors(seq, 3)
-    want = [longest_monochromatic(unbounded, budget=b) for b in (None, 40)]
-    assert len(unbounded._cache) > 7
-    monkeypatch.setattr(SignKernel, "max_cached", 7)
+def test_lazy_rows_are_computed_whole():
+    # The third divided difference of (0, 1, 2, 5) is 0, those of (0, 1, 2, 3)
+    # and (0, 1, 2, 4) are not: the row of (0, 1, 2) holds a degenerate tuple
+    # that the mask leaves out, and reading the row still names it.
+    seq = PlanarSequence(((0, 0), (1, 1), (2, 4), (3, 7), (4, 11), (5, 25)))
     lazy = LazyDivdiffColors(seq, 3)
-    assert [longest_monochromatic(lazy, budget=b) for b in (None, 40)] == want
-    assert len(lazy._cache) <= 7
+    assert lazy.color((0, 1, 2, 3)) is Color.NEGATIVE
+    with pytest.raises(DegenerateInputError) as info:
+        lazy.positive_among((0, 1, 2), 1 << 3)
+    assert info.value.witness == (0, 1, 2, 5)
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
