@@ -13,6 +13,10 @@ bytes.
 Exit codes: 0 success, 2 usage or malformed input, 3 generation failure,
 4 degenerate or wrongly oriented input, 5 violated property or identity,
 6 search budget exhausted (suppressed by --best-effort).
+
+Only ``errors`` and ``tables`` are imported up front; every other module is
+imported by the handler that runs it, so a command on a table loads no
+sequence, rational or construction code.
 """
 
 from __future__ import annotations
@@ -22,21 +26,6 @@ import sys
 from itertools import combinations
 from math import comb
 
-from .coloring import (
-    certify_one_switch,
-    color_by_crossing,
-    color_by_heights,
-    color_table,
-    divdiff_color_table,
-    vandermonde_divdiff_residual,
-)
-from .constructions import (
-    MAX_BASE,
-    build_cluster_parabola,
-    cluster_parabola_sequence,
-    cupcap_extremal,
-    random_cyclic_instance,
-)
 from .errors import (
     AbrError,
     DegenerateInputError,
@@ -48,18 +37,8 @@ from .errors import (
     TooFewPointsError,
     WrongOrientationError,
 )
-from .linalg import Matrix, plucker_residual
-from .sequences import (
-    PlanarSequence,
-    dump_json,
-    load_json,
-    moment_lift,
-    sequence_from_json_obj,
-    serialize_sequence,
-    validate_cyclic_projections,
-    validate_general_position,
-)
-from .tables import ColoringTable, is_monotone, is_transitive, longest_monochromatic
+from .tables import (ColoringTable, dump_json, is_monotone, is_transitive, load_json,
+                     longest_monochromatic)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -118,6 +97,8 @@ def _load_input(path):
     if stripped.startswith("{"):
         obj = load_json(text)
         if isinstance(obj, dict) and "kind" in obj:
+            from .sequences import sequence_from_json_obj
+
             return sequence_from_json_obj(obj)
         if isinstance(obj, dict) and "colors" in obj:
             return ColoringTable.from_json_obj(obj)
@@ -134,6 +115,9 @@ def _lifted_table(s, args):
     ``--reverse-orientation`` is replaced by that reversal.  The color pass
     is the general-position check: it stops at the lex-first zero
     determinant."""
+    from .coloring import color_table
+    from .sequences import PlanarSequence, moment_lift, validate_cyclic_projections
+
     if isinstance(s, PlanarSequence):
         if args.d >= 2 and len(s) <= args.d:
             # Refused before any power of t, with the messages of the checks
@@ -169,7 +153,11 @@ def _table_from(obj, args):
     """A coloring table from whatever the input was."""
     if isinstance(obj, ColoringTable):
         return obj
+    from .sequences import PlanarSequence
+
     if isinstance(obj, PlanarSequence):
+        from .coloring import divdiff_color_table
+
         return divdiff_color_table(obj, args.d)
     return _lifted_table(obj, args)[1]
 
@@ -197,6 +185,9 @@ def _moment_heights(ts, kind, d, seed):
 
 
 def _cmd_generate_moment(args):
+    from .sequences import (PlanarSequence, moment_lift, serialize_sequence,
+                            validate_cyclic_projections, validate_general_position)
+
     if args.n < 1:
         raise InvariantError(f"need n >= 1, got {args.n}")
     ts = list(range(args.n))
@@ -216,6 +207,9 @@ def _cmd_generate_moment(args):
 
 
 def _cmd_generate_random(args):
+    from .constructions import random_cyclic_instance
+    from .sequences import serialize_sequence
+
     seq = random_cyclic_instance(args.d, args.n, args.seed, bits=args.bits)
     to_file = _emit(serialize_sequence(seq), args.output)
     # The generator returns only instances that pass both checks in full.
@@ -228,12 +222,16 @@ def _cmd_generate_random(args):
 
 
 def _cmd_generate_em(args):
+    from .constructions import MAX_BASE, build_cluster_parabola, cluster_parabola_sequence
+    from .sequences import serialize_sequence
+
     if args.no_verify:
         seq, params = build_cluster_parabola(args.m, args.base)
         max_monotone, exhaustive = None, False
     else:
         seq, params, report = cluster_parabola_sequence(
-            args.m, start_base=args.base, max_base=args.max_base, budget=args.budget
+            args.m, start_base=args.base,
+            max_base=MAX_BASE if args.max_base is None else args.max_base, budget=args.budget
         )
         max_monotone, exhaustive = report.max_monotone, report.exhaustive
     report_obj = {
@@ -249,6 +247,9 @@ def _cmd_generate_em(args):
 
 
 def _cmd_generate_cupcap(args):
+    from .constructions import cupcap_extremal
+    from .sequences import serialize_sequence
+
     seq = cupcap_extremal(args.k)
     to_file = _emit(serialize_sequence(seq), args.output)
     _summary(to_file, f"kind=planar n={len(seq)} k={args.k}")
@@ -272,6 +273,8 @@ def _cmd_color(args):
     lines = [f"n={len(lifted)} d={d} tuples={table.total} positive={positive} negative={negative}"]
     mismatches = 0
     if args.cross_check:
+        from .coloring import color_by_crossing, color_by_heights
+
         for tup, color in table:
             pts = [lifted.points[i] for i in tup]
             _, by_heights = color_by_heights(pts)
@@ -322,6 +325,8 @@ def _cmd_check(args):
         d = lifted.dimension
         if len(lifted) < d + 2:
             raise TooFewPointsError(f"one-switch needs at least {d + 2} points")
+        from .coloring import certify_one_switch
+
         count = comb(len(lifted), d + 2)
         max_switches = max(certify_one_switch(lifted.kernel, tup)[3]
                            for tup in combinations(range(len(lifted)), d + 2))
@@ -334,6 +339,10 @@ def _cmd_check(args):
         return EXIT_OK
 
     # identities
+    from .coloring import vandermonde_divdiff_residual
+    from .linalg import Matrix, plucker_residual
+    from .sequences import PlanarSequence
+
     checked = 0
     if isinstance(obj, PlanarSequence):
         if len(obj) < args.d + 1:
@@ -424,7 +433,7 @@ def _build_parser():
     p = kinds.add_parser("em", help="doubly-exponential cluster construction")
     p.add_argument("--m", type=int, required=True, help="recursion depth: 2^(2^(m-1)) points")
     p.add_argument("--base", type=int, default=2, help="starting scale base (default 2)")
-    p.add_argument("--max-base", type=int, default=MAX_BASE)
+    p.add_argument("--max-base", type=int, default=None)  # None: constructions.MAX_BASE
     p.add_argument("--budget", type=int, default=None, help="verification node budget")
     p.add_argument("--no-verify", action="store_true",
                    help="emit the instance at --base without the verification search")

@@ -412,7 +412,6 @@ class LazyDivdiffColors(RowTable):
     def __init__(self, p, order):
         if not isinstance(p, PlanarSequence):
             raise InvariantError("LazyDivdiffColors needs a PlanarSequence")
-        self.sequence = p
         self.n = len(p)
         self.r = order + 1
         _check_shape(self.n, self.r)

@@ -20,13 +20,12 @@ Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
     {"kind": "planar", "points": [["0/1", "5/1"], ...]}
     {"kind": "lifted", "dimension": d, "points": [[z_1, ..., z_{d-1}, h], ...]}
 
-Unknown fields are rejected rather than ignored.
+Unknown fields are rejected rather than ignored.  The JSON codec itself
+(``load_json`` / ``dump_json``) lives in ``tables``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -34,6 +33,7 @@ from itertools import combinations
 from .errors import InvariantError, ParseError, TooFewPointsError
 from .linalg import SignKernel, as_fraction, cleared_column, format_rational, parse_rational
 from .linalg import det  # noqa: F401  kept bound here; bench/test_bench.py traces it
+from .tables import dump_json, load_json
 
 VALID = "valid"
 INVALID = "invalid"
@@ -223,26 +223,6 @@ def validate_d_general_position(p, d, *, max_failures=16, max_tuples=None):
 
 _PLANAR_FIELDS = {"kind", "points"}
 _LIFTED_FIELDS = {"kind", "dimension", "points"}
-
-
-def load_json(text):
-    """Decode JSON text; malformed JSON, a number with more digits than
-    Python converts to an int, or nesting deeper than the interpreter's
-    recursion limit raises ParseError."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    except ValueError as exc:
-        raise ParseError(
-            f"a JSON integer has more than {sys.get_int_max_str_digits()} digits") from exc
-    except RecursionError as exc:
-        raise ParseError("JSON input is nested too deeply") from exc
-
-
-def dump_json(obj):
-    """Canonical JSON bytes: sorted keys, no whitespace, trailing newline."""
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def parse_sequence(data):

@@ -20,12 +20,22 @@ Structure predicates:
   in lexicographic order switch at most once.  Monotone implies transitive
   because drop-last is the lexicographically first subtuple and drop-first
   the last.
+
+Table I/O: CSV (one ``i0,...,color`` line per tuple, in lex order) and
+JSON (``{"n", "r", "colors"}``), plus the canonical JSON codec
+``load_json`` / ``dump_json`` behind every JSON input and output of the
+package.  A CSV whose rows are exactly those ``to_csv`` writes is read in
+one walk straight into the bits; any other CSV goes through the dict path,
+the one place CSV errors are reported.  This module imports only
+``errors``, so a table command loads no sequence or rational code.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -34,6 +44,26 @@ from .errors import InvariantError, ParseError, TooLargeError
 
 MAX_DENSE_CELLS = 1 << 24
 _INDEX_RE = re.compile(r"[0-9]+")
+
+
+def load_json(text):
+    """Decode JSON text; malformed JSON, a number with more digits than
+    Python converts to an int, or nesting deeper than the interpreter's
+    recursion limit raises ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:
+        raise ParseError(
+            f"a JSON integer has more than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON input is nested too deeply") from exc
+
+
+def dump_json(obj):
+    """Canonical JSON bytes: sorted keys, no whitespace, trailing newline."""
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 class Color(enum.Enum):
@@ -84,6 +114,9 @@ def _dense_cells(n, r):
     if cells > MAX_DENSE_CELLS:
         raise TooLargeError(f"{cells} tuples exceed the dense-table guard")
     return cells
+
+
+_LEX_COLORS = {",+": Color.POSITIVE, ",-": Color.NEGATIVE}
 
 
 def _lex_subtuples(tup):
@@ -147,15 +180,21 @@ class ColoringTable(RowTable):
 
     @classmethod
     def from_function(cls, n, r, fn):
-        """Build by evaluating fn(tuple) -> Color on every increasing tuple."""
+        """Build by evaluating fn(tuple) -> Color on every increasing tuple,
+        in lex order: prefixes Q in lex order, each ranked once, then
+        Q + (y,) at colex rank rank(Q) + C(y, r)."""
         store = bytearray((_dense_cells(n, r) + 7) // 8)
-        for tup in combinations(range(n), r):
-            color = fn(tup)
-            if color is Color.POSITIVE:
-                rank = _rank(tup, n, r)
-                store[rank >> 3] |= 1 << (rank & 7)
-            elif color is not Color.NEGATIVE:
-                raise InvariantError(f"colorer returned {color!r} for {tup}")
+        high = [comb(y, r) for y in range(n)]
+        for prefix in combinations(range(n - 1), r - 1):
+            key = _rank(prefix, n, r - 1)
+            for y in range(prefix[-1] + 1, n):
+                tup = prefix + (y,)
+                color = fn(tup)
+                if color is Color.POSITIVE:
+                    rank = key + high[y]
+                    store[rank >> 3] |= 1 << (rank & 7)
+                elif color is not Color.NEGATIVE:
+                    raise InvariantError(f"colorer returned {color!r} for {tup}")
         return cls(n, r, bytes(store))
 
     @classmethod
@@ -221,6 +260,9 @@ class ColoringTable(RowTable):
         r = len(header) - 1
         if header != [f"i{k}" for k in range(r)] + ["color"]:
             raise ParseError(f"bad CSV header {lines[0]!r}")
+        table = cls._from_lex_rows(lines[1:], r)
+        if table is not None:
+            return table
         entries = {}
         top = -1
         for line_no, line in enumerate(lines[1:], start=2):
@@ -249,6 +291,40 @@ class ColoringTable(RowTable):
                 f"table has {len(entries)} rows but {cells} tuples exist for n={n}, r={r}"
             )
         return cls.from_function(n, r, lambda tup: entries[tup])
+
+    @classmethod
+    def _from_lex_rows(cls, rows, r):
+        """The table when ``rows`` are exactly the lines ``to_csv`` writes
+        for n = last index + 1, read in the one walk of ``from_function``;
+        else None.  Never raises: the shape is refused like ``_dense_cells``
+        would before any binomial, and a mismatch leaves the error to the
+        dict path."""
+        last = rows[-1].split(",") if rows else ()
+        top = last[-2] if len(last) == r + 1 else ""
+        if not (0 < len(top) <= 8 and top.isascii() and top.isdigit()):
+            return None
+        n = int(top) + 1
+        k = min(r, n - r)
+        if (len(rows) > MAX_DENSE_CELLS or n > MAX_DENSE_CELLS
+                or not 0 <= k < MAX_DENSE_CELLS.bit_length()
+                or comb(n, k) != len(rows)):
+            return None
+        names = [str(i) for i in range(n)]
+        lines = iter(rows)
+        matched = True
+
+        def color(tup):
+            nonlocal matched
+            line = next(lines)
+            if matched:
+                stem = ",".join(map(names.__getitem__, tup))
+                if line.startswith(stem) and line[len(stem):] in _LEX_COLORS:
+                    return _LEX_COLORS[line[len(stem):]]
+                matched = False
+            return Color.NEGATIVE
+
+        table = cls.from_function(n, r, color)
+        return table if matched else None
 
     def to_json_obj(self):
         return {

@@ -1,0 +1,49 @@
+"""Each abr command loads only the modules it runs.
+
+Every case runs in a fresh interpreter, because this test process has
+already loaded every module of the package.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import abr
+from abr import Color, ColoringTable
+
+SRC = str(Path(abr.__file__).resolve().parent.parent)
+
+SCRIPT = """
+import json, sys
+from abr.cli import main
+for argv in json.loads(sys.argv[1]):
+    main(argv)
+print(json.dumps(sorted(m for m in sys.modules if m == "fractions" or m.startswith("abr"))),
+      file=sys.stderr)
+"""
+
+
+def _loaded(cwd, *argvs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argvs)], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_table_commands_load_only_cli_errors_and_tables(tmp_path):
+    table = ColoringTable.from_function(
+        8, 3, lambda tup: Color.POSITIVE if sum(tup) % 3 else Color.NEGATIVE)
+    (tmp_path / "t.csv").write_text(table.to_csv())
+    loaded = _loaded(tmp_path, ["check", "transitive", "t.csv", "--format", "json"],
+                     ["search", "t.csv", "-o", "F"])
+    assert (tmp_path / "F").read_bytes().startswith(b'{"color":')
+    assert loaded == {"abr", "abr.cli", "abr.errors", "abr.tables"}
+
+
+def test_planar_search_does_not_load_constructions(tmp_path):
+    points = [[str(t), str(t ** 3 + t % 3)] for t in range(9)]
+    (tmp_path / "p.json").write_text(json.dumps({"kind": "planar", "points": points}))
+    loaded = _loaded(tmp_path, ["search", "p.json", "--d", "3", "-o", "F"])
+    assert "abr.sequences" in loaded and "abr.constructions" not in loaded

@@ -8,7 +8,17 @@ off ``ColoringTable``) makes installing the wrappers fail.
 import importlib.util
 from pathlib import Path
 
-import abr.cli  # noqa: F401  every abr module is loaded before the bindings are read
+# abr loads its modules lazily, and Installed imports every module it
+# targets; each one is loaded here so the bindings read before and after
+# cover the same modules.
+import abr  # noqa: F401
+import abr.cli  # noqa: F401
+import abr.coloring  # noqa: F401
+import abr.constructions  # noqa: F401
+import abr.errors  # noqa: F401
+import abr.linalg  # noqa: F401
+import abr.sequences  # noqa: F401
+import abr.tables  # noqa: F401
 from abr import ColoringTable, LazyDivdiffColors
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
