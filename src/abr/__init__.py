@@ -13,6 +13,8 @@ counterexample is a proof-grade artifact.  The package covers:
   one-switch certificate for (d+2)-tuples (``coloring``);
 - dense and lazy coloring tables with monotone/transitive checks and a
   longest-monochromatic-subset search, and the JSON codec (``tables``);
+- the exact longest monochromatic subsequence of a planar coloring as a
+  longest monotone path over windows, with no table (``paths``);
 - instance generators: the doubly-exponential cluster construction, the
   classical cup/cap extremal sets, and seeded random cyclic sequences
   (``constructions``);
@@ -50,6 +52,7 @@ _NAMES = {
         "Matrix", "as_fraction", "complementary_minors", "det", "format_rational",
         "parse_rational", "plucker_residual", "signed_minor_kernel",
     ),
+    "paths": ("longest_monotone_path",),
     "sequences": (
         "LiftedSequence", "PlanarSequence", "ValidationReport", "moment_lift",
         "parse_sequence", "serialize_sequence", "validate_cyclic_projections",

@@ -227,18 +227,19 @@ def _cmd_generate_em(args):
 
     if args.no_verify:
         seq, params = build_cluster_parabola(args.m, args.base)
-        max_monotone, exhaustive = None, False
+        max_monotone, exhaustive, method = None, False, None
     else:
         seq, params, report = cluster_parabola_sequence(
             args.m, start_base=args.base,
-            max_base=MAX_BASE if args.max_base is None else args.max_base, budget=args.budget
+            max_base=MAX_BASE if args.max_base is None else args.max_base
         )
-        max_monotone, exhaustive = report.max_monotone, report.exhaustive
+        max_monotone, exhaustive, method = report.max_monotone, report.exhaustive, report.method
     report_obj = {
         "m": args.m,
         "n": len(seq),
         "max_monotone": max_monotone,
         "exhaustive": exhaustive,
+        "method": method,
         "params": params.to_json_obj(),
     }
     to_file = _emit(serialize_sequence(seq), args.output)
@@ -380,10 +381,22 @@ def _cmd_check(args):
 
 # ------------------------------------------------------------------ search
 
+def _search(obj, args):
+    """Planar input is searched exactly by the monotone-path DP; a table
+    (which need not be transitive) or a lifted sequence's table by the
+    branch and bound under ``--budget``."""
+    if not isinstance(obj, ColoringTable):
+        from .sequences import PlanarSequence
+
+        if isinstance(obj, PlanarSequence):
+            from .paths import longest_monotone_path
+
+            return longest_monotone_path(obj, args.d)
+    return longest_monochromatic(_table_from(obj, args), budget=args.budget)
+
+
 def _cmd_search(args):
-    obj = _load_input(args.input)
-    table = _table_from(obj, args)
-    result = longest_monochromatic(table, budget=args.budget)
+    result = _search(_load_input(args.input), args)
     payload = result.to_json_obj()
     if args.k is not None:
         payload["k"] = args.k
@@ -434,7 +447,6 @@ def _build_parser():
     p.add_argument("--m", type=int, required=True, help="recursion depth: 2^(2^(m-1)) points")
     p.add_argument("--base", type=int, default=2, help="starting scale base (default 2)")
     p.add_argument("--max-base", type=int, default=None)  # None: constructions.MAX_BASE
-    p.add_argument("--budget", type=int, default=None, help="verification node budget")
     p.add_argument("--no-verify", action="store_true",
                    help="emit the instance at --base without the verification search")
     _add_output(p)
@@ -469,7 +481,9 @@ def _build_parser():
     p.add_argument("input", help="sequence or table file, or - for stdin")
     p.add_argument("--d", type=int, default=3, help="order/dimension for sequence input")
     p.add_argument("--k", type=int, default=None, help="report whether size k is reached")
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
+    p.add_argument("--budget", type=int, default=None,
+                   help="node budget of the branch and bound for table or lifted input; "
+                   "planar input is searched exactly")
     p.add_argument("--best-effort", action="store_true",
                    help="exit 0 even when the budget ran out")
     p.add_argument("--reverse-orientation", action="store_true")

@@ -23,6 +23,7 @@ table builders, ``LazyDivdiffColors`` (which keeps rows like a dense table)
 and the one-switch certificate take their signs from ``linalg.SignKernel``
 instead, with no ``divided_difference`` call per tuple; a planar color is
 the kernel's sign on the moment-lift columns (``sequences.moment_kernel``).
+A planar search needs no table: see ``paths``.
 """
 
 from __future__ import annotations

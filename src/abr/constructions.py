@@ -25,9 +25,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
-from .coloring import LazyDivdiffColors, divdiff_color_table
+from .paths import longest_monotone_path
 from .errors import (
     DegenerateInputError,
     GenerationFailedError,
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .linalg import format_rational
 from .sequences import PlanarSequence, moment_lift, validate_general_position
-from .tables import MAX_DENSE_CELLS, longest_monochromatic
+from .tables import MAX_DENSE_CELLS, _guarded_comb
 
 MAX_BASE = 2 ** 64
 # The deepest m whose 2^(2^(m-1)) points fit the 2^24 guard: 2^(m-1) <= 24.
@@ -79,6 +78,7 @@ class ClusterParabolaReport:
     exhaustive: bool
     witness: tuple
     nodes_visited: int
+    method: str
 
     @property
     def within_bound(self):
@@ -93,6 +93,7 @@ class ClusterParabolaReport:
             "max_monotone": self.max_monotone,
             "exhaustive": self.exhaustive,
             "witness": list(self.witness),
+            "method": self.method,
         }
 
 
@@ -167,67 +168,67 @@ def build_cluster_parabola(m, base):
     return seq, params
 
 
-def verify_cluster_parabola(p, m, *, budget=None):
-    """Search the order-3 coloring of p for its longest monochromatic
-    subsequence and report whether it stays within the 2m bound.
+def _verified_points(m):
+    """The depth-m size 2^(2^(m-1)), refused (TooLargeError) when its
+    C(n, 3) windows exceed the guard of the monotone-path search."""
+    n = _depth_points(m)
+    if n >= 3:
+        _guarded_comb(n, 3, "windows")
+    return n
 
-    Raises DegenerateInputError if a quadruple has a vanishing third divided
-    difference (no color is defined there): any quadruple up to m = 3, and
-    one in a row the search reads past the dense guard.  Raises
-    InvariantError if p does not have the depth-m size 2^(2^(m-1))
-    (TooLargeError for m > MAX_DEPTH).
+
+def verify_cluster_parabola(p, m):
+    """Find the longest monochromatic subsequence of the order-3 coloring
+    of p exactly, by ``paths.longest_monotone_path``, and report whether
+    it stays within the 2m bound.
+
+    Raises DegenerateInputError at the lex-least quadruple with a vanishing
+    third divided difference (no color is defined there); a report thus
+    also certifies general position.  Raises InvariantError if p does not
+    have the depth-m size 2^(2^(m-1)), and TooLargeError for a depth whose
+    windows exceed the guard (m >= 5), before any divided difference.
     """
-    expected = _depth_points(m)
+    expected = _verified_points(m)
     if len(p) != expected:
         raise InvariantError(f"depth {m} means {expected} points, got {len(p)}")
     n = len(p)
     if n < 4:
-        return ClusterParabolaReport(m, n, n, True, tuple(range(n)), 0)
-    if comb(n, 4) <= MAX_DENSE_CELLS:
-        table = divdiff_color_table(p, 3)
-    else:
-        table = LazyDivdiffColors(p, 3)
-    result = longest_monochromatic(table, budget=budget)
-    return ClusterParabolaReport(
-        m, n, result.size, result.exhaustive, result.witness, result.nodes_visited
-    )
+        return ClusterParabolaReport(m, n, n, True, tuple(range(n)), 0, "monotone-path")
+    result = longest_monotone_path(p, 3)
+    return ClusterParabolaReport(m, n, result.size, result.exhaustive, result.witness,
+                                 result.nodes_visited, result.method)
 
 
-def cluster_parabola_sequence(m, *, start_base=2, max_base=MAX_BASE, budget=None):
+def cluster_parabola_sequence(m, *, start_base=2, max_base=MAX_BASE):
     """Verified depth-m instance: doubles the base until the no-long-run
     property is certified exhaustively.
 
     Returns (sequence, params, report).  Raises ParameterSearchFailedError
-    with per-base diagnostics when no base up to ``max_base`` works, e.g.
-    because a search budget keeps verification from finishing.
+    with per-base diagnostics when no base up to ``max_base`` works, and
+    TooLargeError, before building anything, for a depth that cannot be
+    verified.
     """
     if not isinstance(start_base, int) or start_base < 2:
         raise InvariantError(f"start_base must be an integer >= 2, got {start_base!r}")
     if not isinstance(max_base, int) or max_base < start_base:
         raise InvariantError("max_base must be an integer >= start_base")
+    _verified_points(m)
     attempts = []
     base = start_base
     while base <= max_base:
         seq, params = build_cluster_parabola(m, base)
         try:
-            report = verify_cluster_parabola(seq, m, budget=budget)
+            report = verify_cluster_parabola(seq, m)
         except DegenerateInputError as exc:
             attempts.append((base, f"degenerate quadruple {exc.witness}"))
         else:
-            if report.exhaustive and report.within_bound:
+            if report.within_bound:
                 return seq, params, report
-            if not report.exhaustive:
-                attempts.append((
-                    base,
-                    f"verification not exhaustive within budget "
-                    f"(best bound found: {report.max_monotone})",
-                ))
-            else:
-                attempts.append((
-                    base,
-                    f"monochromatic subsequence of size {report.max_monotone} "
-                    f"at {report.witness}",
-                ))
+            attempts.append((
+                base,
+                f"monochromatic subsequence of size {report.max_monotone} "
+                f"at {report.witness}",
+            ))
         base *= 2
     raise ParameterSearchFailedError(
         f"no base in [{start_base}, {max_base}] yields a verified depth-{m} instance",

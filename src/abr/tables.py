@@ -36,7 +36,7 @@ import enum
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -104,15 +104,21 @@ def _check_shape(n, r):
 
 def _dense_cells(n, r):
     """C(n, r) for a dense table shape: ints n >= r >= 2 and at most
-    MAX_DENSE_CELLS tuples.  For k = min(r, n - r) >= 1, C(n, r) is at least
-    n and at least 2^k, so a larger n or k is refused before any binomial."""
+    MAX_DENSE_CELLS tuples."""
     _check_shape(n, r)
+    return _guarded_comb(n, r, "tuples")
+
+
+def _guarded_comb(n, r, what):
+    """C(n, r) for ints n >= r >= 1, refused above MAX_DENSE_CELLS.  For
+    k = min(r, n - r) >= 1, C(n, r) is at least n and at least 2^k, so a
+    larger n or k is refused before any binomial."""
     k = min(r, n - r)
     if k and (n > MAX_DENSE_CELLS or k >= MAX_DENSE_CELLS.bit_length()):
-        raise TooLargeError(f"C(n, {r}) tuples exceed the dense-table guard")
+        raise TooLargeError(f"C(n, {r}) {what} exceed the dense-table guard")
     cells = comb(n, k)
     if cells > MAX_DENSE_CELLS:
-        raise TooLargeError(f"{cells} tuples exceed the dense-table guard")
+        raise TooLargeError(f"{cells} {what} exceed the dense-table guard")
     return cells
 
 
@@ -159,20 +165,37 @@ class RowTable:
         return row & mask
 
 
-@dataclass(frozen=True)
 class ColoringTable(RowTable):
     """Dense coloring of all increasing r-tuples over {0, ..., n-1}.  A row
     is read from the stored bits, since Q + (y,) has colex rank
-    rank(Q) + C(y, r); a full scan thus reads each bit once."""
+    rank(Q) + C(y, r); a full scan thus reads each bit once.  A table is
+    immutable, and two tables are equal when n, r and bits are."""
 
-    n: int
-    r: int
-    bits: bytes
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.bits) != (_dense_cells(self.n, self.r) + 7) // 8:
+    def __init__(self, n, r, bits):
+        if len(bits) != (_dense_cells(n, r) + 7) // 8:
             raise InvariantError("bit storage has the wrong length")
+        for name, value in (("n", n), ("r", r), ("bits", bits), ("_rows", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable table")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable table")
+
+    def _key(self):
+        return self.n, self.r, self.bits
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"ColoringTable(n={self.n!r}, r={self.r!r}, bits={self.bits!r})"
 
     @property
     def total(self):
@@ -397,17 +420,14 @@ def monotone_implies_transitive_check(table):
     return True
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(namedtuple("SearchResult", "size witness color exhaustive nodes_visited method",
+                              defaults=("branch-and-bound",))):
     """Longest monochromatic subset found: its size, the lexicographically
-    least witness of that size, its color, whether the search completed, and
-    the number of search-tree nodes visited."""
+    least witness of that size, its color, whether the search completed, the
+    work done (search-tree nodes for the branch and bound, windows settled
+    for the monotone-path DP) and the method that found it."""
 
-    size: int
-    witness: tuple
-    color: Color
-    exhaustive: bool
-    nodes_visited: int
+    __slots__ = ()
 
     def to_json_obj(self):
         return {
@@ -416,6 +436,7 @@ class SearchResult:
             "color": self.color.value,
             "exhaustive": self.exhaustive,
             "nodes_visited": self.nodes_visited,
+            "method": self.method,
         }
 
 

@@ -57,6 +57,7 @@ def test_generate_em_report(tmp_path):
     assert report["m"] == 2 and report["n"] == 4
     assert report["exhaustive"] is True
     assert report["max_monotone"] == 4
+    assert report["method"] == "monotone-path"
     assert report["params"]["base"] == 2
     seq = parse_sequence(out.read_bytes())
     assert len(seq) == 4
@@ -68,6 +69,7 @@ def test_generate_em_no_verify():
     assert code == 0
     report = json.loads(stdout)
     assert report["max_monotone"] is None and report["exhaustive"] is False
+    assert report["method"] is None
     assert report["params"]["base"] == 4
 
 
@@ -361,34 +363,41 @@ def test_generate_moment_capped_summary_builds_few_minors(tmp_path, monkeypatch,
     assert len(calls) <= 5 * 20000 < comb(400, 3)
 
 
-@pytest.mark.parametrize("text, message", [
-    ('{"n": -3, "r": 2, "colors": ""}', "need integer n >= r >= 2, got n=-3, r=2"),
+_CHECK = ["check", "monotone"]
+
+
+@pytest.mark.parametrize("text, message, command", [
+    ('{"n": -3, "r": 2, "colors": ""}', "need integer n >= r >= 2, got n=-3, r=2", _CHECK),
     ('{"n": 4000000, "r": 2000000, "colors": ""}',
-     "C(n, 2000000) tuples exceed the dense-table guard"),
+     "C(n, 2000000) tuples exceed the dense-table guard", _CHECK),
     ('{"n": 1' + "0" * 5000 + ', "r": 2, "colors": ""}',
-     "a JSON integer has more than 4300 digits"),
-    ("i0,i1,color\n0," + "9" * 4000 + ",+\n", "C(n, 2) tuples exceed the dense-table guard"),
+     "a JSON integer has more than 4300 digits", _CHECK),
+    ("i0,i1,color\n0," + "9" * 4000 + ",+\n", "C(n, 2) tuples exceed the dense-table guard",
+     _CHECK),
     (json.dumps({"kind": "planar", "points": [["1" * 5000, "1"]]}),
-     "point 0: rational has more than 4300 digits"),
+     "point 0: rational has more than 4300 digits", _CHECK),
     (json.dumps({"kind": "planar", "points": [["١", "1"]]}),
-     "point 0: malformed rational '١'; expected 'p/q' or 'p'"),
+     "point 0: malformed rational '١'; expected 'p/q' or 'p'", _CHECK),
     (json.dumps({"kind": "planar", "points": [["3\n", "1"]]}),
-     "point 0: malformed rational '3\\n'; expected 'p/q' or 'p'"),
-    ("i0,i1,color\n0,\u0661,+\n", "bad index '\u0661' in row 2; expected ASCII digits"),
-    ("i0,i1,color\n0, 1 ,+\n", "bad index ' 1 ' in row 2; expected ASCII digits"),
-    ("i0,i1,color\n0,1_0,+\n", "bad index '1_0' in row 2; expected ASCII digits"),
-    ('{"a":' + "[" * 100000 + "]" * 100000 + "}", "JSON input is nested too deeply"),
-    ("i0,i1,color\n0,1,+\n0,2,x\n", "bad color 'x' (line 3)"),
+     "point 0: malformed rational '3\\n'; expected 'p/q' or 'p'", _CHECK),
+    ("i0,i1,color\n0,\u0661,+\n", "bad index '\u0661' in row 2; expected ASCII digits", _CHECK),
+    ("i0,i1,color\n0, 1 ,+\n", "bad index ' 1 ' in row 2; expected ASCII digits", _CHECK),
+    ("i0,i1,color\n0,1_0,+\n", "bad index '1_0' in row 2; expected ASCII digits", _CHECK),
+    ('{"a":' + "[" * 100000 + "]" * 100000 + "}", "JSON input is nested too deeply", _CHECK),
+    ("i0,i1,color\n0,1,+\n0,2,x\n", "bad color 'x' (line 3)", _CHECK),
+    # C(500, 3) windows of the planar search, refused before any divided difference
+    (json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] for t in range(500)]}),
+     "20708500 windows exceed the dense-table guard", ["search", "--d", "3"]),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
         "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
-        "csv-underscore-index", "deep-json", "csv-bad-color"])
-def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message):
+        "csv-underscore-index", "deep-json", "csv-bad-color", "planar-search-windows"])
+def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):
     from abr import cli
 
     src = tmp_path / "in"
     src.write_text(text, encoding="utf-8")
     start = time.perf_counter()
-    code = cli.main(["check", "monotone", str(src)])
+    code = cli.main([*command, str(src)])
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")

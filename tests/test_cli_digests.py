@@ -54,7 +54,7 @@ RECORDED = [
     (0, "910c3f8668ebabc55ea42d3c721a2667a11a0c05efec5c380e2bf3c236faab68"),
     (0, "f79d297f6f2872528a69287bd18c4825f14c3fc5152d4b45a9b82bfafda30866"),
     (0, "fc063e7caa92e361784a015fee007bd64378b388d1b173912f18bb6c0f6be0f3"),
-    (0, "b01d06aaa3611795a29b624bd817060127ba2fc04e8250e72d6f65b2e7827141"),
+    (0, "2a3c853b87ed21d7f72fb5f1bb6388a45f0b6807c9ecfa941b69912ffd36cf77"),
     (0, "976e0841cae785db0f6eec9326be4cb6d5c8fe1eee3e60beaf978766f3ce5e03"),
     (0, "b51a972abbc28d344452d21df04ecd1a9d170967075efdbfb1ecffa60f31c4f8"),
     (0, "19b595759e1f7068f4c5fef143981fb33315e999f301a8d85c24a57f11a5c2da"),
@@ -64,17 +64,17 @@ RECORDED = [
     (0, "781362460a754e2dcea090f4b9130e6fb2a97c338158cb5b28f46797cf04ceef"),
     (0, "aca93c3ea0e90e51b5f899bdc5e1006b25da40b0f6fe8ca3e0b519ed31b87d01"),
     (0, "06fb1ba95b476be0fd91e7208c49466fd122798b6e456a27489bc9f281f61a6b"),
-    (0, "a96cabf752ce507b5862bb18c8b7a5d5bc850999778e51c01f37ae22a132ca7e"),
-    (0, "9ef62770eb56ef916710646d98dbe5d6ab7c450388dec3a40b97e2fbc798be98"),
-    (6, "d78302dbb50cd605f875962d8952c319d077eedf7724915e3ffc75b95caad907"),
-    (0, "f3f0a0049ab0ee0ddc0875843325c14da5d0a95807dcf088271d927d3edf098d"),
+    (0, "d327e0ef20105409b0c910fe4b3c0990fdb218d0b4cb84bc96c636637d245bab"),
+    (0, "98a12e2f5adef64b548c65d0bdd6e757f14e28e9649f163c16a746301a5fb945"),
+    (0, "d3e05a5bde0ac6ff40b76eec5a83f9c1de5e995e660d6b102485d3976c1e8354"),
+    (0, "40d35c3183c4e6da129353674a83ff51c58128725bfaabb14b200ac5b2ac5870"),
     (4, "9408ff6a3a761e8e59fdca9816783fb5b795967d336f381c0a6e03792e655dfc"),
     (4, "9408ff6a3a761e8e59fdca9816783fb5b795967d336f381c0a6e03792e655dfc"),
     (5, "7855cc17e0b7b62823b23794416b1d468ed01db0102c8e8ac1af63f6ca0641ee"),
     (5, "40bdf82a0b62031ee19f46d3fcdc17688673d3ee3ec9f9cefa0ce24201cb02cc"),
-    (0, "8ae0d372a4d7c2da4d1bb90e6f440fec8bf3b47507416583356b21188430fa56"),
-    (0, "291e770c10d934128917b4b301fc4c6f86c03a34b04bbfc24d1922bcbb3e503c"),
-    (3, "a73187b36d7d2d279f064ecbcf47bdb44b9d1e3fd67f93129cce4377b60c7cee"),
+    (0, "85fdcd09f064fa9fd885f145c4850045dd278b94605e8a567521fd28740591d7"),
+    (0, "918f1e3729a9f9c36767e94aa71ca518d1a6cd20cb2e9dc40263c7ee2f5e1d15"),
+    (2, "0ff83c4f3e13de2e07882631f8a3160b23950f5706f2d3c86d0458db3d6407ff"),
     (3, "ae94b85cc2705b08ea6e668b27ff52c5f686ce61dab35bea01a31e5e311fe018"),
     (0, "3212a95e5aabc0e06a80cb4905cd3a5d1c737f30af62e810b65a049533be42a9"),
     (2, "04dd4a059296c3390029ba5155b3b17366a356ead9731ca9dddcc1ecfae709d6"),

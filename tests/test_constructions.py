@@ -117,19 +117,24 @@ def test_depth_beyond_point_guard_is_refused_before_the_power():
             verify_cluster_parabola(seq, m)
 
 
-def test_verify_budget_not_exhaustive():
-    seq, _ = build_cluster_parabola(3, 2)
-    report = verify_cluster_parabola(seq, 3, budget=10)
-    assert not report.exhaustive
-    assert report.nodes_visited >= 10
+def test_depth_beyond_window_guard_is_refused_before_building(monkeypatch):
+    # depth 5 has 65,536 points and C(65536, 3) windows, past the search guard
+    from abr import constructions
+
+    def forbidden(m, base):
+        raise AssertionError("instance built")
+
+    monkeypatch.setattr(constructions, "build_cluster_parabola", forbidden)
+    with pytest.raises(TooLargeError, match="windows exceed the dense-table guard"):
+        cluster_parabola_sequence(5)
 
 
 def test_report_json_shapes():
     seq, params, report = cluster_parabola_sequence(2)
     assert set(params.to_json_obj()) == {"m", "base", "x_scale", "steepness", "h_scale"}
     obj = report.to_json_obj()
-    assert set(obj) == {"m", "n", "max_monotone", "exhaustive", "witness"}
-    assert obj["m"] == 2 and obj["n"] == 4
+    assert set(obj) == {"m", "n", "max_monotone", "exhaustive", "witness", "method"}
+    assert obj["m"] == 2 and obj["n"] == 4 and obj["method"] == "monotone-path"
 
 
 # ------------------------------------------------------------------ cupcap

@@ -20,7 +20,8 @@ import json, sys
 from abr.cli import main
 for argv in json.loads(sys.argv[1]):
     main(argv)
-print(json.dumps(sorted(m for m in sys.modules if m == "fractions" or m.startswith("abr"))),
+watched = ("fractions", "dataclasses", "inspect")
+print(json.dumps(sorted(m for m in sys.modules if m in watched or m.startswith("abr"))),
       file=sys.stderr)
 """
 
@@ -33,6 +34,7 @@ def _loaded(cwd, *argvs):
 
 
 def test_table_commands_load_only_cli_errors_and_tables(tmp_path):
+    # nor dataclasses, whose import pulls in inspect, ast, dis and tokenize
     table = ColoringTable.from_function(
         8, 3, lambda tup: Color.POSITIVE if sum(tup) % 3 else Color.NEGATIVE)
     (tmp_path / "t.csv").write_text(table.to_csv())

@@ -347,7 +347,8 @@ def test_longest_monochromatic_budget():
 def test_search_result_json():
     table = rand_table(seeded(21), 6, 3)
     obj = longest_monochromatic(table).to_json_obj()
-    assert set(obj) == {"size", "witness", "color", "exhaustive", "nodes_visited"}
+    assert set(obj) == {"size", "witness", "color", "exhaustive", "nodes_visited", "method"}
+    assert obj["method"] == "branch-and-bound"
     assert isinstance(obj["witness"], list)
 
 

@@ -17,6 +17,7 @@ import abr.coloring  # noqa: F401
 import abr.constructions  # noqa: F401
 import abr.errors  # noqa: F401
 import abr.linalg  # noqa: F401
+import abr.paths  # noqa: F401
 import abr.sequences  # noqa: F401
 import abr.tables  # noqa: F401
 from abr import ColoringTable, LazyDivdiffColors
