@@ -156,7 +156,7 @@ def _table_from(obj, args):
     from .sequences import PlanarSequence
 
     if isinstance(obj, PlanarSequence):
-        from .coloring import divdiff_color_table
+        from .paths import divdiff_color_table
 
         return divdiff_color_table(obj, args.d)
     return _lifted_table(obj, args)[1]
@@ -190,6 +190,8 @@ def _cmd_generate_moment(args):
 
     if args.n < 1:
         raise InvariantError(f"need n >= 1, got {args.n}")
+    if args.d < 2:  # before the heights t^d are formed
+        raise InvariantError(f"lift dimension must be an int >= 2, got {args.d}")
     ts = list(range(args.n))
     hs = _moment_heights(ts, args.heights, args.d, args.seed)
     seq = moment_lift(PlanarSequence(tuple(zip(ts, hs))), args.d)
@@ -346,6 +348,8 @@ def _cmd_check(args):
 
     checked = 0
     if isinstance(obj, PlanarSequence):
+        if args.d < 1:
+            raise InvariantError(f"order must be a positive int, got {args.d}")
         if len(obj) < args.d + 1:
             raise TooFewPointsError(f"need at least {args.d + 1} points for order {args.d}")
         for tup in combinations(range(len(obj)), args.d + 1):

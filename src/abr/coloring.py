@@ -19,20 +19,21 @@ curve the determinant factors as Vandermonde(t) * [order-d divided
 difference of h], so the color equals the divided-difference sign.
 
 The oracles and ``divided_difference`` are the Fraction references.  The
-table builders, ``LazyDivdiffColors`` (which keeps rows like a dense table)
-and the one-switch certificate take their signs from ``linalg.SignKernel``
-instead, with no ``divided_difference`` call per tuple; a planar color is
-the kernel's sign on the moment-lift columns (``sequences.moment_kernel``).
-A planar search needs no table: see ``paths``.
+lifted table builder, ``LazyDivdiffColors`` (which keeps rows like a dense
+table) and the one-switch certificate take their signs from
+``linalg.SignKernel`` instead, with no ``divided_difference`` call per
+tuple; a lazy planar color is the kernel's sign on the moment-lift columns
+(``sequences.moment_kernel``).  The dense planar table and the planar
+search are built from exact divided-difference keys in ``paths``;
+``divdiff_color_table`` is re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import NamedTuple
 
 from .errors import (
     BadShapeError,
@@ -49,30 +50,26 @@ from .linalg import (
     det,
     signed_minor_kernel,
 )
+from .paths import divdiff_color_table  # noqa: F401  re-exported
 from .sequences import LiftedSequence, PlanarSequence, moment_coordinates, moment_kernel
-from .tables import Color, ColoringTable, RowTable, _check_shape, _dense_cells, _rank
+from .tables import Color, ColoringTable, RowTable, _check_shape, _rank
 
 
-class HeightPair(NamedTuple):
+class HeightPair(namedtuple("HeightPair", "h_even h_odd")):
     """Interpolated heights of the even and odd interpolation over the
     shared projected point."""
 
-    h_even: Fraction
-    h_odd: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RadonCertificate:
+class RadonCertificate(namedtuple("RadonCertificate", "lam point even_part odd_part")):
     """Alternating Radon partition of d+1 cyclically ordered projections.
 
     ``lam`` holds one positive coefficient per point, normalized so the even
     block sums to 1 (the odd block then does too); ``point`` is the common
     convex combination of either block."""
 
-    lam: tuple
-    point: tuple
-    even_part: tuple
-    odd_part: tuple
+    __slots__ = ()
 
 
 def _normalize_points(points, expect_len=None):
@@ -280,8 +277,8 @@ def vandermonde_divdiff_residual(points):
     return value - vandermonde * divided_difference(pts)
 
 
-@dataclass(frozen=True)
-class OneSwitchCertificate:
+class OneSwitchCertificate(namedtuple("OneSwitchCertificate",
+                                      "d_values minors ratios switch_count zero_positions")):
     """Sign pattern of the d+2 deletion determinants of a (d+2)-tuple.
 
     ``d_values[j]`` is the determinant of the (d+1) x (d+2) lifted matrix
@@ -293,11 +290,7 @@ class OneSwitchCertificate:
     deletion order (provably at most one).  Zero d_values are recorded in
     ``zero_positions`` and skipped by the switch count."""
 
-    d_values: tuple
-    minors: dict
-    ratios: tuple
-    switch_count: int
-    zero_positions: tuple
+    __slots__ = ()
 
 
 def one_switch_certificate(points, *, allow_zero=False):
@@ -389,18 +382,6 @@ def color_table(s):
     value = s.kernel.value
     return ColoringTable.from_function(len(s), s.dimension + 1, lambda tup: _color_of(
         value(tup), tup, "lifted determinant vanishes"))
-
-
-def divdiff_color_table(p, order):
-    """Color every increasing (order+1)-tuple of a planar sequence by the
-    sign of its order-d divided difference, read as the moment-lift kernel
-    sign.  The table shape is refused before any power of t is formed."""
-    if not isinstance(p, PlanarSequence):
-        raise InvariantError("divdiff_color_table needs a PlanarSequence")
-    _dense_cells(len(p), order + 1)
-    value = moment_kernel(p.points, order).value
-    return ColoringTable.from_function(len(p), order + 1, lambda tup: _color_of(
-        value(tup), tup, "divided difference vanishes"))
 
 
 class LazyDivdiffColors(RowTable):

@@ -22,7 +22,7 @@ Three families:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -43,8 +43,8 @@ MAX_BASE = 2 ** 64
 MAX_DEPTH = (MAX_DENSE_CELLS.bit_length() - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class ClusterParabolaParams:
+class ClusterParabolaParams(namedtuple("ClusterParabolaParams",
+                                       "depth base x_scale steepness h_scale")):
     """Parameters that produced one cluster-parabola instance.
 
     Per refinement step k (level k to level k+1): ``x_scale[k]`` is the
@@ -52,11 +52,7 @@ class ClusterParabolaParams:
     coefficient, ``h_scale[k]`` the vertical shrink of the copied heights.
     All are powers of ``base``."""
 
-    depth: int
-    base: int
-    x_scale: tuple
-    steepness: tuple
-    h_scale: tuple
+    __slots__ = ()
 
     def to_json_obj(self):
         return {
@@ -68,17 +64,11 @@ class ClusterParabolaParams:
         }
 
 
-@dataclass(frozen=True)
-class ClusterParabolaReport:
+class ClusterParabolaReport(namedtuple(
+        "ClusterParabolaReport", "depth n max_monotone exhaustive witness nodes_visited method")):
     """Outcome of checking one instance for long monochromatic runs."""
 
-    depth: int
-    n: int
-    max_monotone: int
-    exhaustive: bool
-    witness: tuple
-    nodes_visited: int
-    method: str
+    __slots__ = ()
 
     @property
     def within_bound(self):

@@ -1,8 +1,43 @@
-"""Exception types shared across the library.
+"""Exception types, and the base of the immutable value classes, shared
+across the library.
 
 Every error raised on purpose derives from AbrError so callers (and the
 command line driver) can distinguish our failures from genuine bugs.
 """
+
+
+class Frozen:
+    """Base of the immutable value classes (``Matrix``, the sequences and
+    ``ColoringTable``): ``__init__`` sets its attributes once, through
+    ``_freeze``; assignment raises, and equality, hashing and repr read the
+    attributes named in ``_fields``, as for a frozen dataclass."""
+
+    _fields = ()
+
+    def _freeze(self, **attributes):
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class AbrError(Exception):

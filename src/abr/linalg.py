@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
 from .errors import (
     BadIndicesError,
     BadShapeError,
+    Frozen,
     InvariantError,
     NonSquareError,
     ParseError,
@@ -71,20 +71,19 @@ def format_rational(value):
             f"an output number has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Immutable row-major matrix of exact rationals."""
 
-    entries: tuple
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in self.entries)
+    def __init__(self, entries):
+        rows = tuple(tuple(as_fraction(x) for x in row) for row in entries)
         if not rows or not rows[0]:
             raise InvariantError("matrix needs at least one row and one column")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise InvariantError("matrix rows are ragged")
-        object.__setattr__(self, "entries", rows)
+        self._freeze(entries=rows)
 
     @property
     def rows(self):

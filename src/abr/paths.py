@@ -1,29 +1,86 @@
-"""Exact longest monochromatic subsequences of planar divided-difference
-colorings, as longest monotone paths over windows, with no color table.
+"""Planar divided-difference colorings from exact integer keys: the
+dense color table, and the longest monochromatic subsequence as a longest
+monotone path over windows, with no table.
 
 The order-d color of (a, M, e), M a (d-1)-tuple, is the sign of
 D(M, e) - D(a, M) for the order-(d-1) divided difference D over a window of
-d points.  ``longest_monotone_path`` sorts, once per middle M, the points
-outside M's span by D(., M) on exact integer keys, and keeps per color the
-longest path from each window in an array by colex rank.  Planar ``search``
-and the verification of the cluster-parabola construction run it; a
-``ColoringTable``, which need not be transitive, keeps the branch and bound
-of ``tables``.  This module imports no ``coloring`` code, so a planar
-search compiles none of it.
+d points.  Both routes make one ``keys_of(M, xs)`` call per middle M: the
+integer keys of D(., M) for the points outside M's span.
+``divdiff_color_table`` sets the bit of (a, M, e) when e's key exceeds a's;
+planar ``check`` builds its table with it.  ``longest_monotone_path`` sorts
+the same keys and keeps per color the longest path from each window in an
+array by colex rank; planar ``search`` and the verification of the
+cluster-parabola construction run it.  A ``ColoringTable``, which need not
+be transitive, keeps the branch and bound of ``tables``.  This module
+imports no ``coloring`` code, so a planar command compiles none of it.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
-from itertools import combinations
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, combinations
 from math import comb, lcm
-from operator import mul
+from operator import mul, or_
 
 from .errors import DegenerateInputError, InvariantError
 from .linalg import _int_det_bareiss
 from .sequences import PlanarSequence
-from .tables import Color, SearchResult, _check_shape, _guarded_comb
+from .tables import Color, ColoringTable, SearchResult, _check_shape, _dense_cells, _guarded_comb
+
+
+def divdiff_color_table(p, order):
+    """Color every increasing (order+1)-tuple of a planar sequence by the
+    sign of its order-d divided difference.  The table shape is refused
+    before any power of t is formed.
+
+    Per middle M, one ``keys_of`` call keys the points outside M's span by
+    D(., M), and the points a below it are sorted by key, so the a with
+    key[a] < key[e] are a prefix of that order: one bisect per (M, e).
+    Those a sit at the contiguous colex ranks rank(M) + C(e, d+1) + a, where
+    rank(M) counts M's elements from position 2.  Order 1 has the empty
+    middle: every point is both an a and an e, and a < e.  Every
+    (d+1)-tuple is compared under exactly one middle, so a tie there is
+    exactly a vanishing divided difference: the lex-least one raises
+    DegenerateInputError, as a per-tuple scan in lex order would."""
+    if not isinstance(p, PlanarSequence):
+        raise InvariantError("divdiff_color_table needs a PlanarSequence")
+    n, d = len(p), order
+    store = bytearray((_dense_cells(n, d + 1) + 7) // 8)
+    keys_of = _window_keys(p.points, d)
+    high = [comb(e, d + 1) for e in range(n)]
+    degenerate = None
+    for middle in combinations(range(1, n - 1), d - 1):
+        if middle:
+            lefts, rights = range(middle[0]), range(middle[-1] + 1, n)
+            xs = [*lefts, *rights]
+        else:
+            xs = lefts = rights = range(n)
+        key = dict(zip(xs, keys_of(middle, xs)))
+        ranked = sorted(lefts, key=key.__getitem__)
+        below = [key[a] for a in ranked]
+        masks = list(accumulate((1 << a for a in ranked), or_, initial=0))
+        base = sum(comb(m, j) for j, m in enumerate(middle, 2))
+        for e in rights:
+            j = bisect_left(below, key[e])
+            if j < len(below) and below[j] == key[e]:
+                tied = [a for a in ranked[j:bisect_right(below, key[e], j)] if a < e]
+                if tied:
+                    tie = (min(tied),) + middle + (e,)
+                    degenerate = min(degenerate or tie, tie)
+            _or_bits(store, base + high[e], masks[j] & ((1 << e) - 1))
+    if degenerate is not None:
+        raise _vanishes(degenerate)
+    return ColoringTable(n, d + 1, bytes(store))
+
+
+def _or_bits(store, offset, bits):
+    """OR the int ``bits`` into the bit string ``store`` from bit ``offset``
+    on, little-endian like the ranks of a ``ColoringTable``."""
+    if bits:
+        start, stop = offset >> 3, (offset + bits.bit_length() + 7) >> 3
+        store[start:stop] = (int.from_bytes(store[start:stop], "little")
+                             | bits << (offset & 7)).to_bytes(stop - start, "little")
 
 
 def longest_monotone_path(p, order):

@@ -26,11 +26,11 @@ Unknown fields are rejected rather than ignored.  The JSON codec itself
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
-from .errors import InvariantError, ParseError, TooFewPointsError
+from .errors import Frozen, InvariantError, ParseError, TooFewPointsError
 from .linalg import SignKernel, as_fraction, cleared_column, format_rational, parse_rational
 from .linalg import det  # noqa: F401  kept bound here; bench/test_bench.py traces it
 from .tables import dump_json, load_json
@@ -44,8 +44,7 @@ NEGATIVE_DETERMINANT = "negative_determinant"
 ZERO_DIVIDED_DIFFERENCE = "zero_divided_difference"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport", "status failures checked")):
     """Outcome of an exhaustive (or budget-limited) tuple scan.
 
     ``status`` is one of "valid", "invalid", "unverified"; "unverified" means
@@ -54,24 +53,21 @@ class ValidationReport:
     the bound the validator was given; ``checked`` counts examined tuples.
     """
 
-    status: str
-    failures: tuple
-    checked: int
+    __slots__ = ()
 
     @property
     def valid(self):
         return self.status == VALID
 
 
-@dataclass(frozen=True)
-class PlanarSequence:
+class PlanarSequence(Frozen):
     """Finite sequence of (t, h) pairs with strictly increasing t."""
 
-    points: tuple
+    _fields = ("points",)
 
-    def __post_init__(self):
+    def __init__(self, points):
         pts = []
-        for entry in self.points:
+        for entry in points:
             pair = tuple(entry)
             if len(pair) != 2:
                 raise InvariantError(f"planar point {entry!r} must have exactly 2 coordinates")
@@ -83,7 +79,7 @@ class PlanarSequence:
                 raise InvariantError(
                     f"t values must strictly increase; got {a[0]} then {b[0]}"
                 )
-        object.__setattr__(self, "points", tuple(pts))
+        self._freeze(points=tuple(pts))
 
     def __len__(self):
         return len(self.points)
@@ -97,29 +93,27 @@ class PlanarSequence:
         return tuple(h for _, h in self.points)
 
 
-@dataclass(frozen=True)
-class LiftedSequence:
+class LiftedSequence(Frozen):
     """Finite sequence of points in R^dimension, height stored last."""
 
-    dimension: int
-    points: tuple
+    _fields = ("dimension", "points")
 
-    def __post_init__(self):
-        if not isinstance(self.dimension, int) or isinstance(self.dimension, bool):
+    def __init__(self, dimension, points):
+        if not isinstance(dimension, int) or isinstance(dimension, bool):
             raise InvariantError("dimension must be an int")
-        if self.dimension < 2:
-            raise InvariantError(f"dimension must be >= 2, got {self.dimension}")
+        if dimension < 2:
+            raise InvariantError(f"dimension must be >= 2, got {dimension}")
         pts = []
-        for entry in self.points:
+        for entry in points:
             coords = tuple(as_fraction(x) for x in entry)
-            if len(coords) != self.dimension:
+            if len(coords) != dimension:
                 raise InvariantError(
-                    f"point {entry!r} has {len(coords)} coordinates, expected {self.dimension}"
+                    f"point {entry!r} has {len(coords)} coordinates, expected {dimension}"
                 )
             pts.append(coords)
         if not pts:
             raise InvariantError("sequence must contain at least one point")
-        object.__setattr__(self, "points", tuple(pts))
+        self._freeze(dimension=dimension, points=tuple(pts))
 
     def __len__(self):
         return len(self.points)

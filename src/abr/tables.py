@@ -40,7 +40,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .errors import InvariantError, ParseError, TooLargeError
+from .errors import Frozen, InvariantError, ParseError, TooLargeError
 
 MAX_DENSE_CELLS = 1 << 24
 _INDEX_RE = re.compile(r"[0-9]+")
@@ -165,37 +165,18 @@ class RowTable:
         return row & mask
 
 
-class ColoringTable(RowTable):
+class ColoringTable(RowTable, Frozen):
     """Dense coloring of all increasing r-tuples over {0, ..., n-1}.  A row
     is read from the stored bits, since Q + (y,) has colex rank
     rank(Q) + C(y, r); a full scan thus reads each bit once.  A table is
     immutable, and two tables are equal when n, r and bits are."""
 
+    _fields = ("n", "r", "bits")
+
     def __init__(self, n, r, bits):
         if len(bits) != (_dense_cells(n, r) + 7) // 8:
             raise InvariantError("bit storage has the wrong length")
-        for name, value in (("n", n), ("r", r), ("bits", bits), ("_rows", {})):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable table")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable table")
-
-    def _key(self):
-        return self.n, self.r, self.bits
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"ColoringTable(n={self.n!r}, r={self.r!r}, bits={self.bits!r})"
+        self._freeze(n=n, r=r, bits=bits, _rows={})
 
     @property
     def total(self):

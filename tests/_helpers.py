@@ -79,6 +79,25 @@ def flipped_table(table, cells):
         lambda tup: table.color(tup).flipped() if tup in cells else table.color(tup))
 
 
+def kernel_divdiff_table(p, order):
+    """The dense order-d divided-difference table with one moment-lift
+    kernel sign per (d+1)-tuple, in lex order, so a vanishing divided
+    difference raises at the lex-least tuple.  It shares no code with the
+    integer keys of ``abr.paths``."""
+    from abr import Color, ColoringTable, DegenerateInputError
+    from abr.sequences import moment_kernel
+
+    value = moment_kernel(p.points, order).value
+
+    def color(tup):
+        sign = value(tup)
+        if sign == 0:
+            raise DegenerateInputError(f"divided difference vanishes at {tup}", witness=tup)
+        return Color.POSITIVE if sign > 0 else Color.NEGATIVE
+
+    return ColoringTable.from_function(len(p), order + 1, color)
+
+
 def reference_longest_monochromatic(table, *, budget=None):
     """The branch and bound of ``longest_monochromatic`` with one ``color``
     lookup per candidate and r-subtuple: the same nodes in the same order,

@@ -335,12 +335,13 @@ def test_degenerate_planar_input_witness(tmp_path, command):
         "search-4000"])
 def test_short_planar_input_is_refused_before_any_power(tmp_path, monkeypatch, capsys,
                                                          command, d, message):
-    from abr import cli, sequences
+    from abr import cli, paths, sequences
 
     def forbidden(points, order):
-        raise AssertionError(f"moment coordinates formed for order {order}")
+        raise AssertionError(f"powers of t formed for order {order}")
 
     monkeypatch.setattr(sequences, "moment_coordinates", forbidden)
+    monkeypatch.setattr(paths, "_window_keys", forbidden)
     points = [[str(t), str(t * t)] for t in range(5)]
     src = _write_json(tmp_path / "p.json", {"kind": "planar", "points": points})
     assert cli.main([*command, src, "--d", str(d)]) == 2
@@ -364,6 +365,7 @@ def test_generate_moment_capped_summary_builds_few_minors(tmp_path, monkeypatch,
 
 
 _CHECK = ["check", "monotone"]
+_FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] for t in range(5)]})
 
 
 @pytest.mark.parametrize("text, message, command", [
@@ -388,16 +390,27 @@ _CHECK = ["check", "monotone"]
     # C(500, 3) windows of the planar search, refused before any divided difference
     (json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] for t in range(500)]}),
      "20708500 windows exceed the dense-table guard", ["search", "--d", "3"]),
+    # orders and dimensions below 1 and 2, refused before any power of t
+    (_FIVE_PLANAR, "order must be a positive int, got -3", ["check", "identities", "--d", "-3"]),
+    (_FIVE_PLANAR, "order must be a positive int, got 0", ["check", "identities", "--d", "0"]),
+    (_FIVE_PLANAR, "order must be a positive int, got -1", ["check", "identities", "--d", "-1"]),
+    (None, "lift dimension must be an int >= 2, got -2",
+     ["generate", "moment", "--n", "3", "--d", "-2"]),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
         "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
-        "csv-underscore-index", "deep-json", "csv-bad-color", "planar-search-windows"])
+        "csv-underscore-index", "deep-json", "csv-bad-color", "planar-search-windows",
+        "identities-order-minus-3", "identities-order-0", "identities-order-minus-1",
+        "moment-dimension-minus-2"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):
     from abr import cli
 
-    src = tmp_path / "in"
-    src.write_text(text, encoding="utf-8")
+    argv = command  # a generator reads no input
+    if text is not None:
+        src = tmp_path / "in"
+        src.write_text(text, encoding="utf-8")
+        argv = [*command, str(src)]
     start = time.perf_counter()
-    code = cli.main([*command, str(src)])
+    code = cli.main(argv)
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")

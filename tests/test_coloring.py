@@ -279,17 +279,19 @@ def test_lazy_colors_match_dense_on_em_and_name_degenerate_witness():
 
 
 def test_bad_planar_shapes_are_refused_before_any_power(monkeypatch):
-    from abr import sequences
+    from abr import paths, sequences
 
     def forbidden(points, order):
-        raise AssertionError(f"moment coordinates formed for order {order}")
+        raise AssertionError(f"powers of t formed for order {order}")
 
     monkeypatch.setattr(sequences, "moment_coordinates", forbidden)
+    monkeypatch.setattr(paths, "_window_keys", forbidden)
     seq = PlanarSequence(tuple((t, t * t) for t in range(5)))
     for order in (0, 3000):
-        with pytest.raises(InvariantError) as info:
-            LazyDivdiffColors(seq, order)
-        assert str(info.value) == f"need integer n >= r >= 2, got n=5, r={order + 1}"
+        for build in (LazyDivdiffColors, divdiff_color_table):
+            with pytest.raises(InvariantError) as info:
+                build(seq, order)
+            assert str(info.value) == f"need integer n >= r >= 2, got n=5, r={order + 1}"
     with pytest.raises(TooFewPointsError) as info:
         validate_d_general_position(seq, 3000)
     assert str(info.value) == "need at least 3001 points, got 5"

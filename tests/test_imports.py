@@ -44,8 +44,30 @@ def test_table_commands_load_only_cli_errors_and_tables(tmp_path):
     assert loaded == {"abr", "abr.cli", "abr.errors", "abr.tables"}
 
 
-def test_planar_search_does_not_load_constructions(tmp_path):
+def _planar(cwd):
     points = [[str(t), str(t ** 3 + t % 3)] for t in range(9)]
-    (tmp_path / "p.json").write_text(json.dumps({"kind": "planar", "points": points}))
+    (cwd / "p.json").write_text(json.dumps({"kind": "planar", "points": points}))
+
+
+def test_planar_search_does_not_load_constructions(tmp_path):
+    _planar(tmp_path)
     loaded = _loaded(tmp_path, ["search", "p.json", "--d", "3", "-o", "F"])
     assert "abr.sequences" in loaded and "abr.constructions" not in loaded
+
+
+def test_planar_check_and_search_load_no_coloring_or_dataclasses(tmp_path):
+    # both build from the keys of abr.paths
+    _planar(tmp_path)
+    for argv in (["check", "monotone", "p.json", "--d", "3", "--format", "json"],
+                 ["search", "p.json", "--d", "3", "-o", "F"]):
+        loaded = _loaded(tmp_path, argv)
+        assert "abr.paths" in loaded
+        assert not loaded & {"abr.coloring", "dataclasses", "inspect"}
+
+
+def test_generate_random_and_lifted_color_load_no_dataclasses(tmp_path):
+    loaded = _loaded(tmp_path, ["generate", "random", "--d", "3", "--n", "6", "-o", "R"],
+                     ["color", "R", "-o", "C"])
+    assert (tmp_path / "C").read_text().startswith("i0,i1,i2,i3,color\n")
+    assert {"abr.constructions", "abr.coloring"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}

@@ -1,6 +1,8 @@
-"""The monotone-path DP of planar searches against the branch and bound on
-the dense divided-difference table: the same size, witness, color and
-exhaustive flag, and on degenerate input the same error."""
+"""Both keyed planar routes of ``abr.paths`` against references that share
+none of their keys: the dense table against the kernel-sign table of
+``_helpers``, bit for bit, and the monotone-path DP against the branch and
+bound on that table (the same size, witness, color and exhaustive flag).
+On degenerate input all raise the same error, message and witness."""
 
 from fractions import Fraction
 
@@ -18,7 +20,8 @@ from abr import (
     longest_monotone_path,
 )
 
-from _helpers import rand_planar_tuple, reference_longest_monochromatic, seeded
+from _helpers import (kernel_divdiff_table, rand_planar_tuple, reference_longest_monochromatic,
+                      seeded)
 
 
 def _outcome(search, *args):
@@ -29,13 +32,21 @@ def _outcome(search, *args):
     return result.size, result.witness, result.color, result.exhaustive
 
 
-def _reference(p, order, search=reference_longest_monochromatic):
-    return _outcome(lambda: search(divdiff_color_table(p, order)))
+def _table(build, p, order):
+    try:
+        return build(p, order)
+    except DegenerateInputError as exc:
+        return type(exc), str(exc), exc.witness
 
 
 def _assert_same(p, order, search=reference_longest_monochromatic):
+    reference = _table(kernel_divdiff_table, p, order)
+    assert _table(divdiff_color_table, p, order) == reference
     got = _outcome(longest_monotone_path, p, order)
-    assert got == _reference(p, order, search)
+    if isinstance(reference, tuple):
+        assert got == ("degenerate",) + reference[1:]
+    else:
+        assert got == _outcome(search, reference)
     return got
 
 
