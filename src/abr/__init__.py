@@ -5,16 +5,16 @@ no floating point anywhere, so every reported sign, certificate, and
 counterexample is a proof-grade artifact.  The package covers:
 
 - exact determinants, signed minors, and the integer sign kernel behind
-  every color, validator and certificate (``linalg``);
+  every validator and certificate (``linalg``);
 - planar and lifted point sequences with wire formats and validators
   (``sequences``);
 - the four equivalent color oracles (kernel/heights, determinant,
   divided differences, and geometric crossing for d = 3) plus the
   one-switch certificate for (d+2)-tuples (``coloring``);
-- dense and lazy coloring tables with monotone/transitive checks and a
-  longest-monochromatic-subset search, and the JSON codec (``tables``);
-- the exact longest monochromatic subsequence of a planar coloring as a
-  longest monotone path over windows, with no table (``paths``);
+- dense and lazy coloring tables with monotone/transitive checks, a
+  longest-monochromatic-subset search of a table, and the JSON codec (``tables``);
+- one integer key engine for planar and lifted sequences: dense color tables,
+  and the exact longest monochromatic subsequence with no table (``paths``);
 - instance generators: the doubly-exponential cluster construction, the
   classical cup/cap extremal sets, and seeded random cyclic sequences
   (``constructions``);

@@ -35,6 +35,7 @@ from .errors import (
     ParameterSearchFailedError,
     ParseError,
     TooFewPointsError,
+    TooLargeError,
     WrongOrientationError,
 )
 from .tables import (ColoringTable, dump_json, is_monotone, is_transitive, load_json,
@@ -108,15 +109,17 @@ def _load_input(path):
     raise ParseError("input is neither a JSON document nor a coloring-table CSV")
 
 
-def _lifted_table(s, args):
+def _lifted_table(s, args, build=None):
     """Validated lifted sequence (a planar one is moment-lifted to ``--d``)
-    and its color table.  A sequence that is not cyclically ordered but
-    whose reversal is gets WrongOrientationError, or with
-    ``--reverse-orientation`` is replaced by that reversal.  The color pass
-    is the general-position check: it stops at the lex-first zero
-    determinant."""
-    from .coloring import color_table
+    and ``build`` of it, by default its color table.  A sequence that is not
+    cyclically ordered but whose reversal is gets WrongOrientationError, or
+    with ``--reverse-orientation`` is replaced by that reversal.  The color
+    pass, or the search, is the general-position check: it stops at the
+    lex-least zero determinant."""
     from .sequences import PlanarSequence, moment_lift, validate_cyclic_projections
+
+    if build is None:
+        from .coloring import color_table as build
 
     if isinstance(s, PlanarSequence):
         if args.d >= 2 and len(s) <= args.d:
@@ -143,7 +146,7 @@ def _lifted_table(s, args):
     if len(s) < s.dimension + 1:
         raise TooFewPointsError(f"need at least {s.dimension + 1} points, got {len(s)}")
     try:
-        return s, color_table(s)
+        return s, build(s)
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"degenerate lifted tuple {exc.witness}",
                                    witness=exc.witness) from exc
@@ -167,15 +170,9 @@ def _table_from(obj, args):
 _HEIGHT_CHOICES = ("power", "cubic", "square", "zero", "random")
 
 
-def _moment_heights(ts, kind, d, seed):
-    if kind == "power":
-        return [t ** d for t in ts]
-    if kind == "cubic":
-        return [t ** 3 for t in ts]
-    if kind == "square":
-        return [t ** 2 for t in ts]
-    if kind == "zero":
-        return [0 for _ in ts]
+def _moment_heights(ts, kind, power, seed):
+    if kind != "random":
+        return [t ** power if kind != "zero" else 0 for t in ts]
     import random as _random
 
     from .constructions import _random_rational
@@ -192,8 +189,16 @@ def _cmd_generate_moment(args):
         raise InvariantError(f"need n >= 1, got {args.n}")
     if args.d < 2:  # before the heights t^d are formed
         raise InvariantError(f"lift dimension must be an int >= 2, got {args.d}")
+    # The largest output number, (n-1)^e, is refused from bit lengths; where
+    # they leave it open it is formed, with at most twice 10^limit's bits.
+    power = {"power": args.d, "cubic": 3, "square": 2}.get(args.heights, 0)
+    base, e, limit = args.n - 1, max(args.d - 1, power), sys.get_int_max_str_digits()
+    bits = (10 ** limit).bit_length()
+    if limit and (e * (base.bit_length() - 1) >= bits
+                  or e * base.bit_length() >= bits and base ** e >= 10 ** limit):
+        raise TooLargeError(f"an output number has more than {limit} digits")
     ts = list(range(args.n))
-    hs = _moment_heights(ts, args.heights, args.d, args.seed)
+    hs = _moment_heights(ts, args.heights, power, args.seed)
     seq = moment_lift(PlanarSequence(tuple(zip(ts, hs))), args.d)
     to_file = _emit(serialize_sequence(seq), args.output)
     if len(seq) >= args.d + 1:
@@ -386,17 +391,17 @@ def _cmd_check(args):
 # ------------------------------------------------------------------ search
 
 def _search(obj, args):
-    """Planar input is searched exactly by the monotone-path DP; a table
-    (which need not be transitive) or a lifted sequence's table by the
-    branch and bound under ``--budget``."""
-    if not isinstance(obj, ColoringTable):
-        from .sequences import PlanarSequence
+    """A sequence is searched exactly by the monotone-path DP (a lifted one
+    once validated); a table, which need not be transitive, by the branch
+    and bound under ``--budget``."""
+    if isinstance(obj, ColoringTable):
+        return longest_monochromatic(obj, budget=args.budget)
+    from .paths import longest_monotone_path
+    from .sequences import PlanarSequence
 
-        if isinstance(obj, PlanarSequence):
-            from .paths import longest_monotone_path
-
-            return longest_monotone_path(obj, args.d)
-    return longest_monochromatic(_table_from(obj, args), budget=args.budget)
+    if isinstance(obj, PlanarSequence):
+        return longest_monotone_path(obj, args.d)
+    return _lifted_table(obj, args, longest_monotone_path)[1]
 
 
 def _cmd_search(args):
@@ -486,8 +491,8 @@ def _build_parser():
     p.add_argument("--d", type=int, default=3, help="order/dimension for sequence input")
     p.add_argument("--k", type=int, default=None, help="report whether size k is reached")
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget of the branch and bound for table or lifted input; "
-                   "planar input is searched exactly")
+                   help="node budget of the branch and bound for table input; "
+                   "sequence input is searched exactly")
     p.add_argument("--best-effort", action="store_true",
                    help="exit 0 even when the budget ran out")
     p.add_argument("--reverse-orientation", action="store_true")

@@ -19,13 +19,13 @@ curve the determinant factors as Vandermonde(t) * [order-d divided
 difference of h], so the color equals the divided-difference sign.
 
 The oracles and ``divided_difference`` are the Fraction references.  The
-lifted table builder, ``LazyDivdiffColors`` (which keeps rows like a dense
-table) and the one-switch certificate take their signs from
-``linalg.SignKernel`` instead, with no ``divided_difference`` call per
-tuple; a lazy planar color is the kernel's sign on the moment-lift columns
-(``sequences.moment_kernel``).  The dense planar table and the planar
-search are built from exact divided-difference keys in ``paths``;
-``divdiff_color_table`` is re-exported here.
+lifted table ``color_table`` is built from the integer keys of ``paths``,
+one key pass per middle, like the dense planar table and every search of a
+sequence; ``divdiff_color_table`` is re-exported here.
+``LazyDivdiffColors`` (which keeps rows like a dense table) and the
+one-switch certificate take their signs from ``linalg.SignKernel``, with no
+``divided_difference`` call per tuple; a lazy planar color is the kernel's
+sign on the moment-lift columns (``sequences.moment_kernel``).
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from .linalg import (
     det,
     signed_minor_kernel,
 )
-from .paths import divdiff_color_table  # noqa: F401  re-exported
+from .paths import _key_table, divdiff_color_table  # noqa: F401  divdiff_color_table re-exported
 from .sequences import LiftedSequence, PlanarSequence, moment_coordinates, moment_kernel
-from .tables import Color, ColoringTable, RowTable, _check_shape, _rank
+from .tables import Color, RowTable, _check_shape, _rank
 
 
 class HeightPair(namedtuple("HeightPair", "h_even h_odd")):
@@ -368,20 +368,13 @@ def certify_one_switch(kernel, tup, allow_zero=False):
     return minors, d_values, zero_positions, switches
 
 
-def _color_of(value, tup, message):
-    if value == 0:
-        raise DegenerateInputError(f"{message} at {tup}", witness=tup)
-    return Color.POSITIVE if value > 0 else Color.NEGATIVE
-
-
 def color_table(s):
-    """Color every increasing (d+1)-tuple of a lifted sequence by the sign
-    of its determinant, taken from the sequence's integer kernel."""
+    """Color every increasing (d+1)-tuple of a lifted sequence with cyclic
+    projections by the sign of its determinant, from the integer keys of
+    ``paths``; the lex-least vanishing one raises DegenerateInputError."""
     if not isinstance(s, LiftedSequence):
         raise InvariantError("color_table needs a LiftedSequence")
-    value = s.kernel.value
-    return ColoringTable.from_function(len(s), s.dimension + 1, lambda tup: _color_of(
-        value(tup), tup, "lifted determinant vanishes"))
+    return _key_table(s, s.dimension)
 
 
 class LazyDivdiffColors(RowTable):
@@ -405,7 +398,10 @@ class LazyDivdiffColors(RowTable):
         return self._sign(tup)
 
     def _sign(self, tup):
-        return _color_of(self.kernel.value(tup), tup, "divided difference vanishes")
+        value = self.kernel.value(tup)
+        if value == 0:
+            raise DegenerateInputError(f"divided difference vanishes at {tup}", witness=tup)
+        return Color.POSITIVE if value > 0 else Color.NEGATIVE
 
     def _row(self, prefix, key):
         return sum(1 << y for y in range(prefix[-1] + 1, self.n)

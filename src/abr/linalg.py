@@ -11,10 +11,11 @@ then run fraction-free (Bareiss) elimination over plain Python integers.
 Column clearing matters: the matrices built in this package have columns
 that share one point's denominator, while a row mixes denominators of every
 point, so per-column scales stay small where per-row scales would explode.
-``SignKernel``, the integer kernel behind every color, validator and
-one-switch certificate, clears each point once and caches its minors; a
-planar color is its sign on the moment-lift columns
-(``sequences.moment_kernel``).
+``SignKernel``, the integer kernel behind every validator, one-switch
+certificate and lazy planar color (its sign on the moment-lift columns,
+``sequences.moment_kernel``), clears each point once and caches its
+minors.  Its cleared columns also feed the key engine of ``paths``, which
+colors the tables and searches of lifted sequences.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ def _int_det_bareiss(grid):
     so the computation stays in the integers.
     """
     n = len(grid)
+    if n == 2:
+        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
     a = [list(row) for row in grid]
     sign = 1
     prev = 1

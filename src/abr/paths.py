@@ -1,121 +1,95 @@
-"""Planar divided-difference colorings from exact integer keys: the
-dense color table, and the longest monochromatic subsequence as a longest
-monotone path over windows, with no table.
+"""Colorings of sequences from exact integer keys, one engine for planar
+and lifted input: dense color tables, and the longest monochromatic
+subsequence as a longest monotone path over windows, with no table.
 
-The order-d color of (a, M, e), M a (d-1)-tuple, is the sign of
-D(M, e) - D(a, M) for the order-(d-1) divided difference D over a window of
-d points.  Both routes make one ``keys_of(M, xs)`` call per middle M: the
-integer keys of D(., M) for the points outside M's span.
-``divdiff_color_table`` sets the bit of (a, M, e) when e's key exceeds a's;
-planar ``check`` builds its table with it.  ``longest_monotone_path`` sorts
-the same keys and keeps per color the longest path from each window in an
-array by colex rank; planar ``search`` and the verification of the
-cluster-parabola construction run it.  A ``ColoringTable``, which need not
-be transitive, keeps the branch and bound of ``tables``.  This module
-imports no ``coloring`` code, so a planar command compiles none of it.
+The color of (a, M, e), M a (d-1)-tuple, is the sign of det[a, M, e] over
+integer columns (1, z, h): a lifted sequence's, or the moment columns
+(1, t, ..., t^(d-1), h) of a planar sequence, whose sign is that of the
+order-d divided difference.  Per middle M, one ``keys_of(M, xs)`` call keys
+the points outside M's span, and (a, M, e) is + exactly when e's key
+exceeds a's.  ``_key_table`` builds the planar table of ``check``
+(``divdiff_color_table``) and the lifted one (``coloring.color_table``)
+from them; ``longest_monotone_path``, which ``search`` runs on every
+sequence, sorts them.  A ``ColoringTable``, which need not be transitive,
+keeps the branch and bound of ``tables``.  This module imports no
+``coloring`` code, so a planar command compiles none of it.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, combinations
-from math import comb, lcm
-from operator import mul, or_
+from itertools import combinations, repeat
+from math import comb, gcd, lcm
+from operator import add, floordiv, itemgetter, lshift, mul
 
-from .errors import DegenerateInputError, InvariantError
+from .errors import DegenerateInputError, InvariantError, WrongOrientationError
 from .linalg import _int_det_bareiss
-from .sequences import PlanarSequence
+from .sequences import LiftedSequence, PlanarSequence
 from .tables import Color, ColoringTable, SearchResult, _check_shape, _dense_cells, _guarded_comb
 
 
 def divdiff_color_table(p, order):
     """Color every increasing (order+1)-tuple of a planar sequence by the
-    sign of its order-d divided difference.  The table shape is refused
-    before any power of t is formed.
-
-    Per middle M, one ``keys_of`` call keys the points outside M's span by
-    D(., M), and the points a below it are sorted by key, so the a with
-    key[a] < key[e] are a prefix of that order: one bisect per (M, e).
-    Those a sit at the contiguous colex ranks rank(M) + C(e, d+1) + a, where
-    rank(M) counts M's elements from position 2.  Order 1 has the empty
-    middle: every point is both an a and an e, and a < e.  Every
-    (d+1)-tuple is compared under exactly one middle, so a tie there is
-    exactly a vanishing divided difference: the lex-least one raises
-    DegenerateInputError, as a per-tuple scan in lex order would."""
+    sign of its order-d divided difference (``_key_table``)."""
     if not isinstance(p, PlanarSequence):
         raise InvariantError("divdiff_color_table needs a PlanarSequence")
-    n, d = len(p), order
+    return _key_table(p, order)
+
+
+def _key_table(s, d):
+    """The dense table of a planar sequence at order d or a lifted one of
+    dimension d; its shape is refused before any power of t is formed.
+    Per middle M the points outside its span are swept in key order, the a
+    passed so far in a bit mask: at each point e, the a below e (all unless
+    M is empty) make (a, M, e) +, and they sit at the contiguous colex
+    ranks rank(M) + C(e, d+1) + a, rank(M) counting M from position 2."""
+    n = len(s)
     store = bytearray((_dense_cells(n, d + 1) + 7) // 8)
-    keys_of = _window_keys(p.points, d)
     high = [comb(e, d + 1) for e in range(n)]
-    degenerate = None
-    for middle in combinations(range(1, n - 1), d - 1):
-        if middle:
-            lefts, rights = range(middle[0]), range(middle[-1] + 1, n)
-            xs = [*lefts, *rights]
-        else:
-            xs = lefts = rights = range(n)
-        key = dict(zip(xs, keys_of(middle, xs)))
-        ranked = sorted(lefts, key=key.__getitem__)
-        below = [key[a] for a in ranked]
-        masks = list(accumulate((1 << a for a in ranked), or_, initial=0))
-        base = sum(comb(m, j) for j, m in enumerate(middle, 2))
-        for e in rights:
-            j = bisect_left(below, key[e])
-            if j < len(below) and below[j] == key[e]:
-                tied = [a for a in ranked[j:bisect_right(below, key[e], j)] if a < e]
-                if tied:
-                    tie = (min(tied),) + middle + (e,)
-                    degenerate = min(degenerate or tie, tie)
-            _or_bits(store, base + high[e], masks[j] & ((1 << e) - 1))
-    if degenerate is not None:
-        raise _vanishes(degenerate)
+    for middle, xs, lo, keys in _keyed_middles(s, _window_keys(s, d), d):
+        base, mask, first = sum(comb(m, j) for j, m in enumerate(middle, 2)), 0, lo if middle else 0
+        for j in sorted(range(len(xs)), key=keys.__getitem__):
+            bits = mask & ((1 << xs[j]) - 1) if j >= first else 0
+            if bits:  # OR'd into the store from bit base + C(e, d+1), little-endian
+                offset = base + high[xs[j]]
+                start, stop = offset >> 3, (offset + bits.bit_length() + 7) >> 3
+                store[start:stop] = (int.from_bytes(store[start:stop], "little")
+                                     | bits << (offset & 7)).to_bytes(stop - start, "little")
+            if j < lo:
+                mask |= 1 << xs[j]
     return ColoringTable(n, d + 1, bytes(store))
 
 
-def _or_bits(store, offset, bits):
-    """OR the int ``bits`` into the bit string ``store`` from bit ``offset``
-    on, little-endian like the ranks of a ``ColoringTable``."""
-    if bits:
-        start, stop = offset >> 3, (offset + bits.bit_length() + 7) >> 3
-        store[start:stop] = (int.from_bytes(store[start:stop], "little")
-                             | bits << (offset & 7)).to_bytes(stop - start, "little")
-
-
-def longest_monotone_path(p, order):
-    """Longest monochromatic subsequence of the order-d divided-difference
-    coloring of a planar sequence, exactly, with the tie rule of
+def longest_monotone_path(s, order=None):
+    """Longest monochromatic subsequence of the order-d coloring of a planar
+    sequence, or of a lifted sequence's coloring (d its dimension; ``order``
+    is for planar input), exactly, with the tie rule of
     ``tables.longest_monochromatic``: the most points, then the
     lexicographically least witness over both colors.
 
-    The color of (a, M, e), M a (d-1)-tuple, is the sign of D(M, e) - D(a, M)
-    for the order-(d-1) divided difference D over the d points of a window.
-    Such a coloring is transitive (an order-d divided difference over any d+1
+    Both colorings are transitive: an order-d divided difference over d+1
     points of a set is a positive combination of those over consecutive
-    ones), so a set is monochromatic exactly when its consecutive windows
-    chain in one direction: the longest one is a longest path over the
-    C(n, d) windows (Fox-Pach-Sudakov-Suk; Elias-Matousek).  One pass over
-    the middles M in reverse lex order settles, per color, the longest path
-    starting at each window (a, M): the points outside M's span are sorted
-    once by D(., M), then swept.  The witness is rebuilt from the lex-least
-    window with the longest path by a greedy extension.
-
-    Every (d+1)-tuple is compared in exactly one sort, so equal keys there
-    are exactly the vanishing divided differences: the lex-least raises
-    DegenerateInputError, and a finished search has checked general
-    position.  ``nodes_visited`` counts the windows settled; more than
-    MAX_DENSE_CELLS of them are refused before any divided difference is
-    formed.
+    ones, and a lifted coloring switches at most once along a (d+2)-tuple
+    (the one-switch certificate of ``coloring``).  So a set is
+    monochromatic exactly when its consecutive windows chain in one
+    direction: the longest one is a longest path over the C(n, d) windows
+    (Fox-Pach-Sudakov-Suk; Elias-Matousek).  One pass over the middles M in
+    reverse lex order settles, per color, the longest path starting at each
+    window (a, M), sorting the points outside M's span once by key.  The
+    witness is rebuilt from the lex-least window with the longest path by a
+    greedy extension.  A tie raises like ``_key_table``, so a finished
+    search has checked general position.  ``nodes_visited`` counts the
+    windows settled; more than MAX_DENSE_CELLS are refused before any key.
     """
-    if not isinstance(p, PlanarSequence):
-        raise InvariantError("longest_monotone_path needs a PlanarSequence")
-    n, d = len(p), order
+    if not isinstance(s, (PlanarSequence, LiftedSequence)):
+        raise InvariantError("longest_monotone_path needs a PlanarSequence or LiftedSequence")
+    n, d = len(s), s.dimension if isinstance(s, LiftedSequence) else order
     _check_shape(n, d + 1)
     windows = _guarded_comb(n, d, "windows")
-    keys_of = _window_keys(p.points, d)
-    runs = _order_one_runs(keys_of((), range(n)), n) if d == 1 else _window_runs(
-        keys_of, n, d, windows)
+    keys_of = _window_keys(s, d)
+    middles = _keyed_middles(s, keys_of, d)
+    runs = _order_one_runs(middles, n) if d == 1 else _window_runs(middles, n, d, windows)
     size = max(max(run) for run in runs)
     witness, color = min(
         (_greedy_witness(keys_of, run, size, d, n, color), color)
@@ -123,98 +97,128 @@ def longest_monotone_path(p, order):
     return SearchResult(size, witness, color, True, windows, "monotone-path")
 
 
-def _window_keys(points, d):
-    """``keys_of(M, xs)``: the integer keys of D(M + (x,)) for a (d-1)-tuple
-    M and points x in ``xs``, outside M's span.
+def _window_keys(s, d):
+    """``keys_of(M, xs)``: integer keys of the points x in ``xs``, outside the
+    span of the (d-1)-tuple M, such that (a, M, e) is + exactly when e's key
+    exceeds a's, and the keys of a and e tie exactly when det[a, M, e] = 0.
 
-    With t and h cleared to integers (a positive rescaling), the moment
-    columns v(x) = (1, t, ..., t^(d-2), h) give det[v(M), v(x)] = V(M) *
-    prod(t_x - t_m) * D(M + (x,)), V(M) > 0 the Vandermonde of M.  Expanding
-    along v(x), the numerator is a dot product of v(x) with M's cofactors
-    and the denominator one of (1, t_x, ..., t_x^(d-1)) with the
-    coefficients of prod(t - t_m).  The key is floor(2^s * V(M) * D), where
-    2^s is at least every product of two denominators: distinct quotients
-    differ by at least 2^-s, so keys order exactly as the values and tie
-    exactly when they do."""
-    ts, hs = zip(*points)
-    tscale = lcm(*(x.denominator for x in ts))
-    hscale = lcm(*(x.denominator for x in hs))
-    t = [x.numerator * (tscale // x.denominator) for x in ts]
-    h = [x.numerator * (hscale // x.denominator) for x in hs]
-    k = d - 1
-    rows = [tuple(tx ** e for e in range(k)) + (hx,) for tx, hx in zip(t, h)]
-    powers = [tuple(tx ** e for e in range(k + 1)) for tx in t]
-    shift = 2 * k * (t[-1] - t[0]).bit_length()
+    w_v(u) = det[u, M, v] is an alternating form of rank 2, so the
+    three-term relation gives det[a, M, e] det[e_h, M, e_j] =
+    w_h(a) w_j(e) - w_j(a) w_h(e) for the unit vectors of the height row h
+    and of the last row j with a nonzero M-minor without rows h and j.
+    w_h(u), the projection minor of (u, M), is positive left of M and of
+    sign (-1)^(d-1) right of it, as the projections are cyclic.  So
+    (a, M, e) is + exactly when sigma(M) w_j / w_h is larger at e than at
+    a, sigma(M) the sign of (-1)^(d-1) det[e_h, M, e_j].  Both w are dot
+    products with cofactors of M, each vector divided by its gcd, and the
+    key is floor(2^s sigma(M) w_j / w_h) with 2^s >= max |w_h|^2: distinct
+    quotients differ by at least 2^-s, so keys order and tie exactly as
+    the quotients do.  A lifted sequence passes its kernel's columns, a
+    planar one its moment columns with t and h each cleared by one lcm."""
+    if isinstance(s, LiftedSequence):
+        columns = s.kernel.columns
+    else:
+        ts, hs = zip(*s.points)
+        tscale = lcm(*(x.denominator for x in ts))
+        hscale = lcm(*(x.denominator for x in hs))
+        t = [x.numerator * (tscale // x.denominator) for x in ts]
+        h = [x.numerator * (hscale // x.denominator) for x in hs]
+        columns = [tuple(tx ** e for e in range(d)) + (hx,) for tx, hx in zip(t, h)]
+
+    coords = list(zip(*columns))  # row by row, the entries of every point
+    # per row r, the sign and the rows of each minor that w_r's cofactors take
+    plans = [[(-1 if pos & 1 else 1, [q for q in keep if q != i]) for pos, i in enumerate(keep)]
+             for keep in ([q for q in range(d + 1) if q != r] for r in range(d + 1))]
+
+    def cofactors(rows, r):
+        """c with c . u = det of the rows other than r of [u, M], u on those rows"""
+        if not rows[0]:
+            return [1]  # order 1: the empty middle
+        return [sign * _int_det_bareiss([rows[q] for q in minor]) for sign, minor in plans[r]]
 
     def keys_of(middle, xs):
-        cols = [rows[m] for m in middle]
-        cofactors = []
-        for i in range(k + 1):
-            grid = [[col[j] for col in cols] for j in range(k + 1) if j != i]
-            minor = _int_det_bareiss(grid) if grid else 1
-            cofactors.append(-minor if (k - i) & 1 else minor)
-        poly = [1]
-        for m in middle:
-            poly = [a - t[m] * b for a, b in zip([0] + poly, poly + [0])]
-        return [(sum(map(mul, cofactors, rows[x])) << shift) // sum(map(mul, poly, powers[x]))
-                for x in xs]
+        rows = list(zip(*(columns[m] for m in middle))) or [()] * (d + 1)
+        height = cofactors(rows, d)
+        j = max(i for i in range(d) if height[i])
+        other = cofactors(rows, j)
+        hg, og = gcd(*height), gcd(*other)
+        if (height[j] < 0) != (j & 1):  # sigma(M) w_j is -(other . u) here
+            og = -og
+        pick = itemgetter(*xs) if len(xs) > 1 else lambda row: (row[xs[0]],)
+        at = [pick(row) for row in coords]
+        w = _dot([c // hg for c in height], at)  # stops before the height row
+        lo = bisect_left(xs, middle[0]) if middle else len(xs)  # the points a
+        if min(w[:lo]) <= 0 or xs[lo:] and (
+                max(w[lo:]) >= 0 if d % 2 == 0 else min(w[lo:]) <= 0):
+            raise WrongOrientationError("projections are not cyclically ordered")
+        num = _dot([c // og for c in other], at[:j] + at[j + 1:])
+        shift = 2 * max(map(abs, w)).bit_length()
+        return list(map(floordiv, map(lshift, num, repeat(shift)), w))
 
     return keys_of
 
 
-def _window_runs(keys_of, n, d, windows):
+def _dot(vec, rows):
+    """The dot products of ``vec`` with the columns of ``rows``, one row at a
+    time over all columns; rows past the length of ``vec`` are left out."""
+    out = map(mul, repeat(vec[0]), rows[0])
+    for c, row in zip(vec[1:], rows[1:]):
+        out = map(add, out, map(mul, repeat(c), row))
+    return list(out)
+
+
+def _keyed_middles(s, keys_of, d):
+    """Per middle M of d-1 points inside (0, n-1), in reverse lex order: M,
+    the points xs outside its span, the number lo of them below it, and
+    their keys.  Order 1 has one empty middle, whose xs are all n points,
+    each both an a and an e.  Every (d+1)-tuple is compared under exactly
+    one middle, so once all are yielded the lex-least tie raises
+    DegenerateInputError, as a per-tuple scan in lex order would."""
+    n, degenerate = len(s), None
+    for middle in reversed(list(combinations(range(1, n - 1), d - 1))):
+        lo, first = (middle[0], middle[0]) if middle else (n, 0)
+        xs = [*range(lo), *range(middle[-1] + 1, n)] if middle else range(n)
+        keys = keys_of(middle, xs)
+        if len(set(keys)) < len(keys):  # the least a of each key, and each e above it
+            least = {}
+            for a, key in zip(xs[:lo], keys):
+                least.setdefault(key, a)
+            ties = [(least[key],) + middle + (e,) for e, key in zip(xs[first:], keys[first:])
+                    if least.get(key, e) < e]
+            degenerate = min(ties + [degenerate] if degenerate else ties, default=None)
+        yield middle, xs, lo, keys
+    if degenerate is not None:
+        what = "lifted determinant" if isinstance(s, LiftedSequence) else "divided difference"
+        raise DegenerateInputError(f"{what} vanishes at {degenerate}", witness=degenerate)
+
+
+def _window_runs(middles, n, d, windows):
     """Per color, the longest monochromatic path starting at each window of
-    d >= 2 points, by colex rank; raises on the lex-least vanishing divided
-    difference."""
+    d >= 2 points, by colex rank.  The windows (a, M) of a middle at the
+    ends of the sequence have no (a, M, e) and keep d."""
     plus, minus = _lengths(n, d, windows), _lengths(n, d, windows)
     high = [comb(e, d) for e in range(n)]
-    degenerate = None
-    for middle in reversed(list(combinations(range(n), d - 1))):
-        lo, hi = middle[0], middle[-1]
-        if lo == 0 or hi == n - 1:
-            continue  # no (a, M, e) around this middle: its left windows keep d
-        # colex ranks: (a, M) is a + low_base, (M, e) is high_base + C(e, d)
+    for middle, xs, lo, keys in middles:
+        # colex ranks in key order: (a, M) is a + low_base, stored as
+        # ~rank < 0, and (M, e) is high_base + C(e, d)
         low_base = sum(comb(m, j) for j, m in enumerate(middle, 2))
         high_base = sum(comb(m, j) for j, m in enumerate(middle, 1))
-        xs = [*range(lo), *range(hi + 1, n)]
-        ranks = [a + low_base for a in range(lo)] + [high_base + high[e] for e in xs[lo:]]
-        keys = keys_of(middle, xs)
-        order = sorted(range(len(xs)), key=keys.__getitem__)
-        if len(set(keys)) < len(keys):
-            tie = _first_tie(keys, xs, lo, middle)
-            if tie is not None and (degenerate is None or tie < degenerate):
-                degenerate = tie
-        # +: D(M, e) > D(a, M), rights above a's key; -: below it.
-        for run, sweep in ((plus, reversed(order)), (minus, order)):
+        ranks = [~(a + low_base) for a in range(lo)] + [high_base + high[e] for e in xs[lo:]]
+        ranks = [ranks[j] for j in sorted(range(len(xs)), key=keys.__getitem__)]
+        # +: e's key above a's, rights above a's key; -: below it.
+        for run, sweep in ((plus, reversed(ranks)), (minus, ranks)):
             best = d - 1
-            for j in sweep:
-                if j < lo:
-                    run[ranks[j]] = best + 1
-                elif run[ranks[j]] > best:
-                    best = run[ranks[j]]
-    if degenerate is not None:
-        raise _vanishes(degenerate)
+            for rank in sweep:
+                if rank < 0:
+                    run[~rank] = best + 1
+                elif run[rank] > best:
+                    best = run[rank]
     return plus, minus
 
 
 def _lengths(n, fill, count):
     """An array of ``count`` path lengths, each at most n, set to ``fill``."""
     return array("B" if n < 1 << 8 else "H" if n < 1 << 16 else "I", [fill]) * count
-
-
-def _vanishes(tup):
-    return DegenerateInputError(f"divided difference vanishes at {tup}", witness=tup)
-
-
-def _first_tie(keys, xs, lefts, middle):
-    """The lex-least (a, M, e) whose keys tie, or None; positions below
-    ``lefts`` in ``xs`` hold the points a."""
-    groups = {}
-    for j, key in enumerate(keys):
-        groups.setdefault(key, []).append(j)
-    ties = [(xs[js[0]],) + middle + (xs[next(j for j in js if j >= lefts)],)
-            for js in groups.values() if js[0] < lefts <= js[-1]]
-    return min(ties, default=None)
 
 
 def _greedy_witness(keys_of, run, size, d, n, color):
@@ -252,27 +256,19 @@ def _colex_unrank(rank, binomials, d):
     return tuple(reversed(out))
 
 
-def _order_one_runs(keys, n):
-    """Order 1: a window is one point and (a, e) is + when h_e > h_a, so a
-    path is a strictly monotone subsequence of h.  Points are taken in key
-    order and the longest path from a is a Fenwick maximum over the points
-    after a that were already placed."""
-    order = sorted(range(n), key=keys.__getitem__)
-    ties = [(a, b) for a, b in zip(order, order[1:]) if keys[a] == keys[b]]
-    if ties:  # sorted() is stable: a tie run lists its points in index order
-        raise _vanishes(min(ties))
+def _order_one_runs(middles, n):
+    """Order 1: a window is one point and (a, e) is + when e's key, its
+    height, exceeds a's, so a path is a strictly monotone subsequence.
+    Points are taken from the last, and ``tails[i]`` holds the key of the
+    best start of a path of i + 1 points seen so far, negated for +, so it
+    increases with i and one bisect gives the longest path from a."""
+    (keys,) = [keys for _, _, _, keys in middles]
     runs = []
-    for sweep in (reversed(order), order):
-        run, tree = _lengths(n, 0, n), [0] * (n + 1)
-        for a in sweep:
-            best, i = 0, n - 1 - a  # tree slot n - e holds e; e > a is slot <= n - 1 - a
-            while i:
-                best = max(best, tree[i])
-                i &= i - 1
-            run[a] = best = best + 1
-            i = n - a
-            while i <= n:
-                tree[i] = max(tree[i], best)
-                i += i & -i
+    for sign in (-1, 1):
+        run, tails = _lengths(n, 0, n), []
+        for a in reversed(range(n)):
+            i = bisect_left(tails, sign * keys[a])
+            run[a] = i + 1
+            tails[i:i + 1] = [sign * keys[a]]
         runs.append(run)
     return runs

@@ -11,8 +11,8 @@ A lifted sequence is *cyclically ordered* when every increasing d-tuple of
 projections spans a positively oriented simplex with a row of ones on top;
 validators below check that, plus the nondegeneracy conditions the coloring
 oracles rely on.  The three validators share one scan loop over integer
-kernel values: a lifted sequence's ``kernel`` (built lazily, shared with the
-color table), or ``moment_kernel`` on the moment lift of a planar sequence.
+kernel values: a lifted sequence's ``kernel`` (built lazily, its columns
+keyed by ``paths``), or ``moment_kernel`` on a planar sequence's moment lift.
 ``moment_coordinates`` is the one place the lift's coordinates are formed.
 
 Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):

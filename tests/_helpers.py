@@ -79,23 +79,33 @@ def flipped_table(table, cells):
         lambda tup: table.color(tup).flipped() if tup in cells else table.color(tup))
 
 
-def kernel_divdiff_table(p, order):
-    """The dense order-d divided-difference table with one moment-lift
-    kernel sign per (d+1)-tuple, in lex order, so a vanishing divided
-    difference raises at the lex-least tuple.  It shares no code with the
-    integer keys of ``abr.paths``."""
+def _kernel_table(value, n, r, what):
+    """The dense table with one kernel sign ``value(tup)`` per r-tuple, in
+    lex order, so a vanishing one raises at the lex-least tuple.  It shares
+    no code with the integer keys of ``abr.paths``."""
     from abr import Color, ColoringTable, DegenerateInputError
-    from abr.sequences import moment_kernel
-
-    value = moment_kernel(p.points, order).value
 
     def color(tup):
         sign = value(tup)
         if sign == 0:
-            raise DegenerateInputError(f"divided difference vanishes at {tup}", witness=tup)
+            raise DegenerateInputError(f"{what} vanishes at {tup}", witness=tup)
         return Color.POSITIVE if sign > 0 else Color.NEGATIVE
 
-    return ColoringTable.from_function(len(p), order + 1, color)
+    return ColoringTable.from_function(n, r, color)
+
+
+def kernel_divdiff_table(p, order):
+    """The dense order-d divided-difference table from the moment-lift
+    kernel signs."""
+    from abr.sequences import moment_kernel
+
+    return _kernel_table(moment_kernel(p.points, order).value, len(p), order + 1,
+                         "divided difference")
+
+
+def kernel_color_table(s):
+    """The dense lifted table from the kernel determinants of ``s``."""
+    return _kernel_table(s.kernel.value, len(s), s.dimension + 1, "lifted determinant")
 
 
 def reference_longest_monochromatic(table, *, budget=None):

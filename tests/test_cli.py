@@ -240,6 +240,36 @@ def test_search_budget_exit_codes(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("d, n, seed", [(2, 11, 4), (3, 12, 5), (4, 10, 6)])
+def test_lifted_search_matches_the_search_of_its_table(tmp_path, d, n, seed):
+    from math import comb
+
+    src, table = tmp_path / "s.json", tmp_path / "t.csv"
+    run("generate", "random", "--d", str(d), "--n", str(n), "--seed", str(seed), "-o", str(src))
+    run("color", str(src), "-o", str(table))
+    _, by_table, _ = run("search", str(table))
+    code, by_sequence, stderr = run("search", str(src), "--budget", "1")
+    assert (code, stderr) == (0, b"")  # the monotone-path DP takes no budget
+    got, want = json.loads(by_sequence), json.loads(by_table)
+    assert (got["method"], got["nodes_visited"], got["exhaustive"]) == (
+        "monotone-path", comb(n, d), True)
+    assert [got[k] for k in ("size", "witness", "color")] == [
+        want[k] for k in ("size", "witness", "color")]
+
+
+def test_lifted_search_reverse_orientation_repair(tmp_path):
+    from abr import serialize_sequence
+
+    src, rev = tmp_path / "s.json", tmp_path / "rev.json"
+    run("generate", "random", "--d", "3", "--n", "9", "--seed", "2", "-o", str(src))
+    rev.write_bytes(serialize_sequence(parse_sequence(src.read_bytes()).reversed()))
+    code, stdout, stderr = run("search", str(rev))
+    assert (code, stdout) == (4, b"")
+    assert stderr.startswith(b"error: projections are cyclically ordered only after reversal")
+    code, repaired, _ = run("search", str(rev), "--reverse-orientation")
+    assert code == 0 and repaired == run("search", str(src))[1]
+
+
 def test_search_reads_table_json(tmp_path):
     src = tmp_path / "m.json"
     run("generate", "moment", "--n", "5", "-o", str(src))
@@ -396,11 +426,22 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
     (_FIVE_PLANAR, "order must be a positive int, got -1", ["check", "identities", "--d", "-1"]),
     (None, "lift dimension must be an int >= 2, got -2",
      ["generate", "moment", "--n", "3", "--d", "-2"]),
+    # output numbers of more than 4300 digits, refused before any power of t:
+    # 2^14285 has 4301 digits
+    (None, "an output number has more than 4300 digits",
+     ["generate", "moment", "--n", "3", "--d", "1000000000"]),
+    (None, "an output number has more than 4300 digits",
+     ["generate", "moment", "--n", "3", "--d", "14285"]),
+    (None, "an output number has more than 4300 digits",
+     ["generate", "moment", "--n", "3", "--d", "14286", "--heights", "zero"]),
+    (None, "an output number has more than 4300 digits",
+     ["generate", "moment", "--n", "1000001", "--d", "800", "--heights", "random"]),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
         "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
         "csv-underscore-index", "deep-json", "csv-bad-color", "planar-search-windows",
         "identities-order-minus-3", "identities-order-0", "identities-order-minus-1",
-        "moment-dimension-minus-2"])
+        "moment-dimension-minus-2", "moment-dimension-1e9", "moment-power-boundary",
+        "moment-zero-boundary", "moment-many-points"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):
     from abr import cli
 
@@ -415,6 +456,28 @@ def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, comma
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("d, code", [(2127, 0), (2128, 2)])
+def test_generate_moment_refuses_exactly_the_unprintable(tmp_path, capsys, d, code):
+    # at Python's least digit limit, 640, the boundary is cheap to build:
+    # 2^2126 has 640 digits and 2^2127 has 641
+    from abr import cli
+
+    out = tmp_path / "m.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        argv = ["generate", "moment", "--n", "3", "--d", str(d), "--heights", "zero"]
+        assert cli.main([*argv, "-o", str(out)]) == code
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if code:
+        assert capsys.readouterr().err == "error: an output number has more than 640 digits\n"
+        assert not out.exists()
+    else:
+        points = json.loads(out.read_text())["points"]
+        assert max(len(x.split("/")[0]) for point in points for x in point) == 640
 
 
 def test_over_long_output_number_is_one_line_exit_2(tmp_path):

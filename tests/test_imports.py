@@ -71,3 +71,14 @@ def test_generate_random_and_lifted_color_load_no_dataclasses(tmp_path):
     assert (tmp_path / "C").read_text().startswith("i0,i1,i2,i3,color\n")
     assert {"abr.constructions", "abr.coloring"} <= loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_lifted_search_loads_paths_and_no_constructions_or_dataclasses(tmp_path):
+    # the monotone-path DP: no generator, no branch and bound over a table
+    points = [[str(t), str(t * t), str(t ** 3 + t % 3)] for t in range(9)]
+    (tmp_path / "s.json").write_text(json.dumps({"kind": "lifted", "dimension": 3,
+                                                 "points": points}))
+    loaded = _loaded(tmp_path, ["search", "s.json", "-o", "F"])
+    assert json.loads((tmp_path / "F").read_text())["method"] == "monotone-path"
+    assert "abr.paths" in loaded
+    assert not loaded & {"abr.constructions", "dataclasses", "inspect"}

@@ -1,0 +1,81 @@
+"""The key engine of ``abr.paths`` on lifted input, against references that
+share none of its keys: the keyed table against the per-tuple kernel table
+of ``_helpers``, bit for bit, and the monotone-path DP against the branch
+and bound on that table (the same size, witness and color).  On degenerate
+input all raise the same error, message and witness.  Small-integer heights
+make vanishing determinants common."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abr import (DegenerateInputError, LiftedSequence, WrongOrientationError, color_table,
+                 longest_monotone_path)
+
+from _helpers import kernel_color_table, reference_longest_monochromatic
+
+HEIGHTS = st.integers(-3, 3)
+# t = tan(theta/2) on the unit circle: increasing t is counterclockwise, so
+# every triple of projections is positively oriented; t and -t share x.
+CIRCLE = [Fraction(p, q) for p, q in ((-3, 1), (-2, 1), (-1, 1), (-1, 2), (-1, 3), (0, 1),
+                                      (1, 3), (1, 2), (1, 1), (2, 1), (3, 1))]
+
+
+def _assert_same(s):
+    try:
+        reference = kernel_color_table(s)
+    except DegenerateInputError as exc:
+        want = type(exc), str(exc), exc.witness
+        for search in (color_table, longest_monotone_path):
+            try:
+                search(s)
+            except DegenerateInputError as got:
+                assert (type(got), str(got), got.witness) == want
+            else:
+                raise AssertionError(f"{search.__name__} found no vanishing determinant")
+        return
+    assert color_table(s) == reference
+    got = longest_monotone_path(s)
+    assert got.method == "monotone-path"
+    assert got[:3] == reference_longest_monochromatic(reference)[:3]
+
+
+@st.composite
+def moment_inputs(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    ts = sorted(draw(st.sets(st.integers(-4, 6), min_size=d + 1, max_size=9)))
+    hs = draw(st.lists(HEIGHTS, min_size=len(ts), max_size=len(ts)))
+    return LiftedSequence(d, tuple(tuple(t ** e for e in range(1, d)) + (h,)
+                                   for t, h in zip(ts, hs)))
+
+
+@st.composite
+def circle_inputs(draw):
+    ts = sorted(draw(st.sets(st.sampled_from(CIRCLE), min_size=4, max_size=9)))
+    hs = draw(st.lists(HEIGHTS, min_size=len(ts), max_size=len(ts)))
+    return LiftedSequence(3, tuple(((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t), h)
+                                   for t, h in zip(ts, hs)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(moment_inputs())
+def test_keys_match_the_kernel_on_moment_projections(s):
+    _assert_same(s)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(circle_inputs())
+def test_keys_match_the_kernel_on_circle_projections(s):
+    _assert_same(s)
+
+
+
+def test_projections_that_are_not_cyclic_are_refused():
+    # the keys assume the sign of each projection minor from its side of
+    # the middle; here (t, -t^2) turns clockwise
+    s = LiftedSequence(3, tuple((t, -t * t, t ** 3) for t in range(6)))
+    for search in (color_table, longest_monotone_path):
+        with pytest.raises(WrongOrientationError, match="not cyclically ordered"):
+            search(s)

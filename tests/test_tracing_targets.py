@@ -11,7 +11,7 @@ from pathlib import Path
 # abr loads its modules lazily, and Installed imports every module it
 # targets; each one is loaded here so the bindings read before and after
 # cover the same modules.
-import abr  # noqa: F401
+import abr
 import abr.cli  # noqa: F401
 import abr.coloring  # noqa: F401
 import abr.constructions  # noqa: F401
@@ -41,6 +41,12 @@ def _abr_bindings(tracing):
         for key, value in vars(cls).items():
             bindings[(cls.__qualname__, key)] = value
     return bindings
+
+
+def test_lifted_and_planar_table_builds_are_distinct_functions():
+    # Installed wraps every namespace that binds a target's function object:
+    # were these one object, a lifted build would be booked under the planar span
+    assert abr.coloring.color_table is not abr.paths.divdiff_color_table
 
 
 def test_every_traced_name_resolves_and_is_restored():
