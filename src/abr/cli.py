@@ -38,8 +38,8 @@ from .errors import (
     TooLargeError,
     WrongOrientationError,
 )
-from .tables import (ColoringTable, dump_json, is_monotone, is_transitive, load_json,
-                     longest_monochromatic)
+from .tables import (ColoringTable, _guarded_comb, dump_json, is_monotone, is_transitive,
+                     load_json, longest_monochromatic)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -109,12 +109,14 @@ def _load_input(path):
     raise ParseError("input is neither a JSON document nor a coloring-table CSV")
 
 
-def _lifted_table(s, args, build=None):
+def _lifted_table(s, args, build=None, work=((1, "tuples"),)):
     """Validated lifted sequence (a planar one is moment-lifted to ``--d``)
-    and ``build`` of it, by default its color table.  A sequence that is not
-    cyclically ordered but whose reversal is gets WrongOrientationError, or
-    with ``--reverse-orientation`` is replaced by that reversal.  The color
-    pass, or the search, is the general-position check: it stops at the
+    and ``build`` of it, by default its color table.  The command visits
+    C(n, d+k) items of each (k, what) in ``work``; more than the dense guard
+    are refused before any minor.  A sequence that is not cyclically ordered
+    but whose reversal is gets WrongOrientationError, or with
+    ``--reverse-orientation`` is replaced by that reversal.  The color pass,
+    or the search, is the general-position check: it stops at the
     lex-least zero determinant."""
     from .sequences import PlanarSequence, moment_lift, validate_cyclic_projections
 
@@ -128,6 +130,9 @@ def _lifted_table(s, args, build=None):
             need = args.d if len(s) < args.d else args.d + 1
             raise TooFewPointsError(f"need at least {need} points, got {len(s)}")
         s = moment_lift(s, args.d)
+    for extra, what in work:
+        if len(s) >= s.dimension + extra:
+            _guarded_comb(len(s), s.dimension + extra, what)
     report = validate_cyclic_projections(s)
     if not report.valid:
         witness = report.failures[0][0]
@@ -329,7 +334,7 @@ def _cmd_check(args):
         raise ParseError(f"'check {what}' needs a point sequence, not a table")
 
     if what == "one-switch":
-        lifted = _lifted_table(obj, args)[0]
+        lifted = _lifted_table(obj, args, work=((1, "tuples"), (2, "certificates")))[0]
         d = lifted.dimension
         if len(lifted) < d + 2:
             raise TooFewPointsError(f"one-switch needs at least {d + 2} points")
@@ -401,7 +406,7 @@ def _search(obj, args):
 
     if isinstance(obj, PlanarSequence):
         return longest_monotone_path(obj, args.d)
-    return _lifted_table(obj, args, longest_monotone_path)[1]
+    return _lifted_table(obj, args, longest_monotone_path, ((0, "windows"),))[1]
 
 
 def _cmd_search(args):

@@ -21,11 +21,10 @@ difference of h], so the color equals the divided-difference sign.
 The oracles and ``divided_difference`` are the Fraction references.  The
 lifted table ``color_table`` is built from the integer keys of ``paths``,
 one key pass per middle, like the dense planar table and every search of a
-sequence; ``divdiff_color_table`` is re-exported here.
-``LazyDivdiffColors`` (which keeps rows like a dense table) and the
-one-switch certificate take their signs from ``linalg.SignKernel``, with no
-``divided_difference`` call per tuple; a lazy planar color is the kernel's
-sign on the moment-lift columns (``sequences.moment_kernel``).
+sequence; ``divdiff_color_table`` is re-exported here.  ``LazyDivdiffColors``
+reads the same keys, one pass per color or row asked for, so every planar
+color computed at run time comes from that one engine.  The one-switch
+certificate takes its signs from ``linalg.SignKernel``.
 """
 
 from __future__ import annotations
@@ -50,9 +49,9 @@ from .linalg import (
     det,
     signed_minor_kernel,
 )
-from .paths import _key_table, divdiff_color_table  # noqa: F401  divdiff_color_table re-exported
-from .sequences import LiftedSequence, PlanarSequence, moment_coordinates, moment_kernel
-from .tables import Color, RowTable, _check_shape, _rank
+from .paths import _key_table, _window_keys, divdiff_color_table  # noqa: F401  re-exported
+from .sequences import LiftedSequence, PlanarSequence, moment_coordinates
+from .tables import Color, _check_shape, _rank
 
 
 class HeightPair(namedtuple("HeightPair", "h_even h_odd")):
@@ -232,11 +231,13 @@ def _divdiff_closed(pts):
 
 
 def _divdiff_recursive(pts):
-    if len(pts) == 1:
-        return pts[0][1]
-    head = _divdiff_recursive(pts[:-1])
-    tail = _divdiff_recursive(pts[1:])
-    return (tail - head) / (pts[-1][0] - pts[0][0])
+    """The two-term recursion bottom-up (Newton's table): after pass k,
+    ``row[i]`` is the divided difference of points i..i+k."""
+    row = [h for _, h in pts]
+    for k in range(1, len(pts)):
+        row = [(b - a) / (pts[i + k][0] - pts[i][0])
+               for i, (a, b) in enumerate(zip(row, row[1:]))]
+    return row[0]
 
 
 def divided_difference(points, order=None):
@@ -377,12 +378,12 @@ def color_table(s):
     return _key_table(s, s.dimension)
 
 
-class LazyDivdiffColors(RowTable):
+class LazyDivdiffColors:
     """Stand-in for ColoringTable that computes divided-difference signs on
-    demand; used when the dense table would blow the size guard.  A row is
-    filled whole on first read, one kernel sign per Q + (y,), and kept like
-    a dense table's, so a degenerate tuple anywhere in a row that is read
-    raises DegenerateInputError, even one outside the mask asked for."""
+    demand; used when the dense table would blow the size guard.  Q + (y,)
+    is + when y's key under the middle Q[1:] exceeds Q[0]'s (``paths``).
+    Nothing is kept, and a row is keyed whole, so a degenerate tuple anywhere
+    in a row that is read raises, even one outside the mask asked for."""
 
     def __init__(self, p, order):
         if not isinstance(p, PlanarSequence):
@@ -390,19 +391,22 @@ class LazyDivdiffColors(RowTable):
         self.n = len(p)
         self.r = order + 1
         _check_shape(self.n, self.r)
-        self.kernel = moment_kernel(p.points, order)
-        self._rows = {}
+        self._keys_of = _window_keys(p, order)
 
     def color(self, tup):
         _rank(tup, self.n, self.r)
-        return self._sign(tup)
+        return Color.POSITIVE if self._row(tup[:-1], [tup[-1]]) else Color.NEGATIVE
 
-    def _sign(self, tup):
-        value = self.kernel.value(tup)
-        if value == 0:
+    def positive_among(self, prefix, mask):
+        """The bits y of ``mask`` (each max(prefix) < y < n) for which
+        prefix + (y,) is +."""
+        _rank(prefix, self.n, self.r - 1)
+        return self._row(prefix, range(prefix[-1] + 1, self.n)) & mask
+
+    def _row(self, prefix, ys):
+        """Bit y set when prefix + (y,) is +, for y in ``ys``; the least tie raises."""
+        key, *keys = self._keys_of(prefix[1:], [prefix[0], *ys])
+        if key in keys:
+            tup = prefix + (ys[keys.index(key)],)
             raise DegenerateInputError(f"divided difference vanishes at {tup}", witness=tup)
-        return Color.POSITIVE if value > 0 else Color.NEGATIVE
-
-    def _row(self, prefix, key):
-        return sum(1 << y for y in range(prefix[-1] + 1, self.n)
-                   if self._sign(prefix + (y,)) is Color.POSITIVE)
+        return sum(1 << y for y, other in zip(ys, keys) if other > key)

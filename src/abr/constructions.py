@@ -22,6 +22,7 @@ Three families:
 from __future__ import annotations
 
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
@@ -288,6 +289,9 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
     no (d+1)-tuple is affinely degenerate, so the output passes both
     validators in full: general position by an exhaustive scan, cyclic
     projections by construction.  Identical seeds give identical sequences.
+    ``bits`` whose 2^bits - 1 does not print, and an n whose C(n, d+1)
+    tuples (of that scan) exceed the dense guard, raise TooLargeError
+    before any draw.
     """
     if not isinstance(d, int) or d < 2:
         raise InvariantError(f"dimension must be an integer >= 2, got {d!r}")
@@ -297,6 +301,10 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
         raise InvariantError(f"seed must be an integer, got {seed!r}")
     if not isinstance(bits, int) or bits < 1:
         raise InvariantError(f"bits must be an integer >= 1, got {bits!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and bits >= (10 ** limit).bit_length():
+        raise TooLargeError(f"an output number has more than {limit} digits")
+    _guarded_comb(n, d + 1, "tuples")
     rng = random.Random(seed)
     for _ in range(max_retries):
         ts = _increasing_rationals(rng, n, bits)

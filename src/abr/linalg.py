@@ -11,11 +11,10 @@ then run fraction-free (Bareiss) elimination over plain Python integers.
 Column clearing matters: the matrices built in this package have columns
 that share one point's denominator, while a row mixes denominators of every
 point, so per-column scales stay small where per-row scales would explode.
-``SignKernel``, the integer kernel behind every validator, one-switch
-certificate and lazy planar color (its sign on the moment-lift columns,
-``sequences.moment_kernel``), clears each point once and caches its
-minors.  Its cleared columns also feed the key engine of ``paths``, which
-colors the tables and searches of lifted sequences.
+``SignKernel``, the integer kernel behind every validator and one-switch
+certificate, clears each point once and caches its minors.  Its cleared
+columns also feed the key engine of ``paths``, from which every color of a
+sequence is computed at run time: tables, lazy colors and searches.
 """
 
 from __future__ import annotations

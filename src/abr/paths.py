@@ -114,8 +114,13 @@ def _window_keys(s, d):
     key is floor(2^s sigma(M) w_j / w_h) with 2^s >= max |w_h|^2: distinct
     quotients differ by at least 2^-s, so keys order and tie exactly as
     the quotients do.  A lifted sequence passes its kernel's columns, a
-    planar one its moment columns with t and h each cleared by one lcm."""
+    planar one its moment columns with t and h each cleared by one lcm.
+    A lifted sequence's d-tuples that hold both its ends are no (u, M), so
+    their projection minors are checked here, once."""
     if isinstance(s, LiftedSequence):
+        n, minor = len(s), s.kernel.minor
+        if any(minor((0, *inner, n - 1)) <= 0 for inner in combinations(range(1, n - 1), d - 2)):
+            raise WrongOrientationError("projections are not cyclically ordered")
         columns = s.kernel.columns
     else:
         ts, hs = zip(*s.points)

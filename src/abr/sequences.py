@@ -12,8 +12,10 @@ projections spans a positively oriented simplex with a row of ones on top;
 validators below check that, plus the nondegeneracy conditions the coloring
 oracles rely on.  The three validators share one scan loop over integer
 kernel values: a lifted sequence's ``kernel`` (built lazily, its columns
-keyed by ``paths``), or ``moment_kernel`` on a planar sequence's moment lift.
-``moment_coordinates`` is the one place the lift's coordinates are formed.
+keyed by ``paths``), or ``moment_kernel`` on a planar sequence's moment lift,
+which only ``validate_d_general_position`` reads: every planar color is
+computed from the keys of ``paths``, which forms its own integer moment
+columns.  ``moment_coordinates`` forms the lift's rational coordinates.
 
 Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
 

@@ -7,10 +7,10 @@ rank sum(C(c_i, i+1)); a size guard refuses tables beyond the dense budget.
 The checks and the search read candidate masks instead of single tuples.
 Every table answers one question, ``positive_among(Q, mask)``: for an
 (r-1)-tuple Q, which candidate bits y of ``mask`` make Q + (y,) positive.
-Both table types answer it through ``RowTable``: the row of Q (bit y set
-when Q + (y,) is +) is computed whole on first use, from the stored bits
-or from kernel signs, kept, and answered as ``row & mask``.  The class
-rule then runs on all candidates y at once, one bit lane per candidate.
+Both table types compute the row of Q (bit y set when Q + (y,) is +)
+whole, from the stored bits (kept) or from the keys of ``paths``, and
+answer ``row & mask``.  The class rule then runs on all candidates y at
+once, one bit lane per candidate.
 
 Structure predicates:
 
@@ -145,33 +145,15 @@ def _leaves_class(colors, monotone):
     return twice if monotone else twice & ~(colors[0] ^ colors[-1])
 
 
-class RowTable:
-    """Rows of a coloring: bit y of the row of an (r-1)-tuple Q is set when
-    Q + (y,) is +.  A subclass sets ``n``, ``r``, an empty ``_rows`` dict and
-    ``_row(Q, rank(Q))``; rows are kept by rank(Q) up to ``max_cached_rows``
-    (about 100 bytes each)."""
-
-    max_cached_rows = 1 << 18
-
-    def positive_among(self, prefix, mask):
-        """The bits y of ``mask`` (each max(prefix) < y < n) for which
-        prefix + (y,) is +."""
-        key = _rank(prefix, self.n, self.r - 1)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._row(prefix, key)
-            if len(self._rows) < self.max_cached_rows:
-                self._rows[key] = row
-        return row & mask
-
-
-class ColoringTable(RowTable, Frozen):
+class ColoringTable(Frozen):
     """Dense coloring of all increasing r-tuples over {0, ..., n-1}.  A row
     is read from the stored bits, since Q + (y,) has colex rank
-    rank(Q) + C(y, r); a full scan thus reads each bit once.  A table is
+    rank(Q) + C(y, r); a full scan thus reads each bit once, and rows are
+    kept up to ``max_cached_rows`` (about 100 bytes each).  A table is
     immutable, and two tables are equal when n, r and bits are."""
 
     _fields = ("n", "r", "bits")
+    max_cached_rows = 1 << 18
 
     def __init__(self, n, r, bits):
         if len(bits) != (_dense_cells(n, r) + 7) // 8:
@@ -216,6 +198,17 @@ class ColoringTable(RowTable, Frozen):
             raise InvariantError(f"expected {cells} colors, got {len(seq)}")
         it = iter(seq)
         return cls.from_function(n, r, lambda tup: next(it))
+
+    def positive_among(self, prefix, mask):
+        """The bits y of ``mask`` (each max(prefix) < y < n) for which
+        prefix + (y,) is +."""
+        key = _rank(prefix, self.n, self.r - 1)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._row(prefix, key)
+            if len(self._rows) < self.max_cached_rows:
+                self._rows[key] = row
+        return row & mask
 
     def _row(self, prefix, key):
         bits, r, row = self.bits, self.r, 0

@@ -325,6 +325,61 @@ def _write_json(path, obj):
     return str(path)
 
 
+@pytest.mark.parametrize("bits, code", [(2126, 0), (2127, 2)])
+def test_generate_random_refuses_exactly_the_unprintable_bits(tmp_path, monkeypatch, capsys,
+                                                              bits, code):
+    # at Python's least digit limit, 640: 2^2126 - 1 has 640 digits, 2^2127 - 1 has 641
+    from abr import cli, constructions
+
+    if code:
+        monkeypatch.setattr(constructions, "_random_rational", None)  # refused before a draw
+    out = tmp_path / "r.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        argv = ["generate", "random", "--d", "2", "--n", "3", "--bits", str(bits)]
+        assert cli.main([*argv, "-o", str(out)]) == code
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if code:
+        assert capsys.readouterr().err == "error: an output number has more than 640 digits\n"
+        assert not out.exists()
+    else:
+        assert len(parse_sequence(out.read_bytes())) == 3
+
+
+@pytest.mark.parametrize("command, kind, n, message", [
+    (["color"], "lifted", 200, "64684950 tuples"),
+    (["color", "--d", "3"], "planar", 200, "64684950 tuples"),
+    (["check", "monotone"], "lifted", 200, "64684950 tuples"),
+    (["check", "transitive"], "lifted", 200, "64684950 tuples"),
+    (["check", "one-switch"], "lifted", 100, "75287520 certificates"),
+    (["search"], "lifted", 500, "20708500 windows"),
+], ids=["color", "color-planar", "monotone", "transitive", "one-switch", "search"])
+def test_over_guard_lifted_work_is_refused_before_any_minor(tmp_path, monkeypatch, capsys,
+                                                            command, kind, n, message):
+    # The moment curve backwards: the orientation scan would call it not
+    # cyclic (exit 4), but the guard of the command's work refuses first.
+    from abr import cli, linalg, paths
+
+    def forbidden(grid):
+        raise AssertionError("a Bareiss minor was formed")
+
+    monkeypatch.setattr(linalg, "_int_det_bareiss", forbidden)
+    monkeypatch.setattr(paths, "_int_det_bareiss", forbidden)
+    ts = range(n, 0, -1) if kind == "lifted" else range(n)
+    obj = ({"kind": "lifted", "dimension": 3,
+            "points": [[str(t), str(t * t), str(t ** 3)] for t in ts]} if kind == "lifted"
+           else {"kind": "planar", "points": [[str(t), str(t ** 3)] for t in ts]})
+    src = _write_json(tmp_path / "s.json", obj)
+    start = time.perf_counter()
+    code = cli.main([*command, src])
+    elapsed = time.perf_counter() - start
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: {message} exceed the dense-table guard\n")
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("command", [
     ["color"], ["check", "monotone"], ["check", "one-switch"], ["search"],
 ])
@@ -436,12 +491,18 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
      ["generate", "moment", "--n", "3", "--d", "14286", "--heights", "zero"]),
     (None, "an output number has more than 4300 digits",
      ["generate", "moment", "--n", "1000001", "--d", "800", "--heights", "random"]),
+    # refused before any draw: 2^20000 - 1 does not print, and the
+    # general-position scan of 400 points has C(400, 4) tuples
+    (None, "an output number has more than 4300 digits",
+     ["generate", "random", "--n", "5", "--bits", "20000"]),
+    (None, "1050739900 tuples exceed the dense-table guard",
+     ["generate", "random", "--d", "3", "--n", "400"]),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
         "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
         "csv-underscore-index", "deep-json", "csv-bad-color", "planar-search-windows",
         "identities-order-minus-3", "identities-order-0", "identities-order-minus-1",
         "moment-dimension-minus-2", "moment-dimension-1e9", "moment-power-boundary",
-        "moment-zero-boundary", "moment-many-points"])
+        "moment-zero-boundary", "moment-many-points", "random-bits-20000", "random-n-400"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):
     from abr import cli
 

@@ -29,7 +29,7 @@ from abr import (
     vandermonde_divdiff_residual,
 )
 
-from _helpers import rand_planar_tuple, seeded
+from _helpers import kernel_divdiff_table, rand_planar_tuple, seeded
 
 F = Fraction
 
@@ -179,6 +179,14 @@ def test_divided_difference_leading_coefficient():
         assert divided_difference(pts) == coeffs[3]
 
 
+def test_divided_difference_is_polynomial_in_the_order():
+    # order 40 on rational nodes: the recursion is one Newton table, where
+    # evaluating both halves at every level would take 2^40 steps
+    ts = [F(k * k + 1, k + 2) for k in range(41)]
+    assert divided_difference([(t, t ** 40 - 7 * t ** 39) for t in ts], order=40) == 1
+    assert divided_difference([(t, 5 * t ** 39 + 3) for t in ts]) == 0
+
+
 def test_vandermonde_divdiff_residual_zero():
     rng = seeded(55)
     for _ in range(100):
@@ -276,6 +284,46 @@ def test_lazy_colors_match_dense_on_em_and_name_degenerate_witness():
         LazyDivdiffColors(PlanarSequence(tuple((t, t * t) for t in range(6))), 3).color(
             (1, 2, 4, 5))
     assert info.value.witness == (1, 2, 4, 5)
+
+
+def _lazy_reads(lazy):
+    """Every color of the lazy table, then every full row, each in lex order;
+    each part the first DegenerateInputError's message and witness instead
+    when one raises."""
+    n, r, full = lazy.n, lazy.r, (1 << lazy.n) - 1
+    reads = []
+    for read in (lambda: {tup: lazy.color(tup) for tup in combinations(range(n), r)},
+                 lambda: {q: lazy.positive_among(q, full) for q in combinations(range(n), r - 1)}):
+        try:
+            reads.append(read())
+        except DegenerateInputError as exc:
+            reads.append((str(exc), exc.witness))
+    return reads
+
+
+def test_lazy_table_matches_the_kernel_table_color_by_color_and_row_by_row():
+    # random, em-3 and small-integer planar inputs; the small integers tie
+    # often, so some inputs are degenerate at every order
+    rng = seeded(2024)
+    inputs = [PlanarSequence(tuple(rand_planar_tuple(rng, 8))) for _ in range(3)]
+    inputs.append(build_cluster_parabola(3, 2)[0])
+    for _ in range(6):
+        ts = sorted(rng.sample(range(-5, 9), 8))
+        inputs.append(PlanarSequence(tuple((t, rng.randint(-2, 2)) for t in ts)))
+    for order in range(1, 5):
+        degenerate = 0
+        for seq in inputs:
+            got = _lazy_reads(LazyDivdiffColors(seq, order))
+            try:
+                table = kernel_divdiff_table(seq, order)
+            except DegenerateInputError as exc:
+                degenerate += 1
+                assert got == [(str(exc), exc.witness)] * 2
+            else:
+                full = (1 << table.n) - 1
+                assert got == [dict(table), {q: table.positive_among(q, full)
+                                             for q in combinations(range(table.n), order)}]
+        assert 0 < degenerate < len(inputs)
 
 
 def test_bad_planar_shapes_are_refused_before_any_power(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abr import (DegenerateInputError, LiftedSequence, WrongOrientationError, color_table,
-                 longest_monotone_path)
+                 longest_monotone_path, validate_cyclic_projections)
 
 from _helpers import kernel_color_table, reference_longest_monochromatic
 
@@ -71,11 +71,21 @@ def test_keys_match_the_kernel_on_circle_projections(s):
     _assert_same(s)
 
 
-
 def test_projections_that_are_not_cyclic_are_refused():
     # the keys assume the sign of each projection minor from its side of
     # the middle; here (t, -t^2) turns clockwise
     s = LiftedSequence(3, tuple((t, -t * t, t ** 3) for t in range(6)))
+    for search in (color_table, longest_monotone_path):
+        with pytest.raises(WrongOrientationError, match="not cyclically ordered"):
+            search(s)
+
+
+def test_a_clockwise_triple_through_both_ends_is_refused():
+    # the minors of every (u, M), u outside the span of a middle M inside
+    # (0, 4), are positive; only the triples that hold both ends turn clockwise
+    s = LiftedSequence(3, ((-5, 25, 6), (-1, 1, -6), (0, 0, -5), (1, 1, -1), (-3, 7, 9)))
+    failures = validate_cyclic_projections(s).failures
+    assert [tup for tup, _ in failures] == [(0, 1, 4), (0, 2, 4), (0, 3, 4)]
     for search in (color_table, longest_monotone_path):
         with pytest.raises(WrongOrientationError, match="not cyclically ordered"):
             search(s)

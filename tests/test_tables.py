@@ -23,7 +23,6 @@ from abr import (
     monotone_implies_transitive_check,
     ramsey_search_tiny,
 )
-from abr.tables import RowTable
 
 from _helpers import (
     flipped_table,
@@ -268,11 +267,12 @@ def test_row_cache_is_bounded_and_read_on_demand(monkeypatch):
         return is_transitive(table), is_monotone(table), longest_monochromatic(table)
 
     want = [results(make()) for make in fresh]
-    monkeypatch.setattr(RowTable, "max_cached_rows", 3)
+    monkeypatch.setattr(ColoringTable, "max_cached_rows", 3)
     for make, expected in zip(fresh, want):
         table = make()
         assert results(table) == expected
-        assert len(table._rows) <= 3
+        if isinstance(table, ColoringTable):  # the lazy table keeps no rows
+            assert len(table._rows) <= 3
     # A check that stops at an early witness reads only the rows it needs.
     hole = (0,) + tuple(range(2, 9))
     big = ColoringTable.from_function(
