@@ -109,15 +109,17 @@ def _load_input(path):
     raise ParseError("input is neither a JSON document nor a coloring-table CSV")
 
 
-def _lifted_table(s, args, build=None, work=((1, "tuples"),)):
-    """Validated lifted sequence (a planar one is moment-lifted to ``--d``)
-    and ``build`` of it, by default its color table.  The command visits
-    C(n, d+k) items of each (k, what) in ``work``; more than the dense guard
-    are refused before any minor.  A sequence that is not cyclically ordered
-    but whose reversal is gets WrongOrientationError, or with
-    ``--reverse-orientation`` is replaced by that reversal.  The color pass,
-    or the search, is the general-position check: it stops at the
-    lex-least zero determinant."""
+def _lifted_table(s, args, build=None, work=()):
+    """Lifted sequence (a planar one is moment-lifted to ``--d``) and
+    ``build`` of it, by default its color table.  The build is the one check
+    of cyclic order and general position: it keys every d-tuple and
+    (d+1)-tuple, and stops at the lex-least zero determinant.  Only when it
+    finds the projections not cyclic, or there are at most d points, are
+    they scanned to name the lex-least witness: a sequence whose reversal
+    is cyclic gets WrongOrientationError, or with ``--reverse-orientation``
+    is replaced by that reversal and built again.  The command visits
+    C(n, d+k) items of each (k, what) in ``work``; more than the dense
+    guard are refused before any minor."""
     from .sequences import PlanarSequence, moment_lift, validate_cyclic_projections
 
     if build is None:
@@ -133,8 +135,18 @@ def _lifted_table(s, args, build=None, work=((1, "tuples"),)):
     for extra, what in work:
         if len(s) >= s.dimension + extra:
             _guarded_comb(len(s), s.dimension + extra, what)
-    report = validate_cyclic_projections(s)
-    if not report.valid:
+    while True:
+        try:
+            if len(s) > s.dimension:
+                return s, build(s)
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(f"degenerate lifted tuple {exc.witness}",
+                                       witness=exc.witness) from exc
+        except WrongOrientationError:
+            pass
+        report = validate_cyclic_projections(s)
+        if report.valid:  # so the build did not run: there are at most d points
+            raise TooFewPointsError(f"need at least {s.dimension + 1} points, got {len(s)}")
         witness = report.failures[0][0]
         reverse = s.reversed()
         if not validate_cyclic_projections(reverse).valid:
@@ -148,13 +160,6 @@ def _lifted_table(s, args, build=None, work=((1, "tuples"),)):
                 witness=witness,
             )
         s = reverse
-    if len(s) < s.dimension + 1:
-        raise TooFewPointsError(f"need at least {s.dimension + 1} points, got {len(s)}")
-    try:
-        return s, build(s)
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(f"degenerate lifted tuple {exc.witness}",
-                                   witness=exc.witness) from exc
 
 
 def _table_from(obj, args):
@@ -362,6 +367,7 @@ def _cmd_check(args):
             raise InvariantError(f"order must be a positive int, got {args.d}")
         if len(obj) < args.d + 1:
             raise TooFewPointsError(f"need at least {args.d + 1} points for order {args.d}")
+        _guarded_comb(len(obj), args.d + 1, "tuples")
         for tup in combinations(range(len(obj)), args.d + 1):
             residual = vandermonde_divdiff_residual([obj.points[i] for i in tup])
             if residual != 0:
@@ -373,6 +379,7 @@ def _cmd_check(args):
         d = obj.dimension
         if len(obj) < d + 2:
             raise TooFewPointsError(f"need at least {d + 2} points")
+        _guarded_comb(len(obj), d + 2, "tuples")
         for tup in combinations(range(len(obj)), d + 2):
             rows = [tuple(1 for _ in tup)]
             for coord in range(d - 1):
@@ -396,9 +403,9 @@ def _cmd_check(args):
 # ------------------------------------------------------------------ search
 
 def _search(obj, args):
-    """A sequence is searched exactly by the monotone-path DP (a lifted one
-    once validated); a table, which need not be transitive, by the branch
-    and bound under ``--budget``."""
+    """A sequence is searched exactly by the monotone-path DP, which checks
+    a lifted one as it goes; a table, which need not be transitive, by the
+    branch and bound under ``--budget``."""
     if isinstance(obj, ColoringTable):
         return longest_monochromatic(obj, budget=args.budget)
     from .paths import longest_monotone_path
@@ -406,7 +413,7 @@ def _search(obj, args):
 
     if isinstance(obj, PlanarSequence):
         return longest_monotone_path(obj, args.d)
-    return _lifted_table(obj, args, longest_monotone_path, ((0, "windows"),))[1]
+    return _lifted_table(obj, args, longest_monotone_path)[1]
 
 
 def _cmd_search(args):

@@ -36,7 +36,7 @@ from .errors import (
     TooLargeError,
 )
 from .linalg import format_rational
-from .sequences import PlanarSequence, moment_lift, validate_general_position
+from .sequences import PlanarSequence, moment_lift
 from .tables import MAX_DENSE_CELLS, _guarded_comb
 
 MAX_BASE = 2 ** 64
@@ -285,13 +285,12 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
 
     Projections sit on the moment curve at n distinct random rationals (so
     every projected d-tuple is automatically positively oriented); heights
-    are independent random rationals.  Draws are rejected wholesale until
-    no (d+1)-tuple is affinely degenerate, so the output passes both
-    validators in full: general position by an exhaustive scan, cyclic
-    projections by construction.  Identical seeds give identical sequences.
+    are independent random rationals.  Draws are rejected wholesale while
+    the key engine of ``paths.longest_monotone_path``, which keys every
+    (d+1)-tuple, finds one affinely degenerate, so the output passes both
+    validators in full.  Identical seeds give identical sequences.
     ``bits`` whose 2^bits - 1 does not print, and an n whose C(n, d+1)
-    tuples (of that scan) exceed the dense guard, raise TooLargeError
-    before any draw.
+    tuples exceed the dense guard, raise TooLargeError before any draw.
     """
     if not isinstance(d, int) or d < 2:
         raise InvariantError(f"dimension must be an integer >= 2, got {d!r}")
@@ -310,8 +309,11 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
         ts = _increasing_rationals(rng, n, bits)
         heights = [_random_rational(rng, bits, signed=True) for _ in range(n)]
         lifted = moment_lift(PlanarSequence(tuple(zip(ts, heights))), d)
-        if validate_general_position(lifted).valid:
-            return lifted
+        try:
+            longest_monotone_path(lifted)
+        except DegenerateInputError:
+            continue
+        return lifted
     raise GenerationFailedError(
         f"no nondegenerate instance in {max_retries} redraws (d={d}, n={n}, seed={seed})"
     )

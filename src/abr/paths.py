@@ -144,18 +144,19 @@ def _window_keys(s, d):
     def keys_of(middle, xs):
         rows = list(zip(*(columns[m] for m in middle))) or [()] * (d + 1)
         height = cofactors(rows, d)
-        j = max(i for i in range(d) if height[i])
-        other = cofactors(rows, j)
-        hg, og = gcd(*height), gcd(*other)
-        if (height[j] < 0) != (j & 1):  # sigma(M) w_j is -(other . u) here
-            og = -og
         pick = itemgetter(*xs) if len(xs) > 1 else lambda row: (row[xs[0]],)
         at = [pick(row) for row in coords]
+        hg = gcd(*height) or 1  # 0 when M's projections are affinely dependent: all w vanish
         w = _dot([c // hg for c in height], at)  # stops before the height row
         lo = bisect_left(xs, middle[0]) if middle else len(xs)  # the points a
         if min(w[:lo]) <= 0 or xs[lo:] and (
                 max(w[lo:]) >= 0 if d % 2 == 0 else min(w[lo:]) <= 0):
             raise WrongOrientationError("projections are not cyclically ordered")
+        j = max(i for i in range(d) if height[i])
+        other = cofactors(rows, j)
+        og = gcd(*other)
+        if (height[j] < 0) != (j & 1):  # sigma(M) w_j is -(other . u) here
+            og = -og
         num = _dot([c // og for c in other], at[:j] + at[j + 1:])
         shift = 2 * max(map(abs, w)).bit_length()
         return list(map(floordiv, map(lshift, num, repeat(shift)), w))

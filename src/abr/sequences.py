@@ -10,12 +10,15 @@ Two shapes of data flow through the package:
 A lifted sequence is *cyclically ordered* when every increasing d-tuple of
 projections spans a positively oriented simplex with a row of ones on top;
 validators below check that, plus the nondegeneracy conditions the coloring
-oracles rely on.  The three validators share one scan loop over integer
-kernel values: a lifted sequence's ``kernel`` (built lazily, its columns
-keyed by ``paths``), or ``moment_kernel`` on a planar sequence's moment lift,
-which only ``validate_d_general_position`` reads: every planar color is
-computed from the keys of ``paths``, which forms its own integer moment
-columns.  ``moment_coordinates`` forms the lift's rational coordinates.
+oracles rely on.  At run time the key engine of ``paths`` decides both as
+it keys a sequence; the validators name the lex-least witness once it has
+refused one, report the budgeted status of ``generate moment``, and are
+the tests' references.  They share one scan loop over integer kernel
+values: a lifted sequence's ``kernel`` (built lazily, its columns keyed by
+``paths``), or ``moment_kernel`` on a planar sequence's moment lift, which
+only ``validate_d_general_position`` reads: every planar color is computed
+from the keys of ``paths``, which forms its own integer moment columns.
+``moment_coordinates`` forms the lift's rational coordinates.
 
 Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
 

@@ -380,6 +380,39 @@ def test_over_guard_lifted_work_is_refused_before_any_minor(tmp_path, monkeypatc
     assert elapsed < 1.0
 
 
+def test_valid_lifted_input_is_checked_once(tmp_path, monkeypatch, capsys):
+    # the key engine that builds the colors is the only check of cyclic order
+    # and general position: with both validators broken, valid input gives
+    # the same exit codes, messages and artifacts
+    from abr import cli, sequences
+
+    planar = [[str(t), str(t ** 4)] for t in range(1, 11)]
+    _write_json(tmp_path / "P", {"kind": "planar", "points": planar})
+    commands = [["generate", "random", "--d", "3", "--n", "16", "-o", "R"],
+                ["color", "R", "-o", "A"], ["check", "monotone", "R"],
+                ["check", "one-switch", "R"], ["search", "R", "-o", "A"],
+                ["color", "P", "--d", "3", "-o", "A"], ["check", "one-switch", "P"]]
+
+    def outcomes():
+        runs = []
+        for argv in commands:
+            paths = [str(tmp_path / arg) if arg in ("R", "P", "A") else arg for arg in argv]
+            code = cli.main(paths)
+            artifact = (tmp_path / argv[-1]).read_bytes() if "-o" in argv else None
+            runs.append((code, *capsys.readouterr(), artifact))
+        return runs
+
+    want = outcomes()
+    assert [code for code, *_ in want] == [0] * len(commands)
+
+    def forbidden(s, **kwargs):
+        raise AssertionError("a validator scanned a valid sequence")
+
+    monkeypatch.setattr(sequences, "validate_cyclic_projections", forbidden)
+    monkeypatch.setattr(sequences, "validate_general_position", forbidden)
+    assert outcomes() == want
+
+
 @pytest.mark.parametrize("command", [
     ["color"], ["check", "monotone"], ["check", "one-switch"], ["search"],
 ])
@@ -491,18 +524,26 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
      ["generate", "moment", "--n", "3", "--d", "14286", "--heights", "zero"]),
     (None, "an output number has more than 4300 digits",
      ["generate", "moment", "--n", "1000001", "--d", "800", "--heights", "random"]),
-    # refused before any draw: 2^20000 - 1 does not print, and the
-    # general-position scan of 400 points has C(400, 4) tuples
+    # refused before any draw: 2^20000 - 1 does not print, and each draw of
+    # 400 points would be checked on C(400, 4) tuples
     (None, "an output number has more than 4300 digits",
      ["generate", "random", "--n", "5", "--bits", "20000"]),
     (None, "1050739900 tuples exceed the dense-table guard",
      ["generate", "random", "--d", "3", "--n", "400"]),
+    # the identities of C(200, 5) lifted and C(200, 4) planar tuples,
+    # refused before any determinant
+    (json.dumps({"kind": "lifted", "dimension": 3,
+                 "points": [[str(t), str(t * t), str(t ** 3)] for t in range(200)]}),
+     "2535650040 tuples exceed the dense-table guard", ["check", "identities"]),
+    (json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] for t in range(200)]}),
+     "64684950 tuples exceed the dense-table guard", ["check", "identities", "--d", "3"]),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
         "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
         "csv-underscore-index", "deep-json", "csv-bad-color", "planar-search-windows",
         "identities-order-minus-3", "identities-order-0", "identities-order-minus-1",
         "moment-dimension-minus-2", "moment-dimension-1e9", "moment-power-boundary",
-        "moment-zero-boundary", "moment-many-points", "random-bits-20000", "random-n-400"])
+        "moment-zero-boundary", "moment-many-points", "random-bits-20000", "random-n-400",
+        "identities-lifted-200", "identities-planar-200"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):
     from abr import cli
 

@@ -1,7 +1,8 @@
 """Instance generators: cluster-parabola, cup/cap extremal, random."""
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,6 +12,7 @@ from abr import (
     InvariantError,
     PlanarSequence,
     TooLargeError,
+    moment_lift,
     build_cluster_parabola,
     cluster_parabola_sequence,
     cupcap_extremal,
@@ -22,7 +24,7 @@ from abr import (
     validate_general_position,
     verify_cluster_parabola,
 )
-from abr.constructions import _exponent_schedule
+from abr.constructions import _exponent_schedule, _increasing_rationals, _random_rational
 
 from _helpers import naive_longest_monochromatic, seeded
 
@@ -198,3 +200,34 @@ def test_random_cyclic_instance_validation():
         random_cyclic_instance(3, 5, "seed")
     with pytest.raises(GenerationFailedError):
         random_cyclic_instance(2, 5, 0, bits=1)  # two distinct values can't seat five
+
+
+def _scanned_random_instance(d, n, seed, bits, max_retries=64):
+    """The generator's draws with each redraw decided by a full
+    ``validate_general_position`` scan instead of the key engine."""
+    rng = random.Random(seed)
+    for _ in range(max_retries):
+        ts = _increasing_rationals(rng, n, bits)
+        heights = [_random_rational(rng, bits, signed=True) for _ in range(n)]
+        lifted = moment_lift(PlanarSequence(tuple(zip(ts, heights))), d)
+        if validate_general_position(lifted).valid:
+            return lifted
+    raise GenerationFailedError(
+        f"no nondegenerate instance in {max_retries} redraws (d={d}, n={n}, seed={seed})"
+    )
+
+
+def _outcome(make, *args, **kwargs):
+    try:
+        return make(*args, **kwargs).points
+    except GenerationFailedError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_cyclic_instance_redraws_as_the_general_position_scan(d):
+    # byte for byte: the same draws and the same redraws; 2 and 3 bits make
+    # degenerate draws common, and draws of n distinct rationals fail
+    for n, seed, bits in product((d + 1, 8, 12, 16), range(12), (2, 3, 16)):
+        assert (_outcome(random_cyclic_instance, d, n, seed, bits=bits)
+                == _outcome(_scanned_random_instance, d, n, seed, bits)), (n, seed, bits)

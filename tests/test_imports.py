@@ -73,6 +73,12 @@ def test_generate_random_and_lifted_color_load_no_dataclasses(tmp_path):
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_generate_random_loads_no_coloring(tmp_path):
+    # the key engine of abr.paths decides each redraw
+    loaded = _loaded(tmp_path, ["generate", "random", "--d", "3", "--n", "6", "-o", "R"])
+    assert "abr.paths" in loaded and "abr.coloring" not in loaded
+
+
 def test_lifted_search_loads_paths_and_no_constructions_or_dataclasses(tmp_path):
     # the monotone-path DP: no generator, no branch and bound over a table
     points = [[str(t), str(t * t), str(t ** 3 + t % 3)] for t in range(9)]

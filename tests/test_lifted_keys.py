@@ -3,7 +3,8 @@ share none of its keys: the keyed table against the per-tuple kernel table
 of ``_helpers``, bit for bit, and the monotone-path DP against the branch
 and bound on that table (the same size, witness and color).  On degenerate
 input all raise the same error, message and witness.  Small-integer heights
-make vanishing determinants common."""
+make vanishing determinants common.  On any input, the engine refuses
+exactly what the validators of ``sequences`` refuse."""
 
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abr import (DegenerateInputError, LiftedSequence, WrongOrientationError, color_table,
-                 longest_monotone_path, validate_cyclic_projections)
+                 longest_monotone_path, validate_cyclic_projections, validate_general_position)
 
 from _helpers import kernel_color_table, reference_longest_monochromatic
 
@@ -89,3 +90,53 @@ def test_a_clockwise_triple_through_both_ends_is_refused():
     for search in (color_table, longest_monotone_path):
         with pytest.raises(WrongOrientationError, match="not cyclically ordered"):
             search(s)
+
+
+def test_projections_shared_inside_a_middle_are_refused():
+    # points 2 and 3 share a projection, so every cofactor of the middle
+    # (2, 3) vanishes; no key can be formed from it
+    s = LiftedSequence(3, ((0, 0, 0), (1, 1, 0), (2, 4, 0), (2, 4, 1), (3, 9, 1)))
+    assert not validate_cyclic_projections(s).valid
+    for search in (color_table, longest_monotone_path):
+        with pytest.raises(WrongOrientationError, match="not cyclically ordered"):
+            search(s)
+
+
+@st.composite
+def any_inputs(draw):
+    """Lifted sequences of any orientation: projections from a small grid,
+    so coincident and clockwise ones are common, or on the moment curve,
+    in either direction, with one projection perhaps copied onto the next."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(d + 1, 8))
+    if draw(st.booleans()):
+        coords = st.tuples(*[st.integers(-2, 2)] * (d - 1))
+        zs = draw(st.lists(coords, min_size=n, max_size=n))
+    else:
+        ts = sorted(draw(st.sets(st.integers(-4, 6), min_size=n, max_size=n)))
+        zs = [tuple(t ** e for e in range(1, d)) for t in ts]
+        if draw(st.booleans()):
+            zs.reverse()
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 2))
+            zs[i + 1] = zs[i]
+    hs = draw(st.lists(HEIGHTS, min_size=n, max_size=n))
+    return LiftedSequence(d, tuple(z + (h,) for z, h in zip(zs, hs)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(any_inputs())
+def test_the_engine_refuses_exactly_what_the_validators_refuse(s):
+    # not cyclic: WrongOrientationError; cyclic but degenerate:
+    # DegenerateInputError at the scan's lex-least zero; no other error
+    cyclic = validate_cyclic_projections(s).valid
+    general = validate_general_position(s)
+    for search in (color_table, longest_monotone_path):
+        try:
+            search(s)
+        except WrongOrientationError:
+            assert not cyclic
+        except DegenerateInputError as exc:
+            assert cyclic and exc.witness == general.failures[0][0]
+        else:
+            assert cyclic and general.valid
