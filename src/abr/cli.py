@@ -358,40 +358,33 @@ def _cmd_check(args):
 
     # identities
     from .coloring import vandermonde_divdiff_residual
-    from .linalg import Matrix, plucker_residual
     from .sequences import PlanarSequence
 
-    checked = 0
     if isinstance(obj, PlanarSequence):
         if args.d < 1:
             raise InvariantError(f"order must be a positive int, got {args.d}")
         if len(obj) < args.d + 1:
             raise TooFewPointsError(f"need at least {args.d + 1} points for order {args.d}")
-        _guarded_comb(len(obj), args.d + 1, "tuples")
+        checked = _guarded_comb(len(obj), args.d + 1, "tuples")
         for tup in combinations(range(len(obj)), args.d + 1):
             residual = vandermonde_divdiff_residual([obj.points[i] for i in tup])
             if residual != 0:
                 raise IdentityViolationError(
-                    f"determinant/divided-difference residual {residual} at {tup}"
-                )
-            checked += 1
+                    f"determinant/divided-difference residual {residual} at {tup}")
     else:
         d = obj.dimension
         if len(obj) < d + 2:
             raise TooFewPointsError(f"need at least {d + 2} points")
-        _guarded_comb(len(obj), d + 2, "tuples")
+        quads, pair_minors = tuple(combinations(range(d + 2), 4)), obj.kernel.pair_minors
+        checked = _guarded_comb(len(obj), d + 2, "tuples") * len(quads)
+        # Integer minors: the column scales put one positive factor on all three terms.
         for tup in combinations(range(len(obj)), d + 2):
-            rows = [tuple(1 for _ in tup)]
-            for coord in range(d - 1):
-                rows.append(tuple(obj.points[i][coord] for i in tup))
-            q = Matrix(tuple(rows))
-            for quad in combinations(range(d + 2), 4):
-                residual = plucker_residual(q, quad)
+            m = pair_minors(tup)
+            for i1, i2, i3, i4 in quads:
+                residual = m[i1, i2] * m[i3, i4] - m[i1, i3] * m[i2, i4] + m[i1, i4] * m[i2, i3]
                 if residual != 0:
                     raise IdentityViolationError(
-                        f"three-term minor residual {residual} at {tup} columns {quad}"
-                    )
-                checked += 1
+                        f"three-term minor residual {residual} at {tup} columns {(i1, i2, i3, i4)}")
     _report(
         args,
         f"identities: ok checked={checked}",

@@ -24,7 +24,7 @@ one key pass per middle, like the dense planar table and every search of a
 sequence; ``divdiff_color_table`` is re-exported here.  ``LazyDivdiffColors``
 reads the same keys, one pass per color or row asked for, so every planar
 color computed at run time comes from that one engine.  The one-switch
-certificate takes its signs from ``linalg.SignKernel``.
+certificate reads ``linalg.SignKernel``, like the lifted identities check.
 """
 
 from __future__ import annotations
@@ -336,9 +336,8 @@ def certify_one_switch(kernel, tup, allow_zero=False):
     position pairs), deletion determinants, zero positions, switch count."""
     d = len(tup) - 2
     last = d + 1
-    minors = {}
-    for a, b in combinations(range(d + 2), 2):
-        value = minors[(a, b)] = kernel.minor(tup[:a] + tup[a + 1:b] + tup[b + 1:])
+    minors = kernel.pair_minors(tup)
+    for (a, b), value in minors.items():
         if value <= 0:
             problem = "vanishes" if value == 0 else "is negative; projections are not cyclic"
             raise DegenerateInputError(f"projection minor delta[{a},{b}] {problem}",

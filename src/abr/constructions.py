@@ -25,7 +25,6 @@ import random
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 
 from .paths import longest_monotone_path
 from .errors import (
@@ -243,11 +242,12 @@ def _no_cup_no_cap(a, b):
     # Shift the right block past the left one, then raise it until every
     # left-to-right slope strictly exceeds every slope inside a block: a cup
     # then cannot keep more than one right point, a cap more than one left.
+    # A block is sorted by t, so its largest slope is a consecutive one.
     dt = left[-1][0] + 1 - right[0][0]
     right = [(t + dt, h) for t, h in right]
     slope_cap = Fraction(0)
     for block in (left, right):
-        for (t1, h1), (t2, h2) in combinations(block, 2):
+        for (t1, h1), (t2, h2) in zip(block, block[1:]):
             slope_cap = max(slope_cap, (h2 - h1) / (t2 - t1))
     span = right[-1][0] - left[0][0]
     top_left = max(h for _, h in left)
@@ -257,9 +257,11 @@ def _no_cup_no_cap(a, b):
 
 def cupcap_extremal(k):
     """The classical C(2k-4, k-2)-point sequence with no k-point second-order
-    monotone subsequence (neither a k-cup nor a k-cap)."""
+    monotone subsequence (neither a k-cup nor a k-cap).  A k >= 10, whose
+    points have more than 2^24 windows C(n, 2), raises TooLargeError first."""
     if not isinstance(k, int) or k < 3:
         raise InvariantError(f"k must be an integer >= 3, got {k!r}")
+    _guarded_comb(_guarded_comb(2 * k - 4, k - 2, "points"), 2, "windows")
     return PlanarSequence(tuple(_no_cup_no_cap(k, k)))
 
 

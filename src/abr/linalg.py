@@ -11,8 +11,8 @@ then run fraction-free (Bareiss) elimination over plain Python integers.
 Column clearing matters: the matrices built in this package have columns
 that share one point's denominator, while a row mixes denominators of every
 point, so per-column scales stay small where per-row scales would explode.
-``SignKernel``, the integer kernel behind every validator and one-switch
-certificate, clears each point once and caches its minors.  Its cleared
+``SignKernel``, behind every validator, one-switch certificate and lifted
+identities check, clears each point once and caches its minors; its cleared
 columns also feed the key engine of ``paths``, from which every color of a
 sequence is computed at run time: tables, lazy colors and searches.
 """
@@ -176,7 +176,9 @@ class SignKernel:
     ``minor(sub)`` is the d x d minor of rows 0..d-1 over a d-subset, cached
     in ``minors`` (at most ``max_cached``, about 150-200 bytes each);
     ``value(tup)`` is the determinant over a (d+1)-subset by Laplace
-    expansion along row d, d+1 multiply-adds of cached minors."""
+    expansion along row d, d+1 multiply-adds of cached minors, and
+    ``pair_minors(tup)`` the minors of a (d+2)-subset keyed by the deleted
+    position pair (a, b): ``complementary_minors`` times the columns' scales."""
 
     max_cached = 1 << 18
 
@@ -193,6 +195,10 @@ class SignKernel:
             if len(self.minors) < self.max_cached:
                 self.minors[sub] = value
         return value
+
+    def pair_minors(self, tup):
+        return {(a, b): self.minor(tup[:a] + tup[a + 1:b] + tup[b + 1:])
+                for a in range(len(tup)) for b in range(a + 1, len(tup))}
 
     def value(self, tup):
         d, cols = self.d, self.columns

@@ -7,7 +7,9 @@ test.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from abr import Matrix
 
@@ -151,6 +153,36 @@ def reference_longest_monochromatic(table, *, budget=None):
             stack.append(e)
             entered = True
     return SearchResult(best_size, best_wit or (), best_color, True, nodes)
+
+
+def _largest_slope(block):
+    """The largest slope over all pairs of a block, at least 0, compared as
+    integers: every coordinate times the lcm of their denominators."""
+    scale = lcm(*(x.denominator for point in block for x in point))
+    points = [(int(t * scale), int(h * scale)) for t, h in block]
+    num, den = 0, 1
+    for (t1, h1), (t2, h2) in combinations(points, 2):
+        if (h2 - h1) * den > num * (t2 - t1):
+            num, den = h2 - h1, t2 - t1
+    return Fraction(num, den)
+
+
+@lru_cache(maxsize=None)
+def all_pairs_cupcap(a, b):
+    """Points with no a-cup and no b-cap by the classical two-block
+    recursion, the right block raised above the largest slope over all
+    pairs of each block."""
+    if a == 3:
+        return tuple((Fraction(i), Fraction(-i * i)) for i in range(b - 1))
+    if b == 3:
+        return tuple((Fraction(i), Fraction(i * i)) for i in range(a - 1))
+    left, right = all_pairs_cupcap(a - 1, b), all_pairs_cupcap(a, b - 1)
+    dt = left[-1][0] + 1 - right[0][0]
+    right = [(t + dt, h) for t, h in right]
+    slope = max(_largest_slope(left), _largest_slope(right))
+    dh = max(h for _, h in left) + slope * (right[-1][0] - left[0][0]) + 1 - min(
+        h for _, h in right)
+    return left + tuple((t, h + dh) for t, h in right)
 
 
 def seeded(seed):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -224,6 +225,59 @@ def test_check_identities(tmp_path):
     run("generate", "cupcap", "--k", "4", "-o", str(planar))
     code, stdout, _ = run("check", "identities", str(planar), "--d", "2")
     assert code == 0 and b"ok" in stdout
+
+
+@pytest.mark.parametrize("d, n, heights, flip", [
+    (2, 9, "random", False), (3, 8, "power", True), (3, 7, "zero", False), (4, 8, "random", True),
+], ids=["d2-random", "d3-reversed", "d3-flat", "d4-reversed-random"])
+def test_lifted_identities_build_no_matrix(tmp_path, monkeypatch, capsys, d, n, heights, flip):
+    # cyclic, reversed and degenerate input alike: every three-term relation
+    # of every (d+2)-tuple is checked on the kernel's integer minors
+    from abr import cli, linalg
+
+    src = tmp_path / "m.json"
+    cli.main(["generate", "moment", "--d", str(d), "--n", str(n), "--heights", heights,
+              "-o", str(src)])
+    if flip:
+        obj = json.loads(src.read_text())
+        _write_json(src, {**obj, "points": obj["points"][::-1]})
+    capsys.readouterr()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction matrix was built")
+
+    for name in ("Matrix", "det", "plucker_residual"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    assert (cli.main(["check", "identities", str(src)]), *capsys.readouterr()) == (
+        0, f"identities: ok checked={comb(n, d + 2) * comb(d + 2, 4)}\n", "")
+
+
+def test_corrupted_kernel_minor_fails_the_identities(tmp_path, monkeypatch, capsys):
+    # minor (0, 1, 2) is the one that deletes positions 3 and 4 of the first
+    # tuple; the first relation to read it is that of columns (0, 1, 3, 4),
+    # whose residual is then the minor deleting positions 0 and 1
+    from abr import cli, linalg
+
+    src = tmp_path / "m.json"
+    cli.main(["generate", "moment", "--n", "6", "-o", str(src)])
+    capsys.readouterr()
+    want = parse_sequence(src.read_text()).kernel.minor((2, 3, 4))
+    minor = linalg.SignKernel.minor
+    monkeypatch.setattr(linalg.SignKernel, "minor",
+                        lambda self, sub: minor(self, sub) + (sub == (0, 1, 2)))
+    assert (cli.main(["check", "identities", str(src)]), *capsys.readouterr()) == (
+        5, "", f"error: three-term minor residual {want} at (0, 1, 2, 3, 4) columns (0, 1, 3, 4)\n")
+
+
+def test_lifted_identities_take_seconds(tmp_path):
+    # 77,520 relations of C(20, 5) tuples, from the kernel's cached minors
+    src = tmp_path / "m.json"
+    run("generate", "moment", "--n", "20", "--d", "3", "-o", str(src))
+    start = time.perf_counter()
+    result = run("check", "identities", str(src))
+    elapsed = time.perf_counter() - start
+    assert result == (0, b"identities: ok checked=77520\n", b"")
+    assert elapsed < 5.0
 
 
 def test_search_budget_exit_codes(tmp_path):
@@ -537,13 +591,21 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
      "2535650040 tuples exceed the dense-table guard", ["check", "identities"]),
     (json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] for t in range(200)]}),
      "64684950 tuples exceed the dense-table guard", ["check", "identities", "--d", "3"]),
+    # cup/cap sets whose C(2k-4, k-2) points have more than 2^24 windows,
+    # refused before any point: a larger k before the binomial
+    (None, "82812015 windows exceed the dense-table guard", ["generate", "cupcap", "--k", "10"]),
+    (None, "C(n, 598) points exceed the dense-table guard",
+     ["generate", "cupcap", "--k", "600"]),
+    (None, "C(n, 999999998) points exceed the dense-table guard",
+     ["generate", "cupcap", "--k", "1000000000"]),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
         "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
         "csv-underscore-index", "deep-json", "csv-bad-color", "planar-search-windows",
         "identities-order-minus-3", "identities-order-0", "identities-order-minus-1",
         "moment-dimension-minus-2", "moment-dimension-1e9", "moment-power-boundary",
         "moment-zero-boundary", "moment-many-points", "random-bits-20000", "random-n-400",
-        "identities-lifted-200", "identities-planar-200"])
+        "identities-lifted-200", "identities-planar-200", "cupcap-k-10", "cupcap-k-600",
+        "cupcap-k-1e9"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):
     from abr import cli
 

@@ -20,13 +20,14 @@ from abr import (
     divided_difference,
     longest_monochromatic,
     random_cyclic_instance,
+    serialize_sequence,
     validate_d_general_position,
     validate_general_position,
     verify_cluster_parabola,
 )
 from abr.constructions import _exponent_schedule, _increasing_rationals, _random_rational
 
-from _helpers import naive_longest_monochromatic, seeded
+from _helpers import all_pairs_cupcap, naive_longest_monochromatic, seeded
 
 
 def test_exponent_schedule_frozen():
@@ -149,6 +150,15 @@ def test_cupcap_sizes():
         cupcap_extremal(2)
     with pytest.raises(InvariantError):
         cupcap_extremal("4")
+    # C(16, 8) = 12,870 points have more than 2^24 windows
+    with pytest.raises(TooLargeError, match="^82812015 windows exceed"):
+        cupcap_extremal(10)
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_cupcap_matches_the_all_pairs_slope_rule(k):
+    want = serialize_sequence(PlanarSequence(all_pairs_cupcap(k, k)))
+    assert serialize_sequence(cupcap_extremal(k)) == want
 
 
 def test_cupcap_no_collinear_triples():

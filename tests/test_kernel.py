@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -150,6 +150,30 @@ def test_kernel_cache_is_bounded(monkeypatch):
     for tup in combinations(range(12), 3):
         assert kernel.value(tup) == inst.kernel.value(tup)
     assert len(kernel.minors) == 5
+
+
+def test_pair_minors_are_scaled_complementary_minors():
+    # cyclic, reversed, flat (every lifted determinant 0), with a repeated
+    # projection (zero minors) and random (minors of either sign)
+    rng = seeded(1414)
+    for d in (2, 3, 4):
+        n = d + 4
+        cyclic = random_cyclic_instance(d, n, rng.randrange(1 << 30), bits=9)
+        points = list(cyclic.points)
+        points[2] = points[1][:-1] + (points[2][-1],)
+        flat = moment_lift(PlanarSequence(tuple((F(t), F(0)) for t in range(n))), d)
+        loose = LiftedSequence(d, tuple(tuple(rand_fraction(rng, 7) for _ in range(d))
+                                        for _ in range(n)))
+        for s in (cyclic, cyclic.reversed(), flat, LiftedSequence(d, tuple(points)), loose):
+            scales = [column[0] for column in s.kernel.columns]
+            for tup in combinations(range(n), d + 2):
+                projection = lifted_matrix([s.points[i] for i in tup]).entries[:-1]
+                want = complementary_minors(Matrix(projection))
+                got = s.kernel.pair_minors(tup)
+                assert list(got) == list(want)
+                for (a, b), minor in want.items():
+                    kept = [i for j, i in enumerate(tup) if j not in (a, b)]
+                    assert got[(a, b)] == minor * prod(scales[i] for i in kept)
 
 
 # -------------------------------------------------------------- validators
