@@ -261,7 +261,7 @@ def cupcap_extremal(k):
     points have more than 2^24 windows C(n, 2), raises TooLargeError first."""
     if not isinstance(k, int) or k < 3:
         raise InvariantError(f"k must be an integer >= 3, got {k!r}")
-    _guarded_comb(_guarded_comb(2 * k - 4, k - 2, "points"), 2, "windows")
+    _guarded_comb(_guarded_comb(2 * k - 4, k - 2, "points", "C(2k-4, k-2)"), 2, "windows")
     return PlanarSequence(tuple(_no_cup_no_cap(k, k)))
 
 

@@ -24,10 +24,12 @@ Structure predicates:
 Table I/O: CSV (one ``i0,...,color`` line per tuple, in lex order) and
 JSON (``{"n", "r", "colors"}``), plus the canonical JSON codec
 ``load_json`` / ``dump_json`` behind every JSON input and output of the
-package.  A CSV whose rows are exactly those ``to_csv`` writes is read in
-one walk straight into the bits; any other CSV goes through the dict path,
-the one place CSV errors are reported.  This module imports only
-``errors``, so a table command loads no sequence or rational code.
+package.  One walk, ``_lex_rows``, lists the tuples in lex order (per
+prefix, with its CSV stem and colex ranks) for the builder, ``__iter__``,
+both writers and the reader of a CSV whose rows are exactly those
+``to_csv`` writes; any other CSV goes through the dict path, the one place
+CSV errors are reported.  This module imports only ``errors``, so a
+table command loads no sequence or rational code.
 """
 
 from __future__ import annotations
@@ -109,20 +111,29 @@ def _dense_cells(n, r):
     return _guarded_comb(n, r, "tuples")
 
 
-def _guarded_comb(n, r, what):
+def _guarded_comb(n, r, what, name=None):
     """C(n, r) for ints n >= r >= 1, refused above MAX_DENSE_CELLS.  For
     k = min(r, n - r) >= 1, C(n, r) is at least n and at least 2^k, so a
-    larger n or k is refused before any binomial."""
+    larger n or k is refused before any binomial, as ``name`` (C(n, r))."""
     k = min(r, n - r)
     if k and (n > MAX_DENSE_CELLS or k >= MAX_DENSE_CELLS.bit_length()):
-        raise TooLargeError(f"C(n, {r}) {what} exceed the dense-table guard")
+        raise TooLargeError(f"{name or f'C(n, {r})'} {what} exceed the dense-table guard")
     cells = comb(n, k)
     if cells > MAX_DENSE_CELLS:
         raise TooLargeError(f"{cells} {what} exceed the dense-table guard")
     return cells
 
 
-_LEX_COLORS = {",+": Color.POSITIVE, ",-": Color.NEGATIVE}
+def _lex_rows(n, r):
+    """The r-tuples over range(n) in lex order, per (r-1)-prefix Q: yields Q,
+    its CSV stem "q0,...,q(r-2)," and the pairs (y, colex rank of Q + (y,)
+    = rank(Q) + C(y, r)) for max(Q) < y < n."""
+    high = [comb(y, r) for y in range(n)]
+    names = [str(i) for i in range(n)]
+    for prefix in combinations(range(n - 1), r - 1):
+        key, low = _rank(prefix, n, r - 1), prefix[-1] + 1
+        stem = ",".join(map(names.__getitem__, prefix)) + ","
+        yield prefix, stem, zip(range(low, n), map(key.__add__, high[low:]))
 
 
 def _lex_subtuples(tup):
@@ -167,17 +178,13 @@ class ColoringTable(Frozen):
     @classmethod
     def from_function(cls, n, r, fn):
         """Build by evaluating fn(tuple) -> Color on every increasing tuple,
-        in lex order: prefixes Q in lex order, each ranked once, then
-        Q + (y,) at colex rank rank(Q) + C(y, r)."""
+        in lex order."""
         store = bytearray((_dense_cells(n, r) + 7) // 8)
-        high = [comb(y, r) for y in range(n)]
-        for prefix in combinations(range(n - 1), r - 1):
-            key = _rank(prefix, n, r - 1)
-            for y in range(prefix[-1] + 1, n):
+        for prefix, _, cells in _lex_rows(n, r):
+            for y, rank in cells:
                 tup = prefix + (y,)
                 color = fn(tup)
                 if color is Color.POSITIVE:
-                    rank = key + high[y]
                     store[rank >> 3] |= 1 << (rank & 7)
                 elif color is not Color.NEGATIVE:
                     raise InvariantError(f"colorer returned {color!r} for {tup}")
@@ -226,13 +233,12 @@ class ColoringTable(Frozen):
         return Color.NEGATIVE
 
     def __iter__(self):
-        """(tuple, color) in lex order, streamed from the bits: prefixes Q in
-        lex order, each row read without being kept, then Q + (y,)."""
-        n, r = self.n, self.r
-        for prefix in combinations(range(n - 1), r - 1):
-            row = self._row(prefix, _rank(prefix, n, r - 1))
-            for y in range(prefix[-1] + 1, n):
-                yield prefix + (y,), Color.POSITIVE if row >> y & 1 else Color.NEGATIVE
+        """(tuple, color) in lex order, streamed from the bits."""
+        bits = self.bits
+        for prefix, _, cells in _lex_rows(self.n, self.r):
+            for y, rank in cells:
+                yield prefix + (y,), (Color.POSITIVE if bits[rank >> 3] >> (rank & 7) & 1
+                                      else Color.NEGATIVE)
 
     def counts(self):
         total = self.total
@@ -240,10 +246,9 @@ class ColoringTable(Frozen):
         return positive, total - positive
 
     def to_csv(self):
-        header = ",".join(f"i{k}" for k in range(self.r)) + ",color"
-        lines = [header]
-        for tup, color in self:
-            lines.append(",".join(str(i) for i in tup) + "," + color.value)
+        bits, lines = self.bits, [",".join(f"i{k}" for k in range(self.r)) + ",color"]
+        for _, stem, cells in _lex_rows(self.n, self.r):
+            lines += [f"{stem}{y},{'-+'[bits[rank >> 3] >> (rank & 7) & 1]}" for y, rank in cells]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -292,7 +297,7 @@ class ColoringTable(Frozen):
     @classmethod
     def _from_lex_rows(cls, rows, r):
         """The table when ``rows`` are exactly the lines ``to_csv`` writes
-        for n = last index + 1, read in the one walk of ``from_function``;
+        for n = last index + 1, read on the lex walk straight into the bits;
         else None.  Never raises: the shape is refused like ``_dense_cells``
         would before any binomial, and a mismatch leaves the error to the
         dict path."""
@@ -306,29 +311,21 @@ class ColoringTable(Frozen):
                 or not 0 <= k < MAX_DENSE_CELLS.bit_length()
                 or comb(n, k) != len(rows)):
             return None
-        names = [str(i) for i in range(n)]
-        lines = iter(rows)
-        matched = True
-
-        def color(tup):
-            nonlocal matched
-            line = next(lines)
-            if matched:
-                stem = ",".join(map(names.__getitem__, tup))
-                if line.startswith(stem) and line[len(stem):] in _LEX_COLORS:
-                    return _LEX_COLORS[line[len(stem):]]
-                matched = False
-            return Color.NEGATIVE
-
-        table = cls.from_function(n, r, color)
-        return table if matched else None
+        store, lines = bytearray((len(rows) + 7) // 8), iter(rows)
+        for _, stem, cells in _lex_rows(n, r):
+            for y, rank in cells:
+                line = next(lines)
+                if line == f"{stem}{y},+":
+                    store[rank >> 3] |= 1 << (rank & 7)
+                elif line != f"{stem}{y},-":
+                    return None
+        return cls(n, r, bytes(store))
 
     def to_json_obj(self):
-        return {
-            "n": self.n,
-            "r": self.r,
-            "colors": "".join(color.value for _, color in self),
-        }
+        bits = self.bits
+        colors = "".join("-+"[bits[rank >> 3] >> (rank & 7) & 1]
+                         for _, _, cells in _lex_rows(self.n, self.r) for _, rank in cells)
+        return {"n": self.n, "r": self.r, "colors": colors}
 
     @classmethod
     def from_json_obj(cls, obj):

@@ -578,6 +578,15 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
      ["generate", "moment", "--n", "3", "--d", "14286", "--heights", "zero"]),
     (None, "an output number has more than 4300 digits",
      ["generate", "moment", "--n", "1000001", "--d", "800", "--heights", "random"]),
+    # C(n, d) windows past the guard that ``search`` applies, refused before
+    # any point: C(467, 3) = 16,865,705 and C(466, 3) is admitted
+    (None, "C(n, 2) windows exceed the dense-table guard",
+     ["generate", "moment", "--n", "100000000", "--d", "2"]),
+    (None, "16865705 windows exceed the dense-table guard",
+     ["generate", "moment", "--n", "467", "--d", "3"]),
+    # two nodes, 0 and 1, print at any power: d coordinates per point
+    (None, "lift dimension 1000000000 exceeds the 14285-coordinate guard",
+     ["generate", "moment", "--n", "2", "--d", "1000000000"]),
     # refused before any draw: 2^20000 - 1 does not print, and each draw of
     # 400 points would be checked on C(400, 4) tuples
     (None, "an output number has more than 4300 digits",
@@ -594,16 +603,17 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
     # cup/cap sets whose C(2k-4, k-2) points have more than 2^24 windows,
     # refused before any point: a larger k before the binomial
     (None, "82812015 windows exceed the dense-table guard", ["generate", "cupcap", "--k", "10"]),
-    (None, "C(n, 598) points exceed the dense-table guard",
+    (None, "C(2k-4, k-2) points exceed the dense-table guard",
      ["generate", "cupcap", "--k", "600"]),
-    (None, "C(n, 999999998) points exceed the dense-table guard",
+    (None, "C(2k-4, k-2) points exceed the dense-table guard",
      ["generate", "cupcap", "--k", "1000000000"]),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
         "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
         "csv-underscore-index", "deep-json", "csv-bad-color", "planar-search-windows",
         "identities-order-minus-3", "identities-order-0", "identities-order-minus-1",
         "moment-dimension-minus-2", "moment-dimension-1e9", "moment-power-boundary",
-        "moment-zero-boundary", "moment-many-points", "random-bits-20000", "random-n-400",
+        "moment-zero-boundary", "moment-many-points", "moment-windows-n-1e8",
+        "moment-windows-boundary", "moment-two-points-d-1e9", "random-bits-20000", "random-n-400",
         "identities-lifted-200", "identities-planar-200", "cupcap-k-10", "cupcap-k-600",
         "cupcap-k-1e9"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):

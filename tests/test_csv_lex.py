@@ -1,8 +1,11 @@
-"""Table CSV reading: the lex-order walk against the dict path.
+"""Table artifacts on the lex walk, and CSV reading against the dict path.
 
-``ColoringTable.from_csv`` reads a CSV whose rows are exactly those
-``to_csv`` writes in one walk (``_from_lex_rows``) and hands any other CSV
-to its dict path.  Both must give the same table, or the same error.
+One walk, ``abr.tables._lex_rows``, lists the tuples in lex order for
+``from_function``, ``__iter__``, ``to_csv``, ``to_json_obj`` and the lex
+reader.  ``ColoringTable.from_csv`` reads a CSV whose rows are exactly
+those ``to_csv`` writes on that walk (``_from_lex_rows``) and hands any
+other CSV to its dict path.  Both must give the same table, or the same
+error.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from abr import AbrError, ColoringTable
 from abr.cli import main
+from abr.tables import _lex_rows, _rank
 
 from _helpers import rand_table, seeded
 
@@ -46,6 +50,51 @@ def test_lex_walk_reads_seeded_tables(r):
         fast = ColoringTable._from_lex_rows(lines[1:], r)
         assert fast is not None and (fast.n, fast.r, fast.bits) == (n, r, table.bits)
         assert ColoringTable.from_csv(text).bits == table.bits
+
+
+def _seeded_tables():
+    for r in (2, 3, 4, 5):
+        rng = seeded(300 + r)
+        for n in range(r, r + 6):
+            yield rand_table(rng, n, r, density=rng.random())
+
+
+def test_lex_walk_lists_every_tuple_once_with_its_rank():
+    for n in range(2, 10):
+        for r in range(2, n + 1):
+            walked = []
+            for prefix, stem, cells in _lex_rows(n, r):
+                assert stem == ",".join(map(str, prefix)) + ","
+                walked += [(prefix + (y,), rank) for y, rank in cells]
+            assert walked == [(tup, _rank(tup, n, r)) for tup in combinations(range(n), r)]
+
+
+def test_artifacts_are_written_without_reading_rows(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("an artifact read a row")
+
+    tables = list(_seeded_tables())
+    monkeypatch.setattr(ColoringTable, "_row", no_rows)
+    for table in tables:
+        pairs = [(tup, table.color(tup)) for tup in combinations(range(table.n), table.r)]
+        csv = [",".join(f"i{k}" for k in range(table.r)) + ",color"]
+        csv += [",".join(map(str, tup)) + "," + color.value for tup, color in pairs]
+        assert list(table) == pairs
+        assert table.to_csv() == "\n".join(csv) + "\n"
+        assert table.to_json_obj() == {"n": table.n, "r": table.r,
+                                       "colors": "".join(color.value for _, color in pairs)}
+
+
+def test_lex_reader_builds_without_from_function(monkeypatch):
+    tables = list(_seeded_tables())
+    texts = [table.to_csv() for table in tables]
+
+    def no_build(*args):
+        raise AssertionError("the lex reader called from_function")
+
+    monkeypatch.setattr(ColoringTable, "from_function", classmethod(no_build))
+    for table, text in zip(tables, texts):
+        assert ColoringTable.from_csv(text) == table
 
 
 def _mutations(text):
