@@ -207,10 +207,12 @@ def _cmd_generate_moment(args):
     if limit and (e * (base.bit_length() - 1) >= bits
                   or e * base.bit_length() >= bits and base ** e >= 10 ** limit):
         raise TooLargeError(f"an output number has more than {limit} digits")
+    # d coordinates per point, bounded whatever the digit limit: the nodes 0
+    # and 1 print at any power, so one or two points pass the digit guard
+    if args.d > 1 << 14:
+        raise TooLargeError(f"lift dimension {args.d} exceeds the {1 << 14}-coordinate guard")
     if args.n >= args.d:  # the windows ``search`` would refuse
         _guarded_comb(args.n, args.d, "windows")
-    elif limit and args.d > bits:  # n <= 2: the nodes 0 and 1 print at any power
-        raise TooLargeError(f"lift dimension {args.d} exceeds the {bits}-coordinate guard")
     ts = list(range(args.n))
     hs = _moment_heights(ts, args.heights, power, args.seed)
     seq = moment_lift(PlanarSequence(tuple(zip(ts, hs))), args.d)

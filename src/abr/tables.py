@@ -232,13 +232,15 @@ class ColoringTable(Frozen):
             return Color.POSITIVE
         return Color.NEGATIVE
 
+    def _lex_signs(self):
+        """``_lex_rows`` with each rank read as the '+'/'-' of Q + (y,)."""
+        bits = self.bits
+        for prefix, stem, cells in _lex_rows(self.n, self.r):
+            yield prefix, stem, [(y, "-+"[bits[rank >> 3] >> (rank & 7) & 1]) for y, rank in cells]
+
     def __iter__(self):
         """(tuple, color) in lex order, streamed from the bits."""
-        bits = self.bits
-        for prefix, _, cells in _lex_rows(self.n, self.r):
-            for y, rank in cells:
-                yield prefix + (y,), (Color.POSITIVE if bits[rank >> 3] >> (rank & 7) & 1
-                                      else Color.NEGATIVE)
+        return ((q + (y,), Color(sign)) for q, _, cells in self._lex_signs() for y, sign in cells)
 
     def counts(self):
         total = self.total
@@ -246,9 +248,9 @@ class ColoringTable(Frozen):
         return positive, total - positive
 
     def to_csv(self):
-        bits, lines = self.bits, [",".join(f"i{k}" for k in range(self.r)) + ",color"]
-        for _, stem, cells in _lex_rows(self.n, self.r):
-            lines += [f"{stem}{y},{'-+'[bits[rank >> 3] >> (rank & 7) & 1]}" for y, rank in cells]
+        lines = [",".join(f"i{k}" for k in range(self.r)) + ",color"]
+        for _, stem, cells in self._lex_signs():
+            lines += [f"{stem}{y},{sign}" for y, sign in cells]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -322,9 +324,7 @@ class ColoringTable(Frozen):
         return cls(n, r, bytes(store))
 
     def to_json_obj(self):
-        bits = self.bits
-        colors = "".join("-+"[bits[rank >> 3] >> (rank & 7) & 1]
-                         for _, _, cells in _lex_rows(self.n, self.r) for _, rank in cells)
+        colors = "".join(sign for _, _, cells in self._lex_signs() for _, sign in cells)
         return {"n": self.n, "r": self.r, "colors": colors}
 
     @classmethod

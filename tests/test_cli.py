@@ -585,7 +585,7 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
     (None, "16865705 windows exceed the dense-table guard",
      ["generate", "moment", "--n", "467", "--d", "3"]),
     # two nodes, 0 and 1, print at any power: d coordinates per point
-    (None, "lift dimension 1000000000 exceeds the 14285-coordinate guard",
+    (None, "lift dimension 1000000000 exceeds the 16384-coordinate guard",
      ["generate", "moment", "--n", "2", "--d", "1000000000"]),
     # refused before any draw: 2^20000 - 1 does not print, and each draw of
     # 400 points would be checked on C(400, 4) tuples
@@ -652,6 +652,33 @@ def test_generate_moment_refuses_exactly_the_unprintable(tmp_path, capsys, d, co
     else:
         points = json.loads(out.read_text())["points"]
         assert max(len(x.split("/")[0]) for point in points for x in point) == 640
+
+
+@pytest.mark.parametrize("n, d, limit, code", [
+    (2, 16384, None, 0), (2, 16385, None, 2), (1, 16385, None, 2),
+    (2, 10 ** 9, 0, 2), (3, 10 ** 9, 0, 2), (40000, 16385, 0, 2)])
+def test_generate_moment_bounds_the_lift_dimension(tmp_path, capsys, n, d, limit, code):
+    # d coordinates per point; one or two points print at any power, and a
+    # digit limit of 0 turns the digit guard off, so only this guard is left
+    from abr import cli
+
+    out = tmp_path / "m.json"
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(saved if limit is None else limit)
+    try:
+        start = time.perf_counter()
+        assert cli.main(["generate", "moment", "--n", str(n), "--d", str(d),
+                         "-o", str(out)]) == code
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(saved)
+    if code:
+        err = f"error: lift dimension {d} exceeds the 16384-coordinate guard\n"
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+    else:
+        points = json.loads(out.read_text())["points"]
+        assert [len(point) for point in points] == [d] * n
 
 
 def test_over_long_output_number_is_one_line_exit_2(tmp_path):
