@@ -59,6 +59,7 @@ EXIT_CODES = {
 }
 
 _SUMMARY_TUPLE_CAP = 20000
+MAX_OUTPUT_DIGITS = 1 << 26
 
 
 def _read_input(path):
@@ -213,6 +214,15 @@ def _cmd_generate_moment(args):
         raise TooLargeError(f"lift dimension {args.d} exceeds the {1 << 14}-coordinate guard")
     if args.n >= args.d:  # the windows ``search`` would refuse
         _guarded_comb(args.n, args.d, "windows")
+    # Point t prints d numbers p/1, p = t^1, ..., t^(d-1) and its height:
+    # t^e has at most e * bitlen(t) * 1234/4096 + 1 digits (t >= 2), 0 and
+    # 1 one, a random height at most 10 (n <= 16384 by the guards above).
+    exponents = args.d * (args.d - 1) // 2 + power
+    bound = (sum(map(int.bit_length, range(2, args.n))) * exponents * 1234 >> 12) \
+        + args.n * (2 * args.d + 10)
+    if bound > MAX_OUTPUT_DIGITS:
+        raise TooLargeError(f"output of up to {bound} digits exceeds the "
+                            f"{MAX_OUTPUT_DIGITS}-digit guard")
     ts = list(range(args.n))
     hs = _moment_heights(ts, args.heights, power, args.seed)
     seq = moment_lift(PlanarSequence(tuple(zip(ts, hs))), args.d)
@@ -416,6 +426,8 @@ def _search(obj, args):
 
 
 def _cmd_search(args):
+    if args.budget is not None and args.budget < 0:
+        raise InvariantError(f"budget must be an integer >= 0, got {args.budget}")
     result = _search(_load_input(args.input), args)
     payload = result.to_json_obj()
     if args.k is not None:

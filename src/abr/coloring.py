@@ -393,13 +393,13 @@ class LazyDivdiffColors:
         self._keys_of = _window_keys(p, order)
 
     def color(self, tup):
-        _rank(tup, self.n, self.r)
+        _rank(tup, self.n, self.r, self.r)
         return Color.POSITIVE if self._row(tup[:-1], [tup[-1]]) else Color.NEGATIVE
 
     def positive_among(self, prefix, mask):
         """The bits y of ``mask`` (each max(prefix) < y < n) for which
         prefix + (y,) is +."""
-        _rank(prefix, self.n, self.r - 1)
+        _rank(prefix, self.n, self.r, self.r - 1)
         return self._row(prefix, range(prefix[-1] + 1, self.n)) & mask
 
     def _row(self, prefix, ys):

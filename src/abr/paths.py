@@ -9,10 +9,12 @@ order-d divided difference.  Per middle M, one ``keys_of(M, xs)`` call keys
 the points outside M's span, and (a, M, e) is + exactly when e's key
 exceeds a's.  ``_key_table`` builds the planar table of ``check``
 (``divdiff_color_table``) and the lifted one (``coloring.color_table``)
-from them; ``longest_monotone_path``, which ``search`` runs on every
-sequence, sorts them.  A ``ColoringTable``, which need not be transitive,
-keeps the branch and bound of ``tables``.  This module imports no
-``coloring`` code, so a planar command compiles none of it.
+from them, writing the row of each window (a, M) as one run of the
+lex-ordered bits, placed by ``tables._rank``; ``longest_monotone_path``,
+which ``search`` runs on every sequence, sorts them.  A ``ColoringTable``,
+which need not be transitive, keeps the branch and bound of ``tables``.
+This module imports no ``coloring`` code, so a planar command compiles
+none of it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from operator import add, floordiv, itemgetter, lshift, mul
 from .errors import DegenerateInputError, InvariantError, WrongOrientationError
 from .linalg import _int_det_bareiss
 from .sequences import LiftedSequence, PlanarSequence
-from .tables import Color, ColoringTable, SearchResult, _check_shape, _dense_cells, _guarded_comb
+from .tables import (Color, ColoringTable, SearchResult, _check_shape, _dense_cells, _guarded_comb,
+                     _rank)
 
 
 def divdiff_color_table(p, order):
@@ -40,23 +43,24 @@ def divdiff_color_table(p, order):
 def _key_table(s, d):
     """The dense table of a planar sequence at order d or a lifted one of
     dimension d; its shape is refused before any power of t is formed.
-    Per middle M the points outside its span are swept in key order, the a
-    passed so far in a bit mask: at each point e, the a below e (all unless
-    M is empty) make (a, M, e) +, and they sit at the contiguous colex
-    ranks rank(M) + C(e, d+1) + a, rank(M) counting M from position 2."""
+    Per middle M the points outside its span are swept in descending key
+    order, the e passed so far in a bit mask: at each point a, the e above
+    a (all unless M is empty) make (a, M, e) +, and they sit at the
+    contiguous bits ``_rank(a, M) - (n - 1 - e)``, one run per window."""
     n = len(s)
     store = bytearray((_dense_cells(n, d + 1) + 7) // 8)
-    high = [comb(e, d + 1) for e in range(n)]
     for middle, xs, lo, keys in _keyed_middles(s, _window_keys(s, d), d):
-        base, mask, first = sum(comb(m, j) for j, m in enumerate(middle, 2)), 0, lo if middle else 0
-        for j in sorted(range(len(xs)), key=keys.__getitem__):
-            bits = mask & ((1 << xs[j]) - 1) if j >= first else 0
-            if bits:  # OR'd into the store from bit base + C(e, d+1), little-endian
-                offset = base + high[xs[j]]
-                start, stop = offset >> 3, (offset + bits.bit_length() + 7) >> 3
+        mask, first = 0, lo if middle else 0
+        for j in sorted(range(len(xs)), key=keys.__getitem__, reverse=True):
+            prefix = (xs[j], *middle)
+            low = prefix[-1] + 1
+            run = mask >> low if j < lo else 0
+            if run:  # OR'd into the store from the bit of prefix + (low,), little-endian
+                at = _rank(prefix, n, d + 1, d) - n + 1 + low
+                start, stop = at >> 3, (at + run.bit_length() + 7) >> 3
                 store[start:stop] = (int.from_bytes(store[start:stop], "little")
-                                     | bits << (offset & 7)).to_bytes(stop - start, "little")
-            if j < lo:
+                                     | run << (at & 7)).to_bytes(stop - start, "little")
+            if j >= first:
                 mask |= 1 << xs[j]
     return ColoringTable(n, d + 1, bytes(store))
 

@@ -1,16 +1,18 @@
 """Ordered two-colorings of r-tuples: storage, structure tests, searches.
 
 A coloring assigns + or - to every increasing r-tuple over {0, ..., n-1}.
-Tables are stored densely, one bit per tuple, indexed by the colexicographic
-rank sum(C(c_i, i+1)); a size guard refuses tables beyond the dense budget.
+Tables are stored densely, one bit per tuple in lex order, so bit i is the
+i-th tuple of ``combinations(range(n), r)``; a size guard refuses tables
+beyond the dense budget.  ``_rank`` is the one tuple rank: it validates a
+tuple and gives its bit.
 
 The checks and the search read candidate masks instead of single tuples.
 Every table answers one question, ``positive_among(Q, mask)``: for an
 (r-1)-tuple Q, which candidate bits y of ``mask`` make Q + (y,) positive.
 Both table types compute the row of Q (bit y set when Q + (y,) is +)
-whole, from the stored bits (kept) or from the keys of ``paths``, and
-answer ``row & mask``.  The class rule then runs on all candidates y at
-once, one bit lane per candidate.
+whole, from the stored bits (one contiguous run, nothing kept) or from the
+keys of ``paths``, and answer ``row & mask``.  The class rule then runs on
+all candidates y at once, one bit lane per candidate.
 
 Structure predicates:
 
@@ -24,12 +26,12 @@ Structure predicates:
 Table I/O: CSV (one ``i0,...,color`` line per tuple, in lex order) and
 JSON (``{"n", "r", "colors"}``), plus the canonical JSON codec
 ``load_json`` / ``dump_json`` behind every JSON input and output of the
-package.  One walk, ``_lex_rows``, lists the tuples in lex order (per
-prefix, with its CSV stem and colex ranks) for the builder, ``__iter__``,
-both writers and the reader of a CSV whose rows are exactly those
-``to_csv`` writes; any other CSV goes through the dict path, the one place
-CSV errors are reported.  This module imports only ``errors``, so a
-table command loads no sequence or rational code.
+package.  Every writer and reader reads or writes the bits in sequence,
+as one '+'/'-' string; the CSV lines of a string come from one lex walk,
+``_csv_lines``.  A CSV whose rows are exactly those lines is read by its
+last characters; any other CSV goes through the dict path, the one place
+CSV errors are reported.  This module imports only ``errors``, so a table
+command loads no sequence or rational code.
 """
 
 from __future__ import annotations
@@ -41,11 +43,14 @@ import sys
 from collections import namedtuple
 from itertools import combinations
 from math import comb
+from operator import ne
 
 from .errors import Frozen, InvariantError, ParseError, TooLargeError
 
 MAX_DENSE_CELLS = 1 << 24
 _INDEX_RE = re.compile(r"[0-9]+")
+_DIGIT_OF_SIGN = str.maketrans("+-", "10")
+_SIGN_OF_DIGIT = str.maketrans("10", "+-")
 
 
 def load_json(text):
@@ -81,21 +86,26 @@ class Color(enum.Enum):
         return self.value
 
 
-def _rank(tup, n, r):
-    """Colex rank sum C(c_i, i+1) of a strictly increasing r-tuple of
-    indices below n; any other tuple raises InvariantError."""
-    if len(tup) == r:
-        rank, prev = 0, -1
-        for k, c in enumerate(tup, 1):
-            if c <= prev:
-                break
-            rank += comb(c, k)
-            prev = c
-        else:
-            if prev < n:
+def _rank(tup, n, r, size):
+    """Lex rank, among the r-tuples over range(n), of the last r-tuple that
+    starts with ``tup``, a strictly increasing ``size``-tuple of indices
+    below n: C(n, r) - 1 - sum C(n-1-c_i, r-i).  For an r-tuple that is its
+    own rank, and for an (r-1)-tuple Q the rank of Q + (y,) is this minus
+    n - 1 - y.  Any other tuple raises InvariantError."""
+    if len(tup) == size:
+        rank, prev, j = comb(n, r) - 1, -1, r
+        try:  # comb raises ValueError for an index c >= n
+            for c in tup:
+                if c <= prev:
+                    break
+                rank -= comb(n - 1 - c, j)
+                prev, j = c, j - 1
+            else:
                 return rank
+        except ValueError:
+            pass
     raise InvariantError(
-        f"need a strictly increasing {r}-tuple of indices below {n}, got {tup!r}"
+        f"need a strictly increasing {size}-tuple of indices below {n}, got {tup!r}"
     )
 
 
@@ -124,16 +134,19 @@ def _guarded_comb(n, r, what, name=None):
     return cells
 
 
-def _lex_rows(n, r):
-    """The r-tuples over range(n) in lex order, per (r-1)-prefix Q: yields Q,
-    its CSV stem "q0,...,q(r-2)," and the pairs (y, colex rank of Q + (y,)
-    = rank(Q) + C(y, r)) for max(Q) < y < n."""
-    high = [comb(y, r) for y in range(n)]
-    names = [str(i) for i in range(n)]
+def _csv_lines(n, r, signs):
+    """The CSV line "c0,...,c(r-1),sign" of each r-tuple over range(n), in
+    lex order, its sign read in turn from ``signs``."""
+    names, signs = [str(i) for i in range(n)], iter(signs)
     for prefix in combinations(range(n - 1), r - 1):
-        key, low = _rank(prefix, n, r - 1), prefix[-1] + 1
         stem = ",".join(map(names.__getitem__, prefix)) + ","
-        yield prefix, stem, zip(range(low, n), map(key.__add__, high[low:]))
+        yield from [f"{stem}{y},{sign}" for y, sign in zip(range(prefix[-1] + 1, n), signs)]
+
+
+def _pack(signs):
+    """Bit storage of a '+'/'-' string: bit i, little-endian, set when sign
+    i is '+'."""
+    return int(signs[::-1].translate(_DIGIT_OF_SIGN), 2).to_bytes((len(signs) + 7) // 8, "little")
 
 
 def _lex_subtuples(tup):
@@ -157,19 +170,18 @@ def _leaves_class(colors, monotone):
 
 
 class ColoringTable(Frozen):
-    """Dense coloring of all increasing r-tuples over {0, ..., n-1}.  A row
-    is read from the stored bits, since Q + (y,) has colex rank
-    rank(Q) + C(y, r); a full scan thus reads each bit once, and rows are
-    kept up to ``max_cached_rows`` (about 100 bytes each).  A table is
-    immutable, and two tables are equal when n, r and bits are."""
+    """Dense coloring of all increasing r-tuples over {0, ..., n-1}, one bit
+    per tuple in lex order (bit i is the i-th tuple of
+    ``combinations(range(n), r)``).  The row of an (r-1)-tuple Q is then one
+    run of n-1-max(Q) bits, read whole on each call.  A table is immutable,
+    and two tables are equal when n, r and bits are."""
 
     _fields = ("n", "r", "bits")
-    max_cached_rows = 1 << 18
 
     def __init__(self, n, r, bits):
         if len(bits) != (_dense_cells(n, r) + 7) // 8:
             raise InvariantError("bit storage has the wrong length")
-        self._freeze(n=n, r=r, bits=bits, _rows={})
+        self._freeze(n=n, r=r, bits=bits)
 
     @property
     def total(self):
@@ -179,79 +191,57 @@ class ColoringTable(Frozen):
     def from_function(cls, n, r, fn):
         """Build by evaluating fn(tuple) -> Color on every increasing tuple,
         in lex order."""
-        store = bytearray((_dense_cells(n, r) + 7) // 8)
-        for prefix, _, cells in _lex_rows(n, r):
-            for y, rank in cells:
-                tup = prefix + (y,)
-                color = fn(tup)
-                if color is Color.POSITIVE:
-                    store[rank >> 3] |= 1 << (rank & 7)
-                elif color is not Color.NEGATIVE:
-                    raise InvariantError(f"colorer returned {color!r} for {tup}")
-        return cls(n, r, bytes(store))
+        return cls.from_colors(n, r, map(fn, combinations(range(n), r)))
 
     @classmethod
     def from_colors(cls, n, r, colors):
         """Build from colors listed in lexicographic tuple order; accepts
         Color values or '+'/'-' characters."""
         cells = _dense_cells(n, r)
-        seq = []
+        signs = []
         for i, c in enumerate(colors):
             try:
-                seq.append(Color(c))
+                signs.append(Color(c).value)
             except ValueError:
                 raise InvariantError(f"bad color {c!r} at position {i}") from None
-        if len(seq) != cells:
-            raise InvariantError(f"expected {cells} colors, got {len(seq)}")
-        it = iter(seq)
-        return cls.from_function(n, r, lambda tup: next(it))
+        if len(signs) != cells:
+            raise InvariantError(f"expected {cells} colors, got {len(signs)}")
+        return cls(n, r, _pack("".join(signs)))
 
     def positive_among(self, prefix, mask):
         """The bits y of ``mask`` (each max(prefix) < y < n) for which
-        prefix + (y,) is +."""
-        key = _rank(prefix, self.n, self.r - 1)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._row(prefix, key)
-            if len(self._rows) < self.max_cached_rows:
-                self._rows[key] = row
-        return row & mask
-
-    def _row(self, prefix, key):
-        bits, r, row = self.bits, self.r, 0
-        for y in range(prefix[-1] + 1, self.n):
-            rank = key + comb(y, r)  # of prefix + (y,)
-            if bits[rank >> 3] >> (rank & 7) & 1:
-                row |= 1 << y
-        return row
+        prefix + (y,) is +: the row of prefix, read as one slice."""
+        n, r = self.n, self.r
+        end = _rank(prefix, n, r, r - 1)  # the bit of prefix + (n - 1,)
+        low = prefix[-1] + 1
+        first = end - n + 1 + low  # the bit of prefix + (low,)
+        row = int.from_bytes(self.bits[first >> 3:(end >> 3) + 1], "little") >> (first & 7)
+        return (row & ((1 << (n - low)) - 1)) << low & mask
 
     def color(self, tup):
-        """Color of one increasing tuple (colex-ranked O(r) lookup)."""
-        rank = _rank(tup, self.n, self.r)
+        """Color of one increasing tuple (lex-ranked O(r) lookup)."""
+        rank = _rank(tup, self.n, self.r, self.r)
         if self.bits[rank >> 3] >> (rank & 7) & 1:
             return Color.POSITIVE
         return Color.NEGATIVE
 
-    def _lex_signs(self):
-        """``_lex_rows`` with each rank read as the '+'/'-' of Q + (y,)."""
-        bits = self.bits
-        for prefix, stem, cells in _lex_rows(self.n, self.r):
-            yield prefix, stem, [(y, "-+"[bits[rank >> 3] >> (rank & 7) & 1]) for y, rank in cells]
+    def _signs(self):
+        """The '+'/'-' of every tuple in lex order, read from the bits."""
+        total = self.total
+        bits = int.from_bytes(self.bits, "little") & ((1 << total) - 1)
+        return format(bits, f"0{total}b").translate(_SIGN_OF_DIGIT)[::-1]
 
     def __iter__(self):
         """(tuple, color) in lex order, streamed from the bits."""
-        return ((q + (y,), Color(sign)) for q, _, cells in self._lex_signs() for y, sign in cells)
+        return zip(combinations(range(self.n), self.r), map(Color, self._signs()))
 
     def counts(self):
-        total = self.total
-        positive = (int.from_bytes(self.bits, "little") & ((1 << total) - 1)).bit_count()
-        return positive, total - positive
+        positive = self._signs().count("+")
+        return positive, self.total - positive
 
     def to_csv(self):
-        lines = [",".join(f"i{k}" for k in range(self.r)) + ",color"]
-        for _, stem, cells in self._lex_signs():
-            lines += [f"{stem}{y},{sign}" for y, sign in cells]
-        return "\n".join(lines) + "\n"
+        header = ",".join(f"i{k}" for k in range(self.r)) + ",color"
+        return "\n".join([header, *_csv_lines(self.n, self.r, self._signs())]) + "\n"
 
     @classmethod
     def from_csv(cls, text):
@@ -299,33 +289,25 @@ class ColoringTable(Frozen):
     @classmethod
     def _from_lex_rows(cls, rows, r):
         """The table when ``rows`` are exactly the lines ``to_csv`` writes
-        for n = last index + 1, read on the lex walk straight into the bits;
-        else None.  Never raises: the shape is refused like ``_dense_cells``
+        for n = last index + 1, each line's last character its sign; else
+        None.  Never raises: the shape is refused like ``_dense_cells``
         would before any binomial, and a mismatch leaves the error to the
         dict path."""
         last = rows[-1].split(",") if rows else ()
         top = last[-2] if len(last) == r + 1 else ""
         if not (0 < len(top) <= 8 and top.isascii() and top.isdigit()):
             return None
-        n = int(top) + 1
+        n, signs = int(top) + 1, "".join(line[-1] for line in rows)
         k = min(r, n - r)
         if (len(rows) > MAX_DENSE_CELLS or n > MAX_DENSE_CELLS
                 or not 0 <= k < MAX_DENSE_CELLS.bit_length()
-                or comb(n, k) != len(rows)):
+                or comb(n, k) != len(rows) or signs.strip("+-")
+                or any(map(ne, rows, _csv_lines(n, r, signs)))):
             return None
-        store, lines = bytearray((len(rows) + 7) // 8), iter(rows)
-        for _, stem, cells in _lex_rows(n, r):
-            for y, rank in cells:
-                line = next(lines)
-                if line == f"{stem}{y},+":
-                    store[rank >> 3] |= 1 << (rank & 7)
-                elif line != f"{stem}{y},-":
-                    return None
-        return cls(n, r, bytes(store))
+        return cls(n, r, _pack(signs))
 
     def to_json_obj(self):
-        colors = "".join(sign for _, _, cells in self._lex_signs() for _, sign in cells)
-        return {"n": self.n, "r": self.r, "colors": colors}
+        return {"n": self.n, "r": self.r, "colors": self._signs()}
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -343,7 +325,7 @@ class ColoringTable(Frozen):
         cells = _dense_cells(n, r)
         if len(colors) != cells:
             raise ParseError(f"expected {cells} colors, got {len(colors)}")
-        return cls.from_colors(n, r, colors)
+        return cls(n, r, _pack(colors))
 
 
 def _first_violation(table, monotone):
@@ -507,14 +489,15 @@ def ramsey_search_tiny(r, k, n_max, cls="monotone", *, max_tuples=64):
 
 
 def _forces(n, r, k, cls):
-    # Tuples are colored in colex order, so a tuple's position is its rank.
-    # The sets a tuple completes are the tuple plus elements below its
-    # minimum: per tuple, the ranks of the r-subtuples (in lex order) of each
-    # (r+1)-set it completes, and of each k-set it completes.
+    # Tuples are colored in colex order, so the sets a tuple completes are the
+    # tuple plus elements below its minimum: per tuple, the positions of the
+    # r-subtuples (in lex order) of each (r+1)-set it completes, and of each
+    # k-set it completes.
     order = sorted(combinations(range(n), r), key=lambda t: t[::-1])
+    position = {tup: i for i, tup in enumerate(order)}
     completes = [(
-        [[_rank(sub, n, r) for sub in _lex_subtuples((x,) + tup)] for x in range(tup[0])],
-        [[_rank(sub, n, r) for sub in combinations(lower + tup, r)]
+        [[position[sub] for sub in _lex_subtuples((x,) + tup)] for x in range(tup[0])],
+        [[position[sub] for sub in combinations(lower + tup, r)]
          for lower in combinations(range(tup[0]), k - r)],
     ) for tup in order]
     colors = [None] * len(order)

@@ -292,6 +292,10 @@ def test_search_budget_exit_codes(tmp_path):
     assert code == 6
     code, _, _ = run("search", str(table), "--budget", "1", "--best-effort")
     assert code == 0
+    for source in (table, src):  # a negative budget, for table and sequence alike
+        code, stdout, stderr = run("search", str(source), "--budget", "-3")
+        assert (code, stdout) == (2, b"")
+        assert stderr == b"error: budget must be an integer >= 0, got -3\n"
 
 
 @pytest.mark.parametrize("d, n, seed", [(2, 11, 4), (3, 12, 5), (4, 10, 6)])
@@ -584,6 +588,10 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
      ["generate", "moment", "--n", "100000000", "--d", "2"]),
     (None, "16865705 windows exceed the dense-table guard",
      ["generate", "moment", "--n", "467", "--d", "3"]),
+    # the output's digits, bounded from bit lengths before any point: about
+    # 1 GB of digits here, while --n 300 --d 300 (28 MB) is admitted
+    (None, "output of up to 1355459753 digits exceeds the 67108864-digit guard",
+     ["generate", "moment", "--n", "1000", "--d", "1000"]),
     # two nodes, 0 and 1, print at any power: d coordinates per point
     (None, "lift dimension 1000000000 exceeds the 16384-coordinate guard",
      ["generate", "moment", "--n", "2", "--d", "1000000000"]),
@@ -607,15 +615,20 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
      ["generate", "cupcap", "--k", "600"]),
     (None, "C(2k-4, k-2) points exceed the dense-table guard",
      ["generate", "cupcap", "--k", "1000000000"]),
+    # a negative node budget, refused before the input is read
+    ("i0,i1,color\n0,1,+\n", "budget must be an integer >= 0, got -3",
+     ["search", "--budget", "-3"]),
+    (_FIVE_PLANAR, "budget must be an integer >= 0, got -1", ["search", "--budget", "-1"]),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
         "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
         "csv-underscore-index", "deep-json", "csv-bad-color", "planar-search-windows",
         "identities-order-minus-3", "identities-order-0", "identities-order-minus-1",
         "moment-dimension-minus-2", "moment-dimension-1e9", "moment-power-boundary",
         "moment-zero-boundary", "moment-many-points", "moment-windows-n-1e8",
-        "moment-windows-boundary", "moment-two-points-d-1e9", "random-bits-20000", "random-n-400",
+        "moment-windows-boundary", "moment-output-digits", "moment-two-points-d-1e9",
+        "random-bits-20000", "random-n-400",
         "identities-lifted-200", "identities-planar-200", "cupcap-k-10", "cupcap-k-600",
-        "cupcap-k-1e9"])
+        "cupcap-k-1e9", "search-budget-negative-table", "search-budget-negative-sequence"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):
     from abr import cli
 
@@ -679,6 +692,29 @@ def test_generate_moment_bounds_the_lift_dimension(tmp_path, capsys, n, d, limit
     else:
         points = json.loads(out.read_text())["points"]
         assert [len(point) for point in points] == [d] * n
+
+
+@pytest.mark.parametrize("n, d, admitted", [(300, 300, True), (1000, 1000, False)])
+def test_generate_moment_bounds_the_output_digits(monkeypatch, capsys, n, d, admitted):
+    # --n 300 --d 300 writes 28 MB and reaches the first point; --n 1000
+    # --d 1000 would write about 1 GB and is refused before it
+    from abr import cli
+
+    class Formed(Exception):
+        pass
+
+    def formed(*args):
+        raise Formed
+
+    monkeypatch.setattr(cli, "_moment_heights", formed)
+    argv = ["generate", "moment", "--n", str(n), "--d", str(d)]
+    if admitted:
+        with pytest.raises(Formed):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output of up to ") and err.count("\n") == 1
 
 
 def test_over_long_output_number_is_one_line_exit_2(tmp_path):

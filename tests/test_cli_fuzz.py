@@ -137,7 +137,7 @@ def _run(draw):
             ["text", "json"])}, ["--reverse-orientation"])
     else:
         argv = ["search", source] + _flags(draw, {
-            "--d": d, "--k": _value(1, 10), "--budget": _value(1, 500)},
+            "--d": d, "--k": _value(1, 10), "--budget": st.one_of(_value(1, 500), _value(-3, -1))},
             ["--best-effort", "--reverse-orientation"]) + out
     return argv, draw(_input_bytes())
 

@@ -1,7 +1,7 @@
 """Table artifacts on the lex walk, and CSV reading against the dict path.
 
-One walk, ``abr.tables._lex_rows``, lists the tuples in lex order for
-``from_function``, ``__iter__``, ``to_csv``, ``to_json_obj`` and the lex
+A table stores its bits in lex order.  One walk, ``abr.tables._csv_lines``,
+lists the CSV lines of the tuples in that order for ``to_csv`` and the lex
 reader.  ``ColoringTable.from_csv`` reads a CSV whose rows are exactly
 those ``to_csv`` writes on that walk (``_from_lex_rows``) and hands any
 other CSV to its dict path.  Both must give the same table, or the same
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from abr import AbrError, ColoringTable
 from abr.cli import main
-from abr.tables import _lex_rows, _rank
+from abr.tables import _csv_lines, _rank
 
 from _helpers import rand_table, seeded
 
@@ -62,11 +62,16 @@ def _seeded_tables():
 def test_lex_walk_lists_every_tuple_once_with_its_rank():
     for n in range(2, 10):
         for r in range(2, n + 1):
-            walked = []
-            for prefix, stem, cells in _lex_rows(n, r):
-                assert stem == ",".join(map(str, prefix)) + ","
-                walked += [(prefix + (y,), rank) for y, rank in cells]
-            assert walked == [(tup, _rank(tup, n, r)) for tup in combinations(range(n), r)]
+            tuples = list(combinations(range(n), r))
+            signs = "".join("+-"[i % 3 == 0] for i in range(len(tuples)))
+            lines = list(_csv_lines(n, r, signs))
+            assert lines == [",".join(map(str, tup)) + "," + sign
+                             for tup, sign in zip(tuples, signs)]
+            # a tuple's bit is its position on the walk, and the row of its
+            # prefix is one run that ends at the prefix's rank
+            assert [_rank(tup, n, r, r) for tup in tuples] == list(range(len(tuples)))
+            assert [_rank(tup[:-1], n, r, r - 1) - (n - 1 - tup[-1])
+                    for tup in tuples] == list(range(len(tuples)))
 
 
 def test_artifacts_are_written_without_reading_rows(monkeypatch):
@@ -74,7 +79,7 @@ def test_artifacts_are_written_without_reading_rows(monkeypatch):
         raise AssertionError("an artifact read a row")
 
     tables = list(_seeded_tables())
-    monkeypatch.setattr(ColoringTable, "_row", no_rows)
+    monkeypatch.setattr(ColoringTable, "positive_among", no_rows)
     for table in tables:
         pairs = [(tup, table.color(tup)) for tup in combinations(range(table.n), table.r)]
         csv = [",".join(f"i{k}" for k in range(table.r)) + ",color"]

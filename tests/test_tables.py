@@ -16,12 +16,14 @@ from abr import (
     PlanarSequence,
     TooLargeError,
     build_cluster_parabola,
+    color_table,
     divdiff_color_table,
     is_monotone,
     is_transitive,
     longest_monochromatic,
     monotone_implies_transitive_check,
     ramsey_search_tiny,
+    random_cyclic_instance,
 )
 
 from _helpers import (
@@ -256,29 +258,55 @@ def test_lazy_search_matches_reference_on_depth4_em():
         reference_longest_monochromatic(lazy, budget=100)
 
 
-def test_row_cache_is_bounded_and_read_on_demand(monkeypatch):
+def test_rows_are_read_on_demand(monkeypatch):
     rng = seeded(77)
     dense = [rand_table(rng, 10, r, 0.8) for r in (2, 3, 4)] + list(cupcap_pair())
     seq, _ = build_cluster_parabola(3, 2)
-    fresh = [lambda t=t: ColoringTable(t.n, t.r, t.bits) for t in dense]
-    fresh.append(lambda: LazyDivdiffColors(seq, 3))
-
-    def results(table):
-        return is_transitive(table), is_monotone(table), longest_monochromatic(table)
-
-    want = [results(make()) for make in fresh]
-    monkeypatch.setattr(ColoringTable, "max_cached_rows", 3)
-    for make, expected in zip(fresh, want):
-        table = make()
-        assert results(table) == expected
-        if isinstance(table, ColoringTable):  # the lazy table keeps no rows
-            assert len(table._rows) <= 3
+    for table in dense + [LazyDivdiffColors(seq, 3)]:
+        for monotone, check in ((True, is_monotone), (False, is_transitive)):
+            want = naive_class_witness(table, monotone)
+            assert check(table) == (want is None, want)
+        assert longest_monochromatic(table) == reference_longest_monochromatic(table)
     # A check that stops at an early witness reads only the rows it needs.
     hole = (0,) + tuple(range(2, 9))
     big = ColoringTable.from_function(
         16, 8, lambda tup: Color.NEGATIVE if tup == hole else Color.POSITIVE)
+    read, positive_among = set(), ColoringTable.positive_among
+
+    def counted(table, prefix, mask):
+        read.add(prefix)
+        return positive_among(table, prefix, mask)
+
+    monkeypatch.setattr(ColoringTable, "positive_among", counted)
     assert is_transitive(big) == (False, tuple(range(9)))
-    assert len(big._rows) <= 8
+    assert len(read) <= 8
+
+
+def test_bits_are_the_colors_in_lex_order():
+    rng = seeded(1616)
+    source = rand_table(rng, 9, 3)
+    colors = source.to_json_obj()["colors"]
+    lines = source.to_csv().splitlines()
+    reordered = "\n".join(lines[:1] + lines[:0:-1]) + "\n"  # read on the dict path
+    assert ColoringTable._from_lex_rows(reordered.splitlines()[1:], 3) is None
+    planar = PlanarSequence(tuple(rand_planar_tuple(rng, 9)))
+    built = [source, ColoringTable.from_colors(9, 3, colors),
+             ColoringTable.from_colors(9, 3, [Color(c) for c in colors]),
+             ColoringTable.from_csv(source.to_csv()), ColoringTable.from_csv(reordered),
+             ColoringTable.from_json_obj(source.to_json_obj())]
+    assert all(table == source for table in built)
+    built += [divdiff_color_table(planar, order) for order in (1, 2, 3)]
+    built.append(color_table(random_cyclic_instance(3, 9, 5)))
+    for table in built:
+        n, r = table.n, table.r
+        colors, bits = table.to_json_obj()["colors"], int.from_bytes(table.bits, "little")
+        assert "".join("-+"[bits >> i & 1] for i in range(table.total)) == colors
+        assert "".join(table.color(tup).value for tup in combinations(range(n), r)) == colors
+        is_transitive(table)  # a full check on the transitive key tables
+        longest_monochromatic(table)
+        assert vars(table).keys() == {"n", "r", "bits"}
+        # a prefix ending at n - 1 has an empty row
+        assert table.positive_among(tuple(range(r - 2)) + (n - 1,), (1 << n) - 1) == 0
 
 
 def test_lazy_rows_are_computed_whole():
