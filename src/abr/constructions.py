@@ -35,7 +35,7 @@ from .errors import (
     TooLargeError,
 )
 from .linalg import format_rational
-from .sequences import PlanarSequence, moment_lift
+from .sequences import PlanarSequence, moment_lift, serialize_sequence
 from .tables import MAX_DENSE_CELLS, _guarded_comb
 
 MAX_BASE = 2 ** 64
@@ -196,7 +196,9 @@ def cluster_parabola_sequence(m, *, start_base=2, max_base=MAX_BASE):
     Returns (sequence, params, report).  Raises ParameterSearchFailedError
     with per-base diagnostics when no base up to ``max_base`` works, and
     TooLargeError, before building anything, for a depth that cannot be
-    verified.
+    verified, or before its search, at the first instance with a number
+    that does not print (``serialize_sequence``): none at a larger base
+    prints either.
     """
     if not isinstance(start_base, int) or start_base < 2:
         raise InvariantError(f"start_base must be an integer >= 2, got {start_base!r}")
@@ -207,6 +209,7 @@ def cluster_parabola_sequence(m, *, start_base=2, max_base=MAX_BASE):
     base = start_base
     while base <= max_base:
         seq, params = build_cluster_parabola(m, base)
+        serialize_sequence(seq)  # raises TooLargeError when a number does not print
         try:
             report = verify_cluster_parabola(seq, m)
         except DegenerateInputError as exc:

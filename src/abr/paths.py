@@ -11,7 +11,8 @@ exceeds a's.  ``_key_table`` builds the planar table of ``check``
 (``divdiff_color_table``) and the lifted one (``coloring.color_table``)
 from them, writing the row of each window (a, M) as one run of the
 lex-ordered bits, placed by ``tables._rank``; ``longest_monotone_path``,
-which ``search`` runs on every sequence, sorts them.  A ``ColoringTable``,
+which ``search`` runs on every sequence, sorts them and keeps the longest
+path from each window at the window's own ``_rank``.  A ``ColoringTable``,
 which need not be transitive, keeps the branch and bound of ``tables``.
 This module imports no ``coloring`` code, so a planar command compiles
 none of it.
@@ -20,9 +21,9 @@ none of it.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
-from itertools import combinations, repeat
-from math import comb, gcd, lcm
+from bisect import bisect_left
+from itertools import combinations, islice, repeat
+from math import gcd, lcm
 from operator import add, floordiv, itemgetter, lshift, mul
 
 from .errors import DegenerateInputError, InvariantError, WrongOrientationError
@@ -204,16 +205,16 @@ def _keyed_middles(s, keys_of, d):
 
 def _window_runs(middles, n, d, windows):
     """Per color, the longest monochromatic path starting at each window of
-    d >= 2 points, by colex rank.  The windows (a, M) of a middle at the
+    d >= 2 points, by lex rank.  The windows (a, M) of a middle at the
     ends of the sequence have no (a, M, e) and keep d."""
     plus, minus = _lengths(n, d, windows), _lengths(n, d, windows)
-    high = [comb(e, d) for e in range(n)]
+    last = [_rank((a,), n, d, 1) for a in range(n)]  # the last window that starts with a
     for middle, xs, lo, keys in middles:
-        # colex ranks in key order: (a, M) is a + low_base, stored as
-        # ~rank < 0, and (M, e) is high_base + C(e, d)
-        low_base = sum(comb(m, j) for j, m in enumerate(middle, 2))
-        high_base = sum(comb(m, j) for j, m in enumerate(middle, 1))
-        ranks = [~(a + low_base) for a in range(lo)] + [high_base + high[e] for e in xs[lo:]]
+        # lex ranks in key order: (a, M) sits as far below a's last window
+        # as (0, M) below 0's, stored as ~rank < 0, and (M, e) is high + e
+        low = _rank((0, *middle), n, d, d) - last[0]
+        high = _rank(middle, n, d, d - 1) - n + 1
+        ranks = [~(last[a] + low) for a in range(lo)] + [high + e for e in xs[lo:]]
         ranks = [ranks[j] for j in sorted(range(len(xs)), key=keys.__getitem__)]
         # +: e's key above a's, rights above a's key; -: below it.
         for run, sweep in ((plus, reversed(ranks)), (minus, ranks)):
@@ -233,37 +234,20 @@ def _lengths(n, fill, count):
 
 def _greedy_witness(keys_of, run, size, d, n, color):
     """The lex-least set of ``size`` points whose windows chain in
-    ``color``: the lex-least window with a path that long, then each time the
-    least next point that keeps the color and leaves a path long enough."""
-    binomials = [[comb(m, j) for m in range(n)] for j in range(d + 1)]
-    starts, i = [], -1
-    while True:
-        try:
-            i = run.index(size, i + 1)
-        except ValueError:
-            break
-        starts.append(_colex_unrank(i, binomials, d))
-    witness = list(min(starts))
+    ``color``: the lex-least window with a path that long, the first in
+    ``run``, then each time the least next point that keeps the color and
+    leaves a path long enough."""
+    witness = list(next(islice(combinations(range(n), d), run.index(size), None)))
     positive = color is Color.POSITIVE
     while len(witness) < size:
         need = size - len(witness) + d - 1  # the path from the next window
         a, middle = witness[-d], tuple(witness[len(witness) - d + 1:])
-        base = sum(comb(m, j) for j, m in enumerate(middle, 1))
-        xs = [a] + [e for e in range(witness[-1] + 1, n) if run[base + binomials[d][e]] >= need]
+        base = _rank(middle, n, d, d - 1) - n + 1  # the window (M, e) is base + e
+        xs = [a] + [e for e in range(witness[-1] + 1, n) if run[base + e] >= need]
         keys = keys_of(middle, xs)
         witness.append(next(e for e, key in zip(xs[1:], keys[1:])
                             if (key > keys[0]) == positive))
     return tuple(witness)
-
-
-def _colex_unrank(rank, binomials, d):
-    """The d-tuple of colex rank ``rank``; ``binomials[j][m]`` is C(m, j)."""
-    out = []
-    for j in range(d, 0, -1):
-        c = bisect_right(binomials[j], rank) - 1
-        rank -= binomials[j][c]
-        out.append(c)
-    return tuple(reversed(out))
 
 
 def _order_one_runs(middles, n):

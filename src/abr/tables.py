@@ -4,7 +4,7 @@ A coloring assigns + or - to every increasing r-tuple over {0, ..., n-1}.
 Tables are stored densely, one bit per tuple in lex order, so bit i is the
 i-th tuple of ``combinations(range(n), r)``; a size guard refuses tables
 beyond the dense budget.  ``_rank`` is the one tuple rank: it validates a
-tuple and gives its bit.
+tuple and gives its bit, and ``paths`` ranks its windows by it too.
 
 The checks and the search read candidate masks instead of single tuples.
 Every table answers one question, ``positive_among(Q, mask)``: for an
@@ -179,8 +179,11 @@ class ColoringTable(Frozen):
     _fields = ("n", "r", "bits")
 
     def __init__(self, n, r, bits):
-        if len(bits) != (_dense_cells(n, r) + 7) // 8:
+        cells = _dense_cells(n, r)
+        if len(bits) != (cells + 7) // 8:
             raise InvariantError("bit storage has the wrong length")
+        if bits[-1] >> (cells & 7 or 8):
+            raise InvariantError("bit storage sets a bit past the last tuple")
         self._freeze(n=n, r=r, bits=bits)
 
     @property
@@ -227,9 +230,8 @@ class ColoringTable(Frozen):
 
     def _signs(self):
         """The '+'/'-' of every tuple in lex order, read from the bits."""
-        total = self.total
-        bits = int.from_bytes(self.bits, "little") & ((1 << total) - 1)
-        return format(bits, f"0{total}b").translate(_SIGN_OF_DIGIT)[::-1]
+        bits = int.from_bytes(self.bits, "little")  # no bit is set past the last tuple
+        return format(bits, f"0{self.total}b").translate(_SIGN_OF_DIGIT)[::-1]
 
     def __iter__(self):
         """(tuple, color) in lex order, streamed from the bits."""
@@ -254,12 +256,13 @@ class ColoringTable(Frozen):
         r = len(header) - 1
         if header != [f"i{k}" for k in range(r)] + ["color"]:
             raise ParseError(f"bad CSV header {lines[0]!r}")
-        table = cls._from_lex_rows(lines[1:], r)
+        del lines[0]  # in place: a slice would copy one pointer per row
+        table = cls._from_lex_rows(lines, r)
         if table is not None:
             return table
         entries = {}
         top = -1
-        for line_no, line in enumerate(lines[1:], start=2):
+        for line_no, line in enumerate(lines, start=2):
             parts = line.split(",")
             if len(parts) != r + 1:
                 raise ParseError(f"row has {len(parts)} fields, expected {r + 1}", line=line_no)

@@ -7,7 +7,6 @@ tolerance and its runtime ceiling.
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -303,11 +302,9 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
 
     def run_all(workdir):
         workdir.mkdir()
-        env = dict(os.environ)
-        env.pop("ABR_THREADS", None)
         digests = []
         for args, artifact in command_list(workdir):
-            proc = subprocess.run(cli + args, capture_output=True, env=env)
+            proc = subprocess.run(cli + args, capture_output=True)
             assert proc.returncode == 0, (args, proc.stderr)
             blob = proc.stdout
             if artifact is not None:

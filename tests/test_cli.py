@@ -601,6 +601,10 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
      ["generate", "random", "--n", "5", "--bits", "20000"]),
     (None, "1050739900 tuples exceed the dense-table guard",
      ["generate", "random", "--d", "3", "--n", "400"]),
+    # a depth-4 instance at base 2^80 does not print, refused before the
+    # verification search
+    (None, "an output number has more than 4300 digits",
+     ["generate", "em", "--m", "4", "--base", str(2 ** 80), "--max-base", str(2 ** 80)]),
     # the identities of C(200, 5) lifted and C(200, 4) planar tuples,
     # refused before any determinant
     (json.dumps({"kind": "lifted", "dimension": 3,
@@ -626,7 +630,7 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
         "moment-dimension-minus-2", "moment-dimension-1e9", "moment-power-boundary",
         "moment-zero-boundary", "moment-many-points", "moment-windows-n-1e8",
         "moment-windows-boundary", "moment-output-digits", "moment-two-points-d-1e9",
-        "random-bits-20000", "random-n-400",
+        "random-bits-20000", "random-n-400", "em-base-2-80",
         "identities-lifted-200", "identities-planar-200", "cupcap-k-10", "cupcap-k-600",
         "cupcap-k-1e9", "search-budget-negative-table", "search-budget-negative-sequence"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):

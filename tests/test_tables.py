@@ -309,6 +309,20 @@ def test_bits_are_the_colors_in_lex_order():
         assert table.positive_among(tuple(range(r - 2)) + (n - 1,), (1 << n) - 1) == 0
 
 
+def test_bit_storage_is_exactly_the_tuples():
+    # C(3, 2) = 3 tuples: bits 3..7 of the one byte are padding, and a set
+    # one would make tables with the same colors unequal
+    assert ColoringTable(3, 2, b"\x07").to_csv() == "i0,i1,color\n0,1,+\n0,2,+\n1,2,+\n"
+    for n, r, bits, message in ((3, 2, b"\xff", "past the last tuple"),
+                                (3, 2, b"\x08", "past the last tuple"),
+                                (9, 3, b"\x00" * 10 + b"\x10", "past the last tuple"),
+                                (3, 2, b"\x07\x00", "wrong length")):
+        with pytest.raises(InvariantError, match=message):
+            ColoringTable(n, r, bits)
+    # C(16, 2) = 120 tuples fill 15 bytes, with no padding
+    assert ColoringTable(16, 2, b"\xff" * 15).counts() == (120, 0)
+
+
 def test_lazy_rows_are_computed_whole():
     # The third divided difference of (0, 1, 2, 5) is 0, those of (0, 1, 2, 3)
     # and (0, 1, 2, 4) are not: the row of (0, 1, 2) holds a degenerate tuple
