@@ -38,9 +38,8 @@ _NAMES = {
         "radon_certificate", "vandermonde_divdiff_residual",
     ),
     "constructions": (
-        "ClusterParabolaParams", "ClusterParabolaReport", "build_cluster_parabola",
-        "cluster_parabola_sequence", "cupcap_extremal", "random_cyclic_instance",
-        "verify_cluster_parabola",
+        "ClusterParabolaParams", "build_cluster_parabola", "cluster_parabola_sequence",
+        "cupcap_extremal", "random_cyclic_instance", "verify_cluster_parabola",
     ),
     "errors": (
         "AbrError", "BadIndicesError", "BadShapeError", "DegenerateInputError",

@@ -38,8 +38,8 @@ from .errors import (
     TooLargeError,
     WrongOrientationError,
 )
-from .tables import (ColoringTable, _guarded_comb, dump_json, is_monotone, is_transitive,
-                     load_json, longest_monochromatic)
+from .tables import (MAX_DENSE_CELLS, ColoringTable, _guarded_comb, dump_json, is_monotone,
+                     is_transitive, load_json, longest_monochromatic)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -262,11 +262,11 @@ def _cmd_generate_em(args):
         seq, params = build_cluster_parabola(args.m, args.base)
         max_monotone, exhaustive, method = None, False, None
     else:
-        seq, params, report = cluster_parabola_sequence(
+        seq, params, result = cluster_parabola_sequence(
             args.m, start_base=args.base,
             max_base=MAX_BASE if args.max_base is None else args.max_base
         )
-        max_monotone, exhaustive, method = report.max_monotone, report.exhaustive, report.method
+        max_monotone, exhaustive, method = result.size, result.exhaustive, result.method
     report_obj = {
         "m": args.m,
         "n": len(seq),
@@ -382,6 +382,10 @@ def _cmd_check(args):
         if len(obj) < args.d + 1:
             raise TooFewPointsError(f"need at least {args.d + 1} points for order {args.d}")
         checked = _guarded_comb(len(obj), args.d + 1, "tuples")
+        # Each residual is a (d+1)x(d+1) determinant in Fractions: bound the work too.
+        cells = checked * (args.d + 1) ** 2
+        if cells > MAX_DENSE_CELLS:
+            raise TooLargeError(f"{cells} determinant cells exceed the dense-table guard")
         for tup in combinations(range(len(obj)), args.d + 1):
             residual = vandermonde_divdiff_residual([obj.points[i] for i in tup])
             if residual != 0:

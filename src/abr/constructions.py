@@ -10,7 +10,8 @@ Three families:
   upward along a steep parabola.  The copy widths, parabola coefficients,
   and vertical copy scales are powers of an integer base B; nothing is
   assumed about B except what the verification loop confirms, so the public
-  entry point doubles B until an exhaustive search certifies the property.
+  entry point doubles B until the exact search of ``paths`` certifies the
+  property, and returns that search's ``SearchResult`` with the instance.
 
 * ``cupcap_extremal``: the classical two-block recursion giving
   C(2k-4, k-2) points with no k-point cup and no k-point cap.
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .linalg import format_rational
 from .sequences import PlanarSequence, moment_lift, serialize_sequence
-from .tables import MAX_DENSE_CELLS, _guarded_comb
+from .tables import MAX_DENSE_CELLS, Color, SearchResult, _guarded_comb
 
 MAX_BASE = 2 ** 64
 # The deepest m whose 2^(2^(m-1)) points fit the 2^24 guard: 2^(m-1) <= 24.
@@ -61,29 +62,6 @@ class ClusterParabolaParams(namedtuple("ClusterParabolaParams",
             "x_scale": [format_rational(x) for x in self.x_scale],
             "steepness": [format_rational(x) for x in self.steepness],
             "h_scale": [format_rational(x) for x in self.h_scale],
-        }
-
-
-class ClusterParabolaReport(namedtuple(
-        "ClusterParabolaReport", "depth n max_monotone exhaustive witness nodes_visited method")):
-    """Outcome of checking one instance for long monochromatic runs."""
-
-    __slots__ = ()
-
-    @property
-    def within_bound(self):
-        """Whether no monochromatic subsequence longer than 2m was found
-        (conclusive only together with ``exhaustive``)."""
-        return self.max_monotone <= 2 * self.depth
-
-    def to_json_obj(self):
-        return {
-            "m": self.depth,
-            "n": self.n,
-            "max_monotone": self.max_monotone,
-            "exhaustive": self.exhaustive,
-            "witness": list(self.witness),
-            "method": self.method,
         }
 
 
@@ -168,12 +146,13 @@ def _verified_points(m):
 
 
 def verify_cluster_parabola(p, m):
-    """Find the longest monochromatic subsequence of the order-3 coloring
-    of p exactly, by ``paths.longest_monotone_path``, and report whether
-    it stays within the 2m bound.
+    """The longest monochromatic subsequence of the order-3 coloring of p,
+    exactly: the ``SearchResult`` of ``paths.longest_monotone_path(p, 3)``.
+    The depth-1 instance has two points, no quadruple, and is its own
+    longest run.
 
     Raises DegenerateInputError at the lex-least quadruple with a vanishing
-    third divided difference (no color is defined there); a report thus
+    third divided difference (no color is defined there); a result thus
     also certifies general position.  Raises InvariantError if p does not
     have the depth-m size 2^(2^(m-1)), and TooLargeError for a depth whose
     windows exceed the guard (m >= 5), before any divided difference.
@@ -181,24 +160,23 @@ def verify_cluster_parabola(p, m):
     expected = _verified_points(m)
     if len(p) != expected:
         raise InvariantError(f"depth {m} means {expected} points, got {len(p)}")
-    n = len(p)
-    if n < 4:
-        return ClusterParabolaReport(m, n, n, True, tuple(range(n)), 0, "monotone-path")
-    result = longest_monotone_path(p, 3)
-    return ClusterParabolaReport(m, n, result.size, result.exhaustive, result.witness,
-                                 result.nodes_visited, result.method)
+    if expected < 4:
+        return SearchResult(expected, tuple(range(expected)), Color.POSITIVE, True, 0,
+                            "monotone-path")
+    return longest_monotone_path(p, 3)
 
 
 def cluster_parabola_sequence(m, *, start_base=2, max_base=MAX_BASE):
     """Verified depth-m instance: doubles the base until the no-long-run
     property is certified exhaustively.
 
-    Returns (sequence, params, report).  Raises ParameterSearchFailedError
-    with per-base diagnostics when no base up to ``max_base`` works, and
-    TooLargeError, before building anything, for a depth that cannot be
-    verified, or before its search, at the first instance with a number
-    that does not print (``serialize_sequence``): none at a larger base
-    prints either.
+    Returns (sequence, params, result), ``result`` the ``SearchResult``
+    of ``verify_cluster_parabola``, whose size is at most 2m.  Raises
+    ParameterSearchFailedError with per-base diagnostics when no base up
+    to ``max_base`` works, and TooLargeError, before building anything,
+    for a depth that cannot be verified, or before its search, at the
+    first instance with a number that does not print
+    (``serialize_sequence``): none at a larger base prints either.
     """
     if not isinstance(start_base, int) or start_base < 2:
         raise InvariantError(f"start_base must be an integer >= 2, got {start_base!r}")
@@ -211,16 +189,15 @@ def cluster_parabola_sequence(m, *, start_base=2, max_base=MAX_BASE):
         seq, params = build_cluster_parabola(m, base)
         serialize_sequence(seq)  # raises TooLargeError when a number does not print
         try:
-            report = verify_cluster_parabola(seq, m)
+            result = verify_cluster_parabola(seq, m)
         except DegenerateInputError as exc:
             attempts.append((base, f"degenerate quadruple {exc.witness}"))
         else:
-            if report.within_bound:
-                return seq, params, report
+            if result.size <= 2 * m:
+                return seq, params, result
             attempts.append((
                 base,
-                f"monochromatic subsequence of size {report.max_monotone} "
-                f"at {report.witness}",
+                f"monochromatic subsequence of size {result.size} at {result.witness}",
             ))
         base *= 2
     raise ParameterSearchFailedError(

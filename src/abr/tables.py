@@ -45,7 +45,7 @@ from itertools import combinations
 from math import comb
 from operator import ne
 
-from .errors import Frozen, InvariantError, ParseError, TooLargeError
+from .errors import AbrError, Frozen, InvariantError, ParseError, TooLargeError
 
 MAX_DENSE_CELLS = 1 << 24
 _INDEX_RE = re.compile(r"[0-9]+")
@@ -238,7 +238,7 @@ class ColoringTable(Frozen):
         return zip(combinations(range(self.n), self.r), map(Color, self._signs()))
 
     def counts(self):
-        positive = self._signs().count("+")
+        positive = int.from_bytes(self.bits, "little").bit_count()  # no padding bit is set
         return positive, self.total - positive
 
     def to_csv(self):
@@ -293,19 +293,19 @@ class ColoringTable(Frozen):
     def _from_lex_rows(cls, rows, r):
         """The table when ``rows`` are exactly the lines ``to_csv`` writes
         for n = last index + 1, each line's last character its sign; else
-        None.  Never raises: the shape is refused like ``_dense_cells``
-        would before any binomial, and a mismatch leaves the error to the
-        dict path."""
+        None.  Never raises: a shape ``_dense_cells`` refuses, and any
+        mismatch, leave the error to the dict path."""
         last = rows[-1].split(",") if rows else ()
         top = last[-2] if len(last) == r + 1 else ""
         if not (0 < len(top) <= 8 and top.isascii() and top.isdigit()):
             return None
-        n, signs = int(top) + 1, "".join(line[-1] for line in rows)
-        k = min(r, n - r)
-        if (len(rows) > MAX_DENSE_CELLS or n > MAX_DENSE_CELLS
-                or not 0 <= k < MAX_DENSE_CELLS.bit_length()
-                or comb(n, k) != len(rows) or signs.strip("+-")
-                or any(map(ne, rows, _csv_lines(n, r, signs)))):
+        n = int(top) + 1
+        try:
+            cells = _dense_cells(n, r)
+        except AbrError:
+            return None
+        signs = "".join(line[-1] for line in rows)
+        if cells != len(rows) or signs.strip("+-") or any(map(ne, rows, _csv_lines(n, r, signs))):
             return None
         return cls(n, r, _pack(signs))
 

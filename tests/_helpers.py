@@ -51,6 +51,20 @@ def rand_planar_tuple(rng, count, bits=8):
     return [(t, rand_fraction(rng, bits)) for t in ts]
 
 
+def divdiff_closed(points):
+    """The divided difference of h over t in the closed Lagrange form,
+    sum over j of h_j / prod over r != j of (t_j - t_r): no step in common
+    with Newton's recursion."""
+    total = Fraction(0)
+    for j, (tj, hj) in enumerate(points):
+        denom = Fraction(1)
+        for r, (tr, _) in enumerate(points):
+            if r != j:
+                denom *= tj - tr
+        total += hj / denom
+    return total
+
+
 def naive_longest_monochromatic(table):
     """Largest monochromatic subset by checking every subset, largest first."""
     indices = range(table.n)

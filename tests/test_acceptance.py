@@ -213,18 +213,18 @@ def test_criterion_5_cluster_construction(capsys):
     start = time.perf_counter()
     sizes = {m: len(build_cluster_parabola(m, 2)[0]) for m in (1, 2, 3)}
     sizes_ok = sizes == {1: 2, 2: 4, 3: 16}
-    seq, params, report = cluster_parabola_sequence(3)
-    no_seven = report.exhaustive and report.max_monotone < 7
+    seq, params, result = cluster_parabola_sequence(3)
+    no_seven = result.exhaustive and result.size < 7
     elapsed = time.perf_counter() - start
     ok = sizes_ok and no_seven and elapsed < limit
     announce(capsys, 5, ok,
-             f"sizes {sorted(sizes.values())}, m=3 exhaustive={report.exhaustive} "
-             f"max_monotone={report.max_monotone} (base {params.base})",
+             f"sizes {sorted(sizes.values())}, m=3 exhaustive={result.exhaustive} "
+             f"max_monotone={result.size} (base {params.base})",
              elapsed, limit)
     assert sizes_ok
-    assert report.exhaustive
-    assert report.max_monotone < 7
-    assert report.max_monotone <= 2 * 3
+    assert result.exhaustive
+    assert result.size < 7
+    assert result.size <= 2 * 3
     assert elapsed < limit
 
 

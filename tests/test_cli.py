@@ -612,6 +612,14 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
      "2535650040 tuples exceed the dense-table guard", ["check", "identities"]),
     (json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] for t in range(200)]}),
      "64684950 tuples exceed the dense-table guard", ["check", "identities", "--d", "3"]),
+    # C(n, d+1)·(d+1)² cells of planar residual determinants past 2^24,
+    # refused before any: C(73, 4)·16 and C(20, 11)·121
+    (json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] for t in range(73)]}),
+     "17414880 determinant cells exceed the dense-table guard",
+     ["check", "identities", "--d", "3"]),
+    (json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] for t in range(20)]}),
+     "20323160 determinant cells exceed the dense-table guard",
+     ["check", "identities", "--d", "10"]),
     # cup/cap sets whose C(2k-4, k-2) points have more than 2^24 windows,
     # refused before any point: a larger k before the binomial
     (None, "82812015 windows exceed the dense-table guard", ["generate", "cupcap", "--k", "10"]),
@@ -631,7 +639,8 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
         "moment-zero-boundary", "moment-many-points", "moment-windows-n-1e8",
         "moment-windows-boundary", "moment-output-digits", "moment-two-points-d-1e9",
         "random-bits-20000", "random-n-400", "em-base-2-80",
-        "identities-lifted-200", "identities-planar-200", "cupcap-k-10", "cupcap-k-600",
+        "identities-lifted-200", "identities-planar-200", "identities-planar-73-cells",
+        "identities-planar-order-10-cells", "cupcap-k-10", "cupcap-k-600",
         "cupcap-k-1e9", "search-budget-negative-table", "search-budget-negative-sequence"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):
     from abr import cli
@@ -647,6 +656,21 @@ def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, comma
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("n, d", [(72, 3), (19, 10)])
+def test_planar_identities_admit_cells_up_to_the_guard(tmp_path, monkeypatch, capsys, n, d):
+    # the admitted side of the cell guard: C(72, 4)·16 = 16,460,640 and
+    # C(19, 11)·121 = 9,145,422 cells are at most 2^24; every residual is
+    # stubbed to 0, so only the guard and the tuple walk run
+    from abr import cli, coloring
+
+    monkeypatch.setattr(coloring, "vandermonde_divdiff_residual", lambda points: 0)
+    src = tmp_path / "in"
+    src.write_text(json.dumps({"kind": "planar",
+                               "points": [[str(t), str(t ** 3)] for t in range(n)]}))
+    assert cli.main(["check", "identities", "--d", str(d), str(src)]) == 0
+    assert capsys.readouterr() == (f"identities: ok checked={comb(n, d + 1)}\n", "")
 
 
 @pytest.mark.parametrize("d, code", [(2127, 0), (2128, 2)])

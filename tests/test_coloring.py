@@ -29,7 +29,7 @@ from abr import (
     vandermonde_divdiff_residual,
 )
 
-from _helpers import kernel_divdiff_table, rand_planar_tuple, seeded
+from _helpers import divdiff_closed, kernel_divdiff_table, rand_planar_tuple, seeded
 
 F = Fraction
 
@@ -62,10 +62,14 @@ def test_radon_convexity_of_weights():
     for _ in range(60):
         d = rng.randrange(2, 5)
         inst = random_cyclic_instance(d, d + 1, rng.randrange(1 << 30))
-        cert = radon_certificate([p[:-1] for p in inst.points])
+        zs = [p[:-1] for p in inst.points]
+        cert = radon_certificate(zs)
         assert sum(cert.lam[j] for j in cert.even_part) == 1
         assert sum(cert.lam[j] for j in cert.odd_part) == 1
         assert all(w > 0 for w in cert.lam)
+        # the point comes from the even block; the odd block reaches it too
+        odd = tuple(sum(cert.lam[j] * zs[j][c] for j in cert.odd_part) for c in range(d - 1))
+        assert odd == cert.point
 
 
 def test_radon_rejects_reversal_and_degeneracy():
@@ -177,6 +181,10 @@ def test_divided_difference_leading_coefficient():
         ts = sorted(rng.sample(range(-30, 30), 4))
         pts = [(t, sum(c * t ** k for k, c in enumerate(coeffs))) for t in ts]
         assert divided_difference(pts) == coeffs[3]
+    # and equals the closed Lagrange form at orders 0-6 on rational nodes
+    for _ in range(60):
+        pts = rand_planar_tuple(rng, rng.randrange(1, 8))
+        assert divided_difference(pts) == divdiff_closed(pts)
 
 
 def test_divided_difference_is_polynomial_in_the_order():

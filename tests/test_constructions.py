@@ -15,10 +15,12 @@ from abr import (
     moment_lift,
     build_cluster_parabola,
     cluster_parabola_sequence,
+    SearchResult,
     cupcap_extremal,
     divdiff_color_table,
     divided_difference,
     longest_monochromatic,
+    longest_monotone_path,
     random_cyclic_instance,
     serialize_sequence,
     validate_d_general_position,
@@ -57,14 +59,19 @@ def test_build_validates_arguments():
 
 def test_sequence_search_goldens():
     for m, expected_max in ((1, 2), (2, 4), (3, 6)):
-        seq, params, report = cluster_parabola_sequence(m)
+        seq, params, result = cluster_parabola_sequence(m)
         assert params.base == 2  # the very first base already verifies
-        assert report.exhaustive
-        assert report.within_bound
-        assert report.max_monotone == expected_max
-        assert report.n == len(seq)
+        assert result.exhaustive
+        assert result.size <= 2 * m
+        assert result.size == expected_max
+        assert len(seq) == 2 ** 2 ** (m - 1)
+        assert verify_cluster_parabola(seq, m) == result
+        if m == 1:  # two points, no quadruple: the whole instance
+            assert result == SearchResult(2, (0, 1), Color.POSITIVE, True, 0, "monotone-path")
+        else:
+            assert result == longest_monotone_path(seq, 3)
     # the m=3 witness: both end clusters contribute a pair, middles one point
-    assert report.witness == (0, 1, 4, 8, 12, 13)
+    assert result.witness == (0, 1, 4, 8, 12, 13)
 
 
 def test_m3_cluster_sign_structure():
@@ -94,7 +101,7 @@ def test_m3_cluster_sign_structure():
 def test_m3_no_seven_term_run_spot_check():
     # the exhaustive search already proves max = 6; cross-check a few
     # 7-subsets against the naive definition
-    seq, _, report = cluster_parabola_sequence(3)
+    seq, _, result = cluster_parabola_sequence(3)
     table = divdiff_color_table(seq, 3)
     rng = seeded(14)
     for _ in range(40):
@@ -102,7 +109,7 @@ def test_m3_no_seven_term_run_spot_check():
         colors = {table.color(t) for t in combinations(subset, 4)}
         assert len(colors) == 2
     # and the reported witness really is monochromatic
-    assert {table.color(t) for t in combinations(report.witness, 4)} == {Color.NEGATIVE}
+    assert {table.color(t) for t in combinations(result.witness, 4)} == {Color.NEGATIVE}
 
 
 def test_verify_rejects_wrong_size():
@@ -133,11 +140,11 @@ def test_depth_beyond_window_guard_is_refused_before_building(monkeypatch):
 
 
 def test_report_json_shapes():
-    seq, params, report = cluster_parabola_sequence(2)
+    seq, params, result = cluster_parabola_sequence(2)
     assert set(params.to_json_obj()) == {"m", "base", "x_scale", "steepness", "h_scale"}
-    obj = report.to_json_obj()
-    assert set(obj) == {"m", "n", "max_monotone", "exhaustive", "witness", "method"}
-    assert obj["m"] == 2 and obj["n"] == 4 and obj["method"] == "monotone-path"
+    obj = result.to_json_obj()
+    assert set(obj) == {"size", "witness", "color", "exhaustive", "nodes_visited", "method"}
+    assert params.depth == 2 and len(seq) == 4 and obj["method"] == "monotone-path"
 
 
 # ------------------------------------------------------------------ cupcap
