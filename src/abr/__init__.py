@@ -11,8 +11,9 @@ counterexample is a proof-grade artifact.  The package covers:
 - the four equivalent color oracles (kernel/heights, determinant,
   divided differences, and geometric crossing for d = 3) plus the
   one-switch certificate for (d+2)-tuples (``coloring``);
-- dense and lazy coloring tables with monotone/transitive checks, a
-  longest-monochromatic-subset search of a table, and the JSON codec (``tables``);
+- dense and lazy coloring tables with monotone/transitive checks, the
+  longest monochromatic subset of a table by a window DP its witness
+  certifies or else a branch and bound, and the JSON codec (``tables``);
 - one integer key engine for planar and lifted sequences: dense color tables,
   and the exact longest monochromatic subsequence with no table (``paths``);
 - instance generators: the doubly-exponential cluster construction, the
@@ -59,7 +60,8 @@ _NAMES = {
     ),
     "tables": (
         "Color", "ColoringTable", "SearchResult", "is_monotone", "is_transitive",
-        "longest_monochromatic", "monotone_implies_transitive_check", "ramsey_search_tiny",
+        "longest_monochromatic", "longest_window_path", "monotone_implies_transitive_check",
+        "ramsey_search_tiny",
     ),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

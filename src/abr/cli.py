@@ -39,7 +39,7 @@ from .errors import (
     WrongOrientationError,
 )
 from .tables import (MAX_DENSE_CELLS, ColoringTable, _guarded_comb, dump_json, is_monotone,
-                     is_transitive, load_json, longest_monochromatic)
+                     is_transitive, load_json, longest_monochromatic, longest_window_path)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -417,10 +417,13 @@ def _cmd_check(args):
 
 def _search(obj, args):
     """A sequence is searched exactly by the monotone-path DP, which checks
-    a lifted one as it goes; a table, which need not be transitive, by the
+    a lifted one as it goes.  A table, which need not be transitive, is
+    searched by the window DP of ``tables`` first, and its answer stands
+    when its witness is monochromatic (``nodes_visited`` is then the
+    C(n, r-1) windows and ``--budget`` is not read); otherwise by the
     branch and bound under ``--budget``."""
     if isinstance(obj, ColoringTable):
-        return longest_monochromatic(obj, budget=args.budget)
+        return longest_window_path(obj) or longest_monochromatic(obj, budget=args.budget)
     from .paths import longest_monotone_path
     from .sequences import PlanarSequence
 
@@ -518,7 +521,8 @@ def _build_parser():
     p.add_argument("--d", type=int, default=3, help="order/dimension for sequence input")
     p.add_argument("--k", type=int, default=None, help="report whether size k is reached")
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget of the branch and bound for table input; "
+                   help="node budget of the branch and bound, which runs only on a "
+                   "table whose window DP is not certified by its witness; "
                    "sequence input is searched exactly")
     p.add_argument("--best-effort", action="store_true",
                    help="exit 0 even when the budget ran out")

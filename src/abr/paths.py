@@ -12,15 +12,16 @@ exceeds a's.  ``_key_table`` builds the planar table of ``check``
 from them, writing the row of each window (a, M) as one run of the
 lex-ordered bits, placed by ``tables._rank``; ``longest_monotone_path``,
 which ``search`` runs on every sequence, sorts them and keeps the longest
-path from each window at the window's own ``_rank``.  A ``ColoringTable``,
-which need not be transitive, keeps the branch and bound of ``tables``.
-This module imports no ``coloring`` code, so a planar command compiles
-none of it.
+path from each window at the window's own ``_rank``.  A ``ColoringTable``
+is searched by the same window DP read from its rows
+(``tables.longest_window_path``), which stands only when its witness is
+monochromatic, and by the branch and bound of ``tables`` otherwise.  This
+module imports no ``coloring`` code, so a planar command compiles none of
+it.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from itertools import combinations, islice, repeat
 from math import gcd, lcm
@@ -30,7 +31,7 @@ from .errors import DegenerateInputError, InvariantError, WrongOrientationError
 from .linalg import _int_det_bareiss
 from .sequences import LiftedSequence, PlanarSequence
 from .tables import (Color, ColoringTable, SearchResult, _check_shape, _dense_cells, _guarded_comb,
-                     _rank)
+                     _lengths, _rank)
 
 
 def divdiff_color_table(p, order):
@@ -225,11 +226,6 @@ def _window_runs(middles, n, d, windows):
                 elif run[rank] > best:
                     best = run[rank]
     return plus, minus
-
-
-def _lengths(n, fill, count):
-    """An array of ``count`` path lengths, each at most n, set to ``fill``."""
-    return array("B" if n < 1 << 8 else "H" if n < 1 << 16 else "I", [fill]) * count
 
 
 def _greedy_witness(keys_of, run, size, d, n, color):

@@ -14,6 +14,13 @@ whole, from the stored bits (one contiguous run, nothing kept) or from the
 keys of ``paths``, and answer ``row & mask``.  The class rule then runs on
 all candidates y at once, one bit lane per candidate.
 
+Searches: ``longest_window_path`` is the monotone-path DP over the
+C(n, r-1) windows of a table, read row by row from its bits.  Its longest
+path bounds every monochromatic set, and its answer stands when its
+lex-least witness is monochromatic, which it checks; otherwise
+``longest_monochromatic``, the branch and bound under a node budget,
+answers.  ``abr search`` runs them in that order.
+
 Structure predicates:
 
 * transitive: inside every (r+1)-tuple, if the two consecutive r-subtuples
@@ -41,7 +48,7 @@ import json
 import re
 import sys
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from operator import ne
 
@@ -394,6 +401,135 @@ class SearchResult(namedtuple("SearchResult", "size witness color exhaustive nod
             "nodes_visited": self.nodes_visited,
             "method": self.method,
         }
+
+
+def _lengths(n, fill, count):
+    """An array of ``count`` path lengths, each at most n, set to ``fill``
+    (``array`` is imported here, so a table ``check`` does not load it)."""
+    from array import array
+
+    return array("B" if n < 1 << 8 else "H" if n < 1 << 16 else "I", [fill]) * count
+
+
+def longest_window_path(table):
+    """The longest monochromatic set of a table by the monotone-path DP,
+    when its witness certifies it; else None.
+
+    A window is an (r-1)-tuple.  The windows of a monochromatic set,
+    consecutive in the set, chain in its color, so on any table the
+    longest path U over the C(n, r-1) windows, in either color, bounds
+    every monochromatic set; on a transitive table it is exact
+    (Fox-Pach-Sudakov-Suk; Elias-Matousek).  The witness is the lex-least
+    U-path, rebuilt greedily in each color, the lesser of the two.  When
+    it is monochromatic (its C(U, r) cells are read as C(U-1, r-1) rows)
+    it is a largest monochromatic set, and the lex-least one of both
+    colors, since every such set is a U-path: the result equals
+    ``longest_monochromatic``'s but for ``nodes_visited``, the C(n, r-1)
+    windows settled, and ``method``.  Otherwise, or when the windows
+    exceed MAX_DENSE_CELLS, it returns None and only the branch and bound
+    can answer.  No row is kept: path lengths take a byte per window and
+    color (two past n = 255)."""
+    n, r = table.n, table.r
+    windows = comb(n, r - 1)
+    if windows > MAX_DENSE_CELLS:
+        return None
+    runs = _point_runs(table) if r == 2 else _window_runs(table, windows)
+    size = max(map(max, runs))
+    witness, color = min([(_greedy_path(table, run, size, color), color)
+                          for color, run in zip(Color, runs) if max(run) == size])
+    above, mask = {}, 0  # the points of the witness above each one
+    for e in reversed(witness):
+        above[e], mask = mask, mask | 1 << e
+    for prefix in combinations(witness[:-1], r - 1):
+        want = above[prefix[-1]]
+        if table.positive_among(prefix, want) != (want if color is Color.POSITIVE else 0):
+            return None
+    return SearchResult(size, witness, color, True, windows, "monotone-path")
+
+
+def _point_runs(table):
+    """r = 2: a window is one point and (a, e) an edge, so per color the
+    longest path from each point a, taken from the last, is one more than
+    the longest settled one that its row reaches.  ``masks[i]`` holds the
+    points settled with a path of i + 1 points, and every shorter length
+    is held too, so a point takes one AND per length from the top down."""
+    n, full = table.n, (1 << table.n) - 1
+    runs = []
+    for positive in (True, False):
+        run, masks = _lengths(n, 1, n), []
+        for a in reversed(range(n)):
+            hit = table.positive_among((a,), full)
+            if not positive:
+                hit = ~hit  # the masks hold only points above a
+            i = next((i for i in reversed(range(len(masks))) if hit & masks[i]), -1) + 1
+            run[a] = i + 1
+            if i == len(masks):
+                masks.append(0)
+            masks[i] |= 1 << a
+        runs.append(run)
+    return runs
+
+
+def _window_runs(table, windows):
+    """r >= 3: per color, the longest path starting at each window (a, M),
+    M an (r-2)-tuple, by its lex rank.  Middles are walked by decreasing
+    first point, so the windows (M, e), whose middle starts higher, are
+    settled before any (a, M).  Their lengths are bucketed into bit masks
+    over e, and the row of (a, M), one slice of the bits, is ANDed with
+    one mask per distinct length, longest first.  The windows of a middle
+    at the ends of the sequence have no edge and keep r - 1."""
+    n, r, d, bits = table.n, table.r, table.r - 1, table.bits
+    plus, minus = _lengths(n, d, windows), _lengths(n, d, windows)
+    # the last r-tuple and the last window that start with a
+    last_tuple = [_rank((a,), n, r, 1) for a in range(n)]
+    last_window = [_rank((a,), n, d, 1) for a in range(n)]
+    for first in reversed(range(1, n - 1)):
+        for rest in combinations(range(first + 1, n - 1), d - 2):
+            middle = (first, *rest)
+            # (a, M)'s row ends as far from a's last r-tuple as (0, M)'s
+            # from 0's, and the window (a, M) lies as far from a's last one
+            to_tuple = _rank((0, *middle), n, r, d) - last_tuple[0]
+            to_window = _rank((0, *middle), n, d, d) - last_window[0]
+            low = middle[-1] + 1  # bit j of a row and of a mask is e = low + j
+            high = _rank(middle, n, d, d - 1) - n + 1  # the window (M, e) is high + e
+            both = [(run, _buckets(run[high + low:high + n])) for run in (plus, minus)]
+            for a in range(first):
+                end = last_tuple[a] + to_tuple
+                start = end - n + 1 + low
+                hit = int.from_bytes(bits[start >> 3:(end >> 3) + 1], "little") >> (start & 7)
+                for run, buckets in both:
+                    for length, mask in buckets:
+                        if hit & mask:
+                            run[last_window[a] + to_window] = length + 1
+                            break
+                    hit = ~hit  # the - edges of (a, M)
+    return plus, minus
+
+
+def _buckets(lengths):
+    """(length, mask of the j with lengths[j] == length), longest first."""
+    masks = {}
+    for j, length in enumerate(lengths):
+        masks[length] = masks.get(length, 0) | 1 << j
+    return sorted(masks.items(), reverse=True)
+
+
+def _greedy_path(table, run, size, color):
+    """The lex-least path of ``size`` points in ``color``: the lex-least
+    window with a path that long, the first in ``run``, then each time the
+    least next point e that keeps the color and whose window leaves a path
+    long enough."""
+    n, r = table.n, table.r
+    witness = list(next(islice(combinations(range(n), r - 1), run.index(size), None)))
+    while len(witness) < size:
+        need = size - len(witness) + r - 2  # the path from the next window
+        prefix = tuple(witness[1 - r:])
+        high = _rank(prefix[1:], n, r - 1, r - 2) - n + 1  # the window (M, e) is high + e
+        fits = sum(1 << e for e in range(prefix[-1] + 1, n) if run[high + e] >= need)
+        hit = table.positive_among(prefix, fits)
+        hit = hit if color is Color.POSITIVE else fits ^ hit
+        witness.append((hit & -hit).bit_length() - 1)
+    return tuple(witness)
 
 
 def longest_monochromatic(table, *, budget=None):

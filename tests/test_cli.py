@@ -10,6 +10,8 @@ import pytest
 
 from abr import parse_sequence
 
+from _helpers import rand_table, seeded
+
 CLI = [sys.executable, "-m", "abr.cli"]
 
 VIOLATING_TABLE = "i0,i1,color\n0,1,+\n0,2,-\n1,2,+\n"
@@ -285,17 +287,44 @@ def test_search_budget_exit_codes(tmp_path):
     run("generate", "moment", "--n", "7", "-o", str(src))
     table = tmp_path / "t.csv"
     run("color", str(src), "-o", str(table))
-    code, stdout, _ = run("search", str(table))
+    # every tuple is + on this lift: the window DP certifies the whole set,
+    # and the budget of the branch and bound is never read
+    code, stdout, stderr = run("search", str(table), "--budget", "1")
+    assert (code, stderr) == (0, b"")
+    got = json.loads(stdout)
+    assert (got["size"], got["exhaustive"], got["method"], got["nodes_visited"]) == (
+        7, True, "monotone-path", comb(7, 3))
+    # not transitive, and its lex-least longest window path is not
+    # monochromatic: the branch and bound answers, under the budget
+    coin = tmp_path / "coin.csv"
+    coin.write_text(rand_table(seeded(0), 9, 3).to_csv())
+    code, stdout, _ = run("search", str(coin))
     assert code == 0
-    assert json.loads(stdout)["size"] == 7  # every tuple positive on this lift
-    code, _, _ = run("search", str(table), "--budget", "1")
-    assert code == 6
-    code, _, _ = run("search", str(table), "--budget", "1", "--best-effort")
+    assert json.loads(stdout)["method"] == "branch-and-bound"
+    code, stdout, stderr = run("search", str(coin), "--budget", "1")
+    assert (code, stderr) == (6, b"budget exhausted after 2 nodes\n")
+    assert json.loads(stdout)["exhaustive"] is False
+    code, _, _ = run("search", str(coin), "--budget", "1", "--best-effort")
     assert code == 0
     for source in (table, src):  # a negative budget, for table and sequence alike
         code, stdout, stderr = run("search", str(source), "--budget", "-3")
         assert (code, stdout) == (2, b"")
         assert stderr == b"error: budget must be an integer >= 0, got -3\n"
+
+
+def test_search_of_the_cupcap_k6_table_takes_under_a_second(tmp_path):
+    # 70 points, r = 3: the branch and bound visits 517,016 nodes (about 2 s);
+    # the window DP settles C(70, 2) = 2,415 windows
+    src, table = tmp_path / "c.json", tmp_path / "c.csv"
+    run("generate", "cupcap", "--k", "6", "-o", str(src))
+    run("color", str(src), "--d", "2", "-o", str(table))
+    start = time.perf_counter()
+    code, stdout, _ = run("search", str(table))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    got = json.loads(stdout)
+    assert (got["size"], got["witness"], got["method"]) == (5, [0, 1, 2, 3, 4], "monotone-path")
+    assert elapsed < 1.0, elapsed
 
 
 @pytest.mark.parametrize("d, n, seed", [(2, 11, 4), (3, 12, 5), (4, 10, 6)])

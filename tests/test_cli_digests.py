@@ -64,7 +64,7 @@ RECORDED = [
     (0, "781362460a754e2dcea090f4b9130e6fb2a97c338158cb5b28f46797cf04ceef"),
     (0, "aca93c3ea0e90e51b5f899bdc5e1006b25da40b0f6fe8ca3e0b519ed31b87d01"),
     (0, "06fb1ba95b476be0fd91e7208c49466fd122798b6e456a27489bc9f281f61a6b"),
-    (0, "d327e0ef20105409b0c910fe4b3c0990fdb218d0b4cb84bc96c636637d245bab"),
+    (0, "cfba543e21bcd5d87743bbbf5f1ef8768d9947f2b11a8998be69774f3ed85e8b"),
     (0, "98a12e2f5adef64b548c65d0bdd6e757f14e28e9649f163c16a746301a5fb945"),
     (0, "d3e05a5bde0ac6ff40b76eec5a83f9c1de5e995e660d6b102485d3976c1e8354"),
     (0, "40d35c3183c4e6da129353674a83ff51c58128725bfaabb14b200ac5b2ac5870"),

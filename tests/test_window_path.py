@@ -1,0 +1,127 @@
+"""The window DP of a table search against the branch-and-bound reference.
+
+``longest_window_path`` answers only when its lex-least longest window
+path is monochromatic, and then must equal the reference in size, witness,
+color and exhaustive flag.  The witness check proves only that the set is
+monochromatic, so a path bound that is too short would pass it: the size
+is what these comparisons catch.  When the DP does not answer, the table
+search is the branch and bound, whole SearchResult and all.
+"""
+
+import json
+import subprocess
+import sys
+from itertools import combinations
+from math import comb
+
+import pytest
+
+from abr import (
+    Color,
+    ColoringTable,
+    PlanarSequence,
+    color_table,
+    cupcap_extremal,
+    divdiff_color_table,
+    longest_monochromatic,
+    longest_window_path,
+    random_cyclic_instance,
+    tables,
+)
+
+from _helpers import (flipped_table, rand_planar_tuple, rand_table, reference_longest_monochromatic,
+                      seeded)
+
+
+def _search(table):
+    """The table search of ``abr search``: the DP when certified, else the
+    branch and bound."""
+    return longest_window_path(table) or longest_monochromatic(table)
+
+
+def _assert_matches(table, reference=reference_longest_monochromatic):
+    got, want = _search(table), reference(table)
+    if got.method == "monotone-path":
+        assert got[:4] == want[:4]
+        assert got.nodes_visited == comb(table.n, table.r - 1)
+    else:
+        assert got == want
+    return got.method == "monotone-path"
+
+
+def test_matches_reference_on_seeded_tables():
+    rng = seeded(1919)
+    certified = []
+    for r in (2, 3, 4):
+        for density in (0.05, 0.25, 0.5, 0.75, 0.95):
+            for _ in range(6):
+                n = rng.randrange(r, r + 9)
+                certified.append(_assert_matches(rand_table(rng, n, r, density)))
+    # both routes run, on about a third and two thirds of the tables
+    assert 20 <= sum(certified) <= len(certified) - 20
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_one_color_tables_are_the_whole_set(sign):
+    for n, r in ((2, 2), (7, 2), (9, 3), (10, 5), (8, 8)):
+        table = ColoringTable.from_colors(n, r, sign * comb(n, r))
+        result = longest_window_path(table)
+        assert result == (n, tuple(range(n)), Color(sign), True, comb(n, r - 1), "monotone-path")
+        assert result[:4] == reference_longest_monochromatic(table)[:4]
+
+
+def test_matches_reference_on_cupcap_tables():
+    for k in (4, 5):
+        assert _assert_matches(divdiff_color_table(cupcap_extremal(k), 2))
+    # k = 6 has 70 points: the per-lookup reference takes over half a minute
+    # there, so the row-mask branch and bound (equal to it on every tested
+    # table) stands in
+    table = divdiff_color_table(cupcap_extremal(6), 2)
+    assert _assert_matches(table, longest_monochromatic)
+    assert longest_window_path(table)[:3] == (5, (0, 1, 2, 3, 4), Color.NEGATIVE)
+
+
+def test_matches_reference_on_perturbed_cupcap_tables():
+    rng = seeded(2626)
+    table = divdiff_color_table(PlanarSequence(tuple(rand_planar_tuple(rng, 16, bits=16))), 2)
+    certified = [_assert_matches(table)]
+    for flips in (1, 2, 3, 5, 8, 13):
+        cells = rng.sample(list(combinations(range(16), 3)), flips)
+        certified.append(_assert_matches(flipped_table(table, cells)))
+    assert certified[0] and not all(certified)
+
+
+@pytest.mark.parametrize("d, n, seed", [(2, 12, 41), (3, 11, 42), (4, 10, 43), (3, 9, 44)])
+def test_matches_reference_on_lifted_tables(d, n, seed):
+    # lifted colorings are transitive: the DP always answers
+    table = color_table(random_cyclic_instance(d, n, seed, bits=8))
+    assert _assert_matches(table)
+
+
+def test_one_colors_path_fails_and_the_others_holds():
+    # U = 5 in both colors; the lex-least 5-path, (0, 1, 3, 4, 5) in -, is
+    # not monochromatic, while the + one, (0, 2, 5, 6, 7), is the answer
+    table = rand_table(seeded(78), 8, 2)
+    assert longest_window_path(table) is None
+    result = _search(table)
+    assert result == reference_longest_monochromatic(table)
+    assert result[:3] == (5, (0, 2, 5, 6, 7), Color.POSITIVE)
+
+
+def test_windows_beyond_the_guard_leave_the_branch_and_bound(monkeypatch):
+    table = ColoringTable.from_colors(9, 3, "+" * comb(9, 3))
+    monkeypatch.setattr(tables, "MAX_DENSE_CELLS", comb(9, 2) - 1)
+    assert longest_window_path(table) is None
+
+
+@pytest.mark.parametrize("name", ["cupcap-5", "two-colors"])
+def test_cli_search_matches_reference(tmp_path, name):
+    table = (divdiff_color_table(cupcap_extremal(5), 2) if name == "cupcap-5"
+             else rand_table(seeded(78), 8, 2))
+    (tmp_path / "t.csv").write_text(table.to_csv())
+    proc = subprocess.run([sys.executable, "-m", "abr.cli", "search", str(tmp_path / "t.csv")],
+                          capture_output=True, check=True)
+    got, want = json.loads(proc.stdout), reference_longest_monochromatic(table)
+    assert [got[k] for k in ("size", "witness", "color", "exhaustive")] == [
+        want.size, list(want.witness), want.color.value, want.exhaustive]
+    assert got["method"] == ("monotone-path" if name == "cupcap-5" else "branch-and-bound")
