@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 _NAMES = {
     "coloring": (
-        "HeightPair", "LazyDivdiffColors", "OneSwitchCertificate", "RadonCertificate",
+        "HeightPair", "OneSwitchCertificate", "RadonCertificate",
         "color_by_crossing", "color_by_determinant", "color_by_heights", "color_table",
         "divided_difference", "one_switch_certificate",
         "radon_certificate", "vandermonde_divdiff_residual",
@@ -52,7 +52,7 @@ _NAMES = {
         "Matrix", "as_fraction", "complementary_minors", "det", "format_rational",
         "parse_rational", "plucker_residual", "signed_minor_kernel",
     ),
-    "paths": ("divdiff_color_table", "longest_monotone_path"),
+    "paths": ("LazyDivdiffColors", "divdiff_color_table", "longest_monotone_path"),
     "sequences": (
         "LiftedSequence", "PlanarSequence", "ValidationReport", "moment_lift",
         "parse_sequence", "serialize_sequence", "validate_cyclic_projections",

@@ -416,12 +416,12 @@ def _cmd_check(args):
 # ------------------------------------------------------------------ search
 
 def _search(obj, args):
-    """A sequence is searched exactly by the monotone-path DP, which checks
-    a lifted one as it goes.  A table, which need not be transitive, is
-    searched by the window DP of ``tables`` first, and its answer stands
-    when its witness is monochromatic (``nodes_visited`` is then the
-    C(n, r-1) windows and ``--budget`` is not read); otherwise by the
-    branch and bound under ``--budget``."""
+    """A sequence is searched exactly by the monotone-path DP over its keyed
+    coloring, which checks a lifted one as it goes.  A table, which need not
+    be transitive, is searched by the window DP of ``tables`` first (both
+    DPs end in ``tables._window_path``), and its answer stands when its
+    witness is monochromatic, with ``nodes_visited`` the C(n, r-1) windows
+    and no ``--budget``; otherwise by the branch and bound under it."""
     if isinstance(obj, ColoringTable):
         return longest_window_path(obj) or longest_monochromatic(obj, budget=args.budget)
     from .paths import longest_monotone_path

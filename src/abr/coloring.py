@@ -23,11 +23,11 @@ value computed once: the divided difference by Newton's recursion, the
 Radon point from the even block.  The closed Lagrange form and the odd
 block are the tests' cross-checks, not run-time ones.  The lifted table
 ``color_table`` is built from the integer keys of ``paths``, one key pass
-per middle, like the dense planar table and every search of a sequence;
-``divdiff_color_table`` is re-exported here.  ``LazyDivdiffColors``
-reads the same keys, one pass per color or row asked for, so every planar
-color computed at run time comes from that one engine.  The one-switch
-certificate reads ``linalg.SignKernel``, like the lifted identities check.
+per middle, like the dense planar table and every search of a sequence.
+``divdiff_color_table`` and ``LazyDivdiffColors``, the keyed coloring of
+every sequence search, live in ``paths`` and are re-exported here.  The
+one-switch certificate reads ``linalg.SignKernel``, like the lifted
+identities check.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ from .linalg import (
     det,
     signed_minor_kernel,
 )
-from .paths import _key_table, _window_keys, divdiff_color_table  # noqa: F401  re-exported
-from .sequences import LiftedSequence, PlanarSequence, moment_coordinates
-from .tables import Color, _check_shape, _rank
+from .paths import LazyDivdiffColors, _key_table, divdiff_color_table  # noqa: F401  re-exported
+from .sequences import LiftedSequence, moment_coordinates
+from .tables import Color
 
 
 class HeightPair(namedtuple("HeightPair", "h_even h_odd")):
@@ -345,37 +345,3 @@ def color_table(s):
     if not isinstance(s, LiftedSequence):
         raise InvariantError("color_table needs a LiftedSequence")
     return _key_table(s, s.dimension)
-
-
-class LazyDivdiffColors:
-    """Stand-in for ColoringTable that computes divided-difference signs on
-    demand; used when the dense table would blow the size guard.  Q + (y,)
-    is + when y's key under the middle Q[1:] exceeds Q[0]'s (``paths``).
-    Nothing is kept, and a row is keyed whole, so a degenerate tuple anywhere
-    in a row that is read raises, even one outside the mask asked for."""
-
-    def __init__(self, p, order):
-        if not isinstance(p, PlanarSequence):
-            raise InvariantError("LazyDivdiffColors needs a PlanarSequence")
-        self.n = len(p)
-        self.r = order + 1
-        _check_shape(self.n, self.r)
-        self._keys_of = _window_keys(p, order)
-
-    def color(self, tup):
-        _rank(tup, self.n, self.r, self.r)
-        return Color.POSITIVE if self._row(tup[:-1], [tup[-1]]) else Color.NEGATIVE
-
-    def positive_among(self, prefix, mask):
-        """The bits y of ``mask`` (each max(prefix) < y < n) for which
-        prefix + (y,) is +."""
-        _rank(prefix, self.n, self.r, self.r - 1)
-        return self._row(prefix, range(prefix[-1] + 1, self.n)) & mask
-
-    def _row(self, prefix, ys):
-        """Bit y set when prefix + (y,) is +, for y in ``ys``; the least tie raises."""
-        key, *keys = self._keys_of(prefix[1:], [prefix[0], *ys])
-        if key in keys:
-            tup = prefix + (ys[keys.index(key)],)
-            raise DegenerateInputError(f"divided difference vanishes at {tup}", witness=tup)
-        return sum(1 << y for y, other in zip(ys, keys) if other > key)

@@ -1,37 +1,35 @@
 """Colorings of sequences from exact integer keys, one engine for planar
-and lifted input: dense color tables, and the longest monochromatic
-subsequence as a longest monotone path over windows, with no table.
+and lifted input: the keyed coloring, dense color tables, and the longest
+monochromatic subsequence as a longest monotone path over windows.
 
 The color of (a, M, e), M a (d-1)-tuple, is the sign of det[a, M, e] over
 integer columns (1, z, h): a lifted sequence's, or the moment columns
 (1, t, ..., t^(d-1), h) of a planar sequence, whose sign is that of the
 order-d divided difference.  Per middle M, one ``keys_of(M, xs)`` call keys
 the points outside M's span, and (a, M, e) is + exactly when e's key
-exceeds a's.  ``_key_table`` builds the planar table of ``check``
-(``divdiff_color_table``) and the lifted one (``coloring.color_table``)
-from them, writing the row of each window (a, M) as one run of the
-lex-ordered bits, placed by ``tables._rank``; ``longest_monotone_path``,
-which ``search`` runs on every sequence, sorts them and keeps the longest
-path from each window at the window's own ``_rank``.  A ``ColoringTable``
-is searched by the same window DP read from its rows
-(``tables.longest_window_path``), which stands only when its witness is
-monochromatic, and by the branch and bound of ``tables`` otherwise.  This
-module imports no ``coloring`` code, so a planar command compiles none of
-it.
+exceeds a's.  ``LazyDivdiffColors`` is that coloring, planar at an order or
+lifted at its dimension, and every key read here goes through it, middle
+by middle in the walk of ``tables._middles``.  ``_key_table`` builds the
+dense tables (``divdiff_color_table``, ``coloring.color_table``) from the
+keys, one run of lex-ordered bits per window (a, M), placed by
+``tables._rank``; ``longest_monotone_path`` sorts them into the longest
+path from each window, and ``tables._window_path``, the table search's
+front end too, rebuilds the witness from the coloring's rows.  This module
+imports no ``coloring`` code, so a planar command compiles none of it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, islice, repeat
+from itertools import combinations, repeat
 from math import gcd, lcm
 from operator import add, floordiv, itemgetter, lshift, mul
 
 from .errors import DegenerateInputError, InvariantError, WrongOrientationError
 from .linalg import _int_det_bareiss
 from .sequences import LiftedSequence, PlanarSequence
-from .tables import (Color, ColoringTable, SearchResult, _check_shape, _dense_cells, _guarded_comb,
-                     _lengths, _rank)
+from .tables import (Color, ColoringTable, _check_shape, _dense_cells, _guarded_comb, _lengths,
+                     _middles, _rank, _window_path)
 
 
 def divdiff_color_table(p, order):
@@ -51,7 +49,7 @@ def _key_table(s, d):
     contiguous bits ``_rank(a, M) - (n - 1 - e)``, one run per window."""
     n = len(s)
     store = bytearray((_dense_cells(n, d + 1) + 7) // 8)
-    for middle, xs, lo, keys in _keyed_middles(s, _window_keys(s, d), d):
+    for middle, xs, lo, keys in _keyed_middles(LazyDivdiffColors(s, d)):
         mask, first = 0, lo if middle else 0
         for j in sorted(range(len(xs)), key=keys.__getitem__, reverse=True):
             prefix = (xs[j], *middle)
@@ -80,27 +78,64 @@ def longest_monotone_path(s, order=None):
     (the one-switch certificate of ``coloring``).  So a set is
     monochromatic exactly when its consecutive windows chain in one
     direction: the longest one is a longest path over the C(n, d) windows
-    (Fox-Pach-Sudakov-Suk; Elias-Matousek).  One pass over the middles M in
-    reverse lex order settles, per color, the longest path starting at each
-    window (a, M), sorting the points outside M's span once by key.  The
-    witness is rebuilt from the lex-least window with the longest path by a
-    greedy extension.  A tie raises like ``_key_table``, so a finished
-    search has checked general position.  ``nodes_visited`` counts the
-    windows settled; more than MAX_DENSE_CELLS are refused before any key.
+    (Fox-Pach-Sudakov-Suk; Elias-Matousek).  One pass over the middles M
+    settles, per color, the longest path from each window (a, M), sorting
+    the points outside M's span once by key.  A tie raises like
+    ``_key_table``, so a finished search has checked general position.
+    ``nodes_visited`` counts the windows settled; more than
+    MAX_DENSE_CELLS are refused before any key.
     """
     if not isinstance(s, (PlanarSequence, LiftedSequence)):
         raise InvariantError("longest_monotone_path needs a PlanarSequence or LiftedSequence")
     n, d = len(s), s.dimension if isinstance(s, LiftedSequence) else order
     _check_shape(n, d + 1)
     windows = _guarded_comb(n, d, "windows")
-    keys_of = _window_keys(s, d)
-    middles = _keyed_middles(s, keys_of, d)
+    coloring = LazyDivdiffColors(s, d)
+    middles = _keyed_middles(coloring)
     runs = _order_one_runs(middles, n) if d == 1 else _window_runs(middles, n, d, windows)
-    size = max(max(run) for run in runs)
-    witness, color = min(
-        (_greedy_witness(keys_of, run, size, d, n, color), color)
-        for color, run in zip((Color.POSITIVE, Color.NEGATIVE), runs) if max(run) == size)
-    return SearchResult(size, witness, color, True, windows, "monotone-path")
+    return _window_path(coloring, runs, windows)
+
+
+class LazyDivdiffColors:
+    """The coloring of a planar sequence at ``order``, or of a lifted one at
+    its dimension, read like a ``ColoringTable``: Q + (y,) is + when y's key
+    under the middle Q[1:] exceeds Q[0]'s.  Nothing is kept, and a row is
+    keyed whole, so a degenerate tuple anywhere in a row that is read
+    raises, even one outside the mask asked for."""
+
+    def __init__(self, s, order):
+        if isinstance(s, LiftedSequence):
+            if order != s.dimension:
+                raise InvariantError(
+                    f"a lifted sequence of dimension {s.dimension} has no order-{order} coloring")
+            self._what = "lifted determinant"
+        elif isinstance(s, PlanarSequence):
+            self._what = "divided difference"
+        else:
+            raise InvariantError("LazyDivdiffColors needs a PlanarSequence or LiftedSequence")
+        self.n, self.r = len(s), order + 1
+        _check_shape(self.n, self.r)
+        self.keys_of = _window_keys(s, order)
+
+    def color(self, tup):
+        _rank(tup, self.n, self.r, self.r)
+        return Color.POSITIVE if self._row(tup[:-1], [tup[-1]]) else Color.NEGATIVE
+
+    def positive_among(self, prefix, mask):
+        """The bits y of ``mask`` (each max(prefix) < y < n) for which
+        prefix + (y,) is +."""
+        _rank(prefix, self.n, self.r, self.r - 1)
+        return self._row(prefix, range(prefix[-1] + 1, self.n)) & mask
+
+    def _row(self, prefix, ys):
+        """Bit y set when prefix + (y,) is +, for y in ``ys``; the least tie raises."""
+        key, *keys = self.keys_of(prefix[1:], [prefix[0], *ys])
+        if key in keys:
+            raise self._vanishes(prefix + (ys[keys.index(key)],))
+        return sum(1 << y for y, other in zip(ys, keys) if other > key)
+
+    def _vanishes(self, tup):
+        return DegenerateInputError(f"{self._what} vanishes at {tup}", witness=tup)
 
 
 def _window_keys(s, d):
@@ -179,18 +214,19 @@ def _dot(vec, rows):
     return list(out)
 
 
-def _keyed_middles(s, keys_of, d):
-    """Per middle M of d-1 points inside (0, n-1), in reverse lex order: M,
-    the points xs outside its span, the number lo of them below it, and
-    their keys.  Order 1 has one empty middle, whose xs are all n points,
-    each both an a and an e.  Every (d+1)-tuple is compared under exactly
-    one middle, so once all are yielded the lex-least tie raises
-    DegenerateInputError, as a per-tuple scan in lex order would."""
-    n, degenerate = len(s), None
-    for middle in reversed(list(combinations(range(1, n - 1), d - 1))):
+def _keyed_middles(coloring):
+    """Per middle M of d-1 points inside (0, n-1), in the order of
+    ``tables._middles``: M, the points xs outside its span, the number lo
+    of them below it, and their keys.  Order 1 has one empty middle, whose
+    xs are all n points, each both an a and an e.  Every (d+1)-tuple is
+    compared under exactly one middle, so once all are yielded the
+    lex-least tie raises DegenerateInputError, as a per-tuple scan in lex
+    order would."""
+    n, degenerate = coloring.n, None
+    for middle in _middles(n, coloring.r - 2):
         lo, first = (middle[0], middle[0]) if middle else (n, 0)
         xs = [*range(lo), *range(middle[-1] + 1, n)] if middle else range(n)
-        keys = keys_of(middle, xs)
+        keys = coloring.keys_of(middle, xs)
         if len(set(keys)) < len(keys):  # the least a of each key, and each e above it
             least = {}
             for a, key in zip(xs[:lo], keys):
@@ -200,8 +236,7 @@ def _keyed_middles(s, keys_of, d):
             degenerate = min(ties + [degenerate] if degenerate else ties, default=None)
         yield middle, xs, lo, keys
     if degenerate is not None:
-        what = "lifted determinant" if isinstance(s, LiftedSequence) else "divided difference"
-        raise DegenerateInputError(f"{what} vanishes at {degenerate}", witness=degenerate)
+        raise coloring._vanishes(degenerate)
 
 
 def _window_runs(middles, n, d, windows):
@@ -226,24 +261,6 @@ def _window_runs(middles, n, d, windows):
                 elif run[rank] > best:
                     best = run[rank]
     return plus, minus
-
-
-def _greedy_witness(keys_of, run, size, d, n, color):
-    """The lex-least set of ``size`` points whose windows chain in
-    ``color``: the lex-least window with a path that long, the first in
-    ``run``, then each time the least next point that keeps the color and
-    leaves a path long enough."""
-    witness = list(next(islice(combinations(range(n), d), run.index(size), None)))
-    positive = color is Color.POSITIVE
-    while len(witness) < size:
-        need = size - len(witness) + d - 1  # the path from the next window
-        a, middle = witness[-d], tuple(witness[len(witness) - d + 1:])
-        base = _rank(middle, n, d, d - 1) - n + 1  # the window (M, e) is base + e
-        xs = [a] + [e for e in range(witness[-1] + 1, n) if run[base + e] >= need]
-        keys = keys_of(middle, xs)
-        witness.append(next(e for e, key in zip(xs[1:], keys[1:])
-                            if (key > keys[0]) == positive))
-    return tuple(witness)
 
 
 def _order_one_runs(middles, n):

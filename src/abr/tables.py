@@ -19,7 +19,8 @@ C(n, r-1) windows of a table, read row by row from its bits.  Its longest
 path bounds every monochromatic set, and its answer stands when its
 lex-least witness is monochromatic, which it checks; otherwise
 ``longest_monochromatic``, the branch and bound under a node budget,
-answers.  ``abr search`` runs them in that order.
+answers.  ``abr search`` runs them in that order.  The sequence search of
+``paths`` walks the same ``_middles`` and ends in the same ``_window_path``.
 
 Structure predicates:
 
@@ -419,32 +420,50 @@ def longest_window_path(table):
     consecutive in the set, chain in its color, so on any table the
     longest path U over the C(n, r-1) windows, in either color, bounds
     every monochromatic set; on a transitive table it is exact
-    (Fox-Pach-Sudakov-Suk; Elias-Matousek).  The witness is the lex-least
-    U-path, rebuilt greedily in each color, the lesser of the two.  When
-    it is monochromatic (its C(U, r) cells are read as C(U-1, r-1) rows)
-    it is a largest monochromatic set, and the lex-least one of both
-    colors, since every such set is a U-path: the result equals
-    ``longest_monochromatic``'s but for ``nodes_visited``, the C(n, r-1)
-    windows settled, and ``method``.  Otherwise, or when the windows
-    exceed MAX_DENSE_CELLS, it returns None and only the branch and bound
-    can answer.  No row is kept: path lengths take a byte per window and
-    color (two past n = 255)."""
+    (Fox-Pach-Sudakov-Suk; Elias-Matousek).  ``_window_path`` gives the
+    lex-least U-path of both colors.  When it is monochromatic (its
+    C(U, r) cells are read as C(U-1, r-1) rows) it is a largest
+    monochromatic set, and the lex-least one of both colors, since every
+    such set is a U-path: the result equals ``longest_monochromatic``'s
+    but for ``nodes_visited``, the C(n, r-1) windows settled, and
+    ``method``.  Otherwise, or when the windows exceed MAX_DENSE_CELLS, it
+    returns None and only the branch and bound can answer.  No row is
+    kept: path lengths take a byte per window and color (two past
+    n = 255)."""
     n, r = table.n, table.r
     windows = comb(n, r - 1)
     if windows > MAX_DENSE_CELLS:
         return None
-    runs = _point_runs(table) if r == 2 else _window_runs(table, windows)
-    size = max(map(max, runs))
-    witness, color = min([(_greedy_path(table, run, size, color), color)
-                          for color, run in zip(Color, runs) if max(run) == size])
+    result = _window_path(table, _point_runs(table) if r == 2 else _window_runs(table, windows),
+                          windows)
     above, mask = {}, 0  # the points of the witness above each one
-    for e in reversed(witness):
+    for e in reversed(result.witness):
         above[e], mask = mask, mask | 1 << e
-    for prefix in combinations(witness[:-1], r - 1):
+    for prefix in combinations(result.witness[:-1], r - 1):
         want = above[prefix[-1]]
-        if table.positive_among(prefix, want) != (want if color is Color.POSITIVE else 0):
+        if table.positive_among(prefix, want) != (want if result.color is Color.POSITIVE else 0):
             return None
+    return result
+
+
+def _window_path(coloring, runs, windows):
+    """The result of a window DP on a table or a sequence's keyed coloring:
+    ``runs`` holds, per color, the longest path from each window by lex
+    rank, and the witness is the lesser ``_greedy_path`` of the colors that
+    reach the longest."""
+    size = max(map(max, runs))
+    witness, color = min([(_greedy_path(coloring, run, size, color), color)
+                          for color, run in zip(Color, runs) if max(run) == size])
     return SearchResult(size, witness, color, True, windows, "monotone-path")
+
+
+def _middles(n, k):
+    """The k-tuples M inside (0, n-1), lazily, by decreasing first point
+    (k = 0: the empty one), so each M[1:] + (e,) comes before M."""
+    if not k:
+        return iter([()])
+    return ((first, *rest) for first in reversed(range(1, n - 1))
+            for rest in combinations(range(first + 1, n - 1), k - 1))
 
 
 def _point_runs(table):
@@ -472,37 +491,35 @@ def _point_runs(table):
 
 def _window_runs(table, windows):
     """r >= 3: per color, the longest path starting at each window (a, M),
-    M an (r-2)-tuple, by its lex rank.  Middles are walked by decreasing
-    first point, so the windows (M, e), whose middle starts higher, are
-    settled before any (a, M).  Their lengths are bucketed into bit masks
-    over e, and the row of (a, M), one slice of the bits, is ANDed with
-    one mask per distinct length, longest first.  The windows of a middle
+    M an (r-2)-tuple, by its lex rank.  Middles are walked by
+    ``_middles``, so the windows (M, e) are settled before any (a, M).
+    Their lengths are bucketed into bit masks over e, and the row of
+    (a, M), one slice of the bits, is ANDed with one mask per distinct
+    length, longest first.  The windows of a middle
     at the ends of the sequence have no edge and keep r - 1."""
     n, r, d, bits = table.n, table.r, table.r - 1, table.bits
     plus, minus = _lengths(n, d, windows), _lengths(n, d, windows)
     # the last r-tuple and the last window that start with a
     last_tuple = [_rank((a,), n, r, 1) for a in range(n)]
     last_window = [_rank((a,), n, d, 1) for a in range(n)]
-    for first in reversed(range(1, n - 1)):
-        for rest in combinations(range(first + 1, n - 1), d - 2):
-            middle = (first, *rest)
-            # (a, M)'s row ends as far from a's last r-tuple as (0, M)'s
-            # from 0's, and the window (a, M) lies as far from a's last one
-            to_tuple = _rank((0, *middle), n, r, d) - last_tuple[0]
-            to_window = _rank((0, *middle), n, d, d) - last_window[0]
-            low = middle[-1] + 1  # bit j of a row and of a mask is e = low + j
-            high = _rank(middle, n, d, d - 1) - n + 1  # the window (M, e) is high + e
-            both = [(run, _buckets(run[high + low:high + n])) for run in (plus, minus)]
-            for a in range(first):
-                end = last_tuple[a] + to_tuple
-                start = end - n + 1 + low
-                hit = int.from_bytes(bits[start >> 3:(end >> 3) + 1], "little") >> (start & 7)
-                for run, buckets in both:
-                    for length, mask in buckets:
-                        if hit & mask:
-                            run[last_window[a] + to_window] = length + 1
-                            break
-                    hit = ~hit  # the - edges of (a, M)
+    for middle in _middles(n, d - 1):
+        # (a, M)'s row ends as far from a's last r-tuple as (0, M)'s from
+        # 0's, and the window (a, M) lies as far from a's last one
+        to_tuple = _rank((0, *middle), n, r, d) - last_tuple[0]
+        to_window = _rank((0, *middle), n, d, d) - last_window[0]
+        low = middle[-1] + 1  # bit j of a row and of a mask is e = low + j
+        high = _rank(middle, n, d, d - 1) - n + 1  # the window (M, e) is high + e
+        both = [(run, _buckets(run[high + low:high + n])) for run in (plus, minus)]
+        for a in range(middle[0]):
+            end = last_tuple[a] + to_tuple
+            start = end - n + 1 + low
+            hit = int.from_bytes(bits[start >> 3:(end >> 3) + 1], "little") >> (start & 7)
+            for run, buckets in both:
+                for length, mask in buckets:
+                    if hit & mask:
+                        run[last_window[a] + to_window] = length + 1
+                        break
+                hit = ~hit  # the - edges of (a, M)
     return plus, minus
 
 
@@ -514,19 +531,19 @@ def _buckets(lengths):
     return sorted(masks.items(), reverse=True)
 
 
-def _greedy_path(table, run, size, color):
+def _greedy_path(coloring, run, size, color):
     """The lex-least path of ``size`` points in ``color``: the lex-least
     window with a path that long, the first in ``run``, then each time the
     least next point e that keeps the color and whose window leaves a path
     long enough."""
-    n, r = table.n, table.r
+    n, r = coloring.n, coloring.r
     witness = list(next(islice(combinations(range(n), r - 1), run.index(size), None)))
     while len(witness) < size:
         need = size - len(witness) + r - 2  # the path from the next window
         prefix = tuple(witness[1 - r:])
         high = _rank(prefix[1:], n, r - 1, r - 2) - n + 1  # the window (M, e) is high + e
         fits = sum(1 << e for e in range(prefix[-1] + 1, n) if run[high + e] >= need)
-        hit = table.positive_among(prefix, fits)
+        hit = coloring.positive_among(prefix, fits)
         hit = hit if color is Color.POSITIVE else fits ^ hit
         witness.append((hit & -hit).bit_length() - 1)
     return tuple(witness)
@@ -546,9 +563,6 @@ def longest_monochromatic(table, *, budget=None):
     equal-size subsets resolve to the lexicographically least witness.
     """
     n, r = table.n, table.r
-    if n < r:
-        return SearchResult(n, tuple(range(n)), Color.POSITIVE, True, 0)
-
     best_size = 0
     best_wit = None
     best_color = Color.POSITIVE

@@ -124,6 +124,24 @@ def kernel_color_table(s):
     return _kernel_table(s.kernel.value, len(s), s.dimension + 1, "lifted determinant")
 
 
+def every_read(colors):
+    """Every color of a table or keyed coloring, then every full row, each
+    in lex order; each part the first DegenerateInputError's message and
+    witness instead when one raises."""
+    from abr import DegenerateInputError
+
+    n, r, full = colors.n, colors.r, (1 << colors.n) - 1
+    reads = []
+    for read in (lambda: {t: colors.color(t) for t in combinations(range(n), r)},
+                 lambda: {q: colors.positive_among(q, full)
+                          for q in combinations(range(n), r - 1)}):
+        try:
+            reads.append(read())
+        except DegenerateInputError as exc:
+            reads.append((str(exc), exc.witness))
+    return reads
+
+
 def reference_longest_monochromatic(table, *, budget=None):
     """The branch and bound of ``longest_monochromatic`` with one ``color``
     lookup per candidate and r-subtuple: the same nodes in the same order,

@@ -29,7 +29,7 @@ from abr import (
     vandermonde_divdiff_residual,
 )
 
-from _helpers import divdiff_closed, kernel_divdiff_table, rand_planar_tuple, seeded
+from _helpers import divdiff_closed, every_read, kernel_divdiff_table, rand_planar_tuple, seeded
 
 F = Fraction
 
@@ -294,21 +294,6 @@ def test_lazy_colors_match_dense_on_em_and_name_degenerate_witness():
     assert info.value.witness == (1, 2, 4, 5)
 
 
-def _lazy_reads(lazy):
-    """Every color of the lazy table, then every full row, each in lex order;
-    each part the first DegenerateInputError's message and witness instead
-    when one raises."""
-    n, r, full = lazy.n, lazy.r, (1 << lazy.n) - 1
-    reads = []
-    for read in (lambda: {tup: lazy.color(tup) for tup in combinations(range(n), r)},
-                 lambda: {q: lazy.positive_among(q, full) for q in combinations(range(n), r - 1)}):
-        try:
-            reads.append(read())
-        except DegenerateInputError as exc:
-            reads.append((str(exc), exc.witness))
-    return reads
-
-
 def test_lazy_table_matches_the_kernel_table_color_by_color_and_row_by_row():
     # random, em-3 and small-integer planar inputs; the small integers tie
     # often, so some inputs are degenerate at every order
@@ -321,7 +306,7 @@ def test_lazy_table_matches_the_kernel_table_color_by_color_and_row_by_row():
     for order in range(1, 5):
         degenerate = 0
         for seq in inputs:
-            got = _lazy_reads(LazyDivdiffColors(seq, order))
+            got = every_read(LazyDivdiffColors(seq, order))
             try:
                 table = kernel_divdiff_table(seq, order)
             except DegenerateInputError as exc:

@@ -1,10 +1,12 @@
 """The key engine of ``abr.paths`` on lifted input, against references that
 share none of its keys: the keyed table against the per-tuple kernel table
 of ``_helpers``, bit for bit, and the monotone-path DP against the branch
-and bound on that table (the same size, witness and color).  On degenerate
-input all raise the same error, message and witness.  Small-integer heights
-make vanishing determinants common.  On any input, the engine refuses
-exactly what the validators of ``sequences`` refuse."""
+and bound on that table (the same size, witness and color), and the window
+DP of the table in every field.  ``LazyDivdiffColors`` reads like the
+table, color by color and row by row.  On degenerate input all raise the
+same error, message and witness.  Small-integer heights make vanishing
+determinants common.  On any input, the engine refuses exactly what the
+validators of ``sequences`` refuse."""
 
 from fractions import Fraction
 
@@ -12,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abr import (DegenerateInputError, LiftedSequence, WrongOrientationError, color_table,
-                 longest_monotone_path, validate_cyclic_projections, validate_general_position)
+from abr import (DegenerateInputError, InvariantError, LazyDivdiffColors, LiftedSequence,
+                 PlanarSequence, WrongOrientationError, color_table, longest_monotone_path,
+                 longest_window_path, moment_lift, random_cyclic_instance,
+                 validate_cyclic_projections, validate_general_position)
 
-from _helpers import kernel_color_table, reference_longest_monochromatic
+from _helpers import every_read, kernel_color_table, reference_longest_monochromatic
 
 HEIGHTS = st.integers(-3, 3)
 # t = tan(theta/2) on the unit circle: increasing t is counterclockwise, so
@@ -41,6 +45,7 @@ def _assert_same(s):
     got = longest_monotone_path(s)
     assert got.method == "monotone-path"
     assert got[:3] == reference_longest_monochromatic(reference)[:3]
+    assert got == longest_window_path(reference)
 
 
 @st.composite
@@ -70,6 +75,50 @@ def test_keys_match_the_kernel_on_moment_projections(s):
 @given(circle_inputs())
 def test_keys_match_the_kernel_on_circle_projections(s):
     _assert_same(s)
+
+
+@pytest.mark.parametrize("d, n, seed", [(2, 12, 61), (3, 11, 62), (4, 10, 63)])
+def test_the_sequence_search_is_the_table_search_in_every_field(d, n, seed):
+    # size, witness, color, exhaustive, nodes_visited and method
+    s = random_cyclic_instance(d, n, seed, bits=8)
+    assert longest_monotone_path(s) == longest_window_path(color_table(s))
+
+
+def _assert_keyed_coloring_reads_like_the_table(s):
+    """True when ``s`` is degenerate: then every read of the keyed coloring
+    raises ``color_table``'s error at its witness."""
+    got = every_read(LazyDivdiffColors(s, s.dimension))
+    try:
+        table = color_table(s)
+    except DegenerateInputError as exc:
+        assert got == [(str(exc), exc.witness)] * 2
+        return True
+    assert got == every_read(table)
+    return False
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(moment_inputs())
+def test_the_keyed_coloring_reads_like_the_table(s):
+    _assert_keyed_coloring_reads_like_the_table(s)
+
+
+def test_the_keyed_coloring_reads_like_random_tables_and_names_a_vanishing_determinant():
+    for d, n, seed in ((2, 9, 71), (3, 8, 72), (4, 8, 73)):
+        assert not _assert_keyed_coloring_reads_like_the_table(
+            random_cyclic_instance(d, n, seed, bits=8))
+    flat = moment_lift(PlanarSequence(tuple((t, 0) for t in range(5))), 3)
+    assert _assert_keyed_coloring_reads_like_the_table(flat)
+    vanishes = r"^lifted determinant vanishes at \(0, 1, 2, 3\)$"
+    with pytest.raises(DegenerateInputError, match=vanishes):
+        LazyDivdiffColors(flat, 3).positive_among((0, 1, 2), 0)
+
+
+def test_the_keyed_coloring_of_a_lifted_sequence_is_at_its_dimension():
+    s = random_cyclic_instance(3, 7, 74, bits=8)
+    for order in (1, 2, 4, 7, None):
+        with pytest.raises(InvariantError, match="dimension 3 has no order"):
+            LazyDivdiffColors(s, order)
 
 
 def test_projections_that_are_not_cyclic_are_refused():

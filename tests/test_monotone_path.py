@@ -2,7 +2,9 @@
 none of their keys: the dense table against the kernel-sign table of
 ``_helpers``, bit for bit, and the monotone-path DP against the branch and
 bound on that table (the same size, witness, color and exhaustive flag).
-On degenerate input all raise the same error, message and witness."""
+The DP also equals the window DP of that table in every field: both run
+through one front end.  On degenerate input all raise the same error,
+message and witness."""
 
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from abr import (
     divdiff_color_table,
     longest_monochromatic,
     longest_monotone_path,
+    longest_window_path,
 )
 
 from _helpers import (kernel_divdiff_table, rand_planar_tuple, reference_longest_monochromatic,
@@ -41,12 +44,15 @@ def _table(build, p, order):
 
 def _assert_same(p, order, search=reference_longest_monochromatic):
     reference = _table(kernel_divdiff_table, p, order)
-    assert _table(divdiff_color_table, p, order) == reference
+    table = _table(divdiff_color_table, p, order)
+    assert table == reference
     got = _outcome(longest_monotone_path, p, order)
     if isinstance(reference, tuple):
         assert got == ("degenerate",) + reference[1:]
     else:
         assert got == _outcome(search, reference)
+        # size, witness, color, exhaustive, nodes_visited and method
+        assert longest_monotone_path(p, order) == longest_window_path(table)
     return got
 
 

@@ -5,12 +5,14 @@ path is monochromatic, and then must equal the reference in size, witness,
 color and exhaustive flag.  The witness check proves only that the set is
 monochromatic, so a path bound that is too short would pass it: the size
 is what these comparisons catch.  When the DP does not answer, the table
-search is the branch and bound, whole SearchResult and all.
+search is the branch and bound, whole SearchResult and all.  Both window
+DPs walk their middles by ``tables._middles``, tested here too.
 """
 
 import json
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -125,3 +127,28 @@ def test_cli_search_matches_reference(tmp_path, name):
     assert [got[k] for k in ("size", "witness", "color", "exhaustive")] == [
         want.size, list(want.witness), want.color.value, want.exhaustive]
     assert got["method"] == ("monotone-path" if name == "cupcap-5" else "branch-and-bound")
+
+
+def test_middles_walk_every_k_subset_once_each_after_its_successors():
+    for n in range(2, 10):
+        for k in range(n - 1):
+            walk = list(tables._middles(n, k))
+            assert sorted(walk) == list(combinations(range(1, n - 1), k))
+            at = {middle: i for i, middle in enumerate(walk)}
+            assert len(at) == len(walk)
+            # the windows (M, e) of a DP over (a, M) are settled first
+            assert all(at[middle[1:] + (e,)] < i for middle, i in at.items() if middle
+                       for e in range(middle[-1] + 1, n - 1))
+    assert list(tables._middles(5, 0)) == [()]
+
+
+def test_middles_arrive_one_at_a_time():
+    # C(24, 11) = 2,496,144 middles: a list of them would take hundreds of MB
+    tracemalloc.start()
+    try:
+        first = next(iter(tables._middles(26, 11)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == tuple(range(14, 25))
+    assert peak < 1 << 20
