@@ -11,9 +11,11 @@ counterexample is a proof-grade artifact.  The package covers:
 - the four equivalent color oracles (kernel/heights, determinant,
   divided differences, and geometric crossing for d = 3) plus the
   one-switch certificate for (d+2)-tuples (``coloring``);
-- dense and lazy coloring tables with monotone/transitive checks, the
-  longest monochromatic subset of a table by a window DP its witness
-  certifies or else a branch and bound, and the JSON codec (``tables``);
+- dense coloring tables with monotone/transitive checks, the one table
+  search ``longest_monochromatic``, and the JSON codec (``tables``);
+- that search's code, loaded only by a search: the window DP, whose answer
+  stands when its witness certifies it, and the branch and bound its path
+  lengths prune (``search``);
 - one integer key engine for planar and lifted sequences: dense color tables,
   and the exact longest monochromatic subsequence with no table (``paths``);
 - instance generators: the doubly-exponential cluster construction, the
@@ -53,15 +55,15 @@ _NAMES = {
         "parse_rational", "plucker_residual", "signed_minor_kernel",
     ),
     "paths": ("LazyDivdiffColors", "divdiff_color_table", "longest_monotone_path"),
+    "search": ("SearchResult", "branch_and_bound", "longest_window_path", "window_runs"),
     "sequences": (
         "LiftedSequence", "PlanarSequence", "ValidationReport", "moment_lift",
         "parse_sequence", "serialize_sequence", "validate_cyclic_projections",
         "validate_d_general_position", "validate_general_position",
     ),
     "tables": (
-        "Color", "ColoringTable", "SearchResult", "is_monotone", "is_transitive",
-        "longest_monochromatic", "longest_window_path", "monotone_implies_transitive_check",
-        "ramsey_search_tiny",
+        "Color", "ColoringTable", "is_monotone", "is_transitive", "longest_monochromatic",
+        "monotone_implies_transitive_check", "ramsey_search_tiny",
     ),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

@@ -39,7 +39,7 @@ from .errors import (
     WrongOrientationError,
 )
 from .tables import (MAX_DENSE_CELLS, ColoringTable, _guarded_comb, dump_json, is_monotone,
-                     is_transitive, load_json, longest_monochromatic, longest_window_path)
+                     is_transitive, load_json, longest_monochromatic)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -418,12 +418,12 @@ def _cmd_check(args):
 def _search(obj, args):
     """A sequence is searched exactly by the monotone-path DP over its keyed
     coloring, which checks a lifted one as it goes.  A table, which need not
-    be transitive, is searched by the window DP of ``tables`` first (both
-    DPs end in ``tables._window_path``), and its answer stands when its
-    witness is monochromatic, with ``nodes_visited`` the C(n, r-1) windows
-    and no ``--budget``; otherwise by the branch and bound under it."""
+    be transitive, is searched by ``tables.longest_monochromatic``: its
+    window DP answers when its witness is monochromatic, with
+    ``nodes_visited`` the C(n, r-1) windows and no ``--budget``; otherwise
+    the branch and bound, cut by the DP's path lengths, answers under it."""
     if isinstance(obj, ColoringTable):
-        return longest_window_path(obj) or longest_monochromatic(obj, budget=args.budget)
+        return longest_monochromatic(obj, budget=args.budget)
     from .paths import longest_monotone_path
     from .sequences import PlanarSequence
 
@@ -522,8 +522,8 @@ def _build_parser():
     p.add_argument("--k", type=int, default=None, help="report whether size k is reached")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget of the branch and bound, which runs only on a "
-                   "table whose window DP is not certified by its witness; "
-                   "sequence input is searched exactly")
+                   "table whose window DP is not certified by its witness (the DP's "
+                   "path lengths prune it); sequence input is searched exactly")
     p.add_argument("--best-effort", action="store_true",
                    help="exit 0 even when the budget ran out")
     p.add_argument("--reverse-orientation", action="store_true")

@@ -36,8 +36,9 @@ from .errors import (
     TooLargeError,
 )
 from .linalg import format_rational
+from .search import SearchResult
 from .sequences import PlanarSequence, moment_lift, serialize_sequence
-from .tables import MAX_DENSE_CELLS, Color, SearchResult, _guarded_comb
+from .tables import MAX_DENSE_CELLS, Color, _guarded_comb
 
 MAX_BASE = 2 ** 64
 # The deepest m whose 2^(2^(m-1)) points fit the 2^24 guard: 2^(m-1) <= 24.

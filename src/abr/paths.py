@@ -9,11 +9,11 @@ order-d divided difference.  Per middle M, one ``keys_of(M, xs)`` call keys
 the points outside M's span, and (a, M, e) is + exactly when e's key
 exceeds a's.  ``LazyDivdiffColors`` is that coloring, planar at an order or
 lifted at its dimension, and every key read here goes through it, middle
-by middle in the walk of ``tables._middles``.  ``_key_table`` builds the
+by middle in the walk of ``search._middles``.  ``_key_table`` builds the
 dense tables (``divdiff_color_table``, ``coloring.color_table``) from the
 keys, one run of lex-ordered bits per window (a, M), placed by
 ``tables._rank``; ``longest_monotone_path`` sorts them into the longest
-path from each window, and ``tables._window_path``, the table search's
+path from each window, and ``search._window_path``, the table search's
 front end too, rebuilds the witness from the coloring's rows.  This module
 imports no ``coloring`` code, so a planar command compiles none of it.
 """
@@ -27,9 +27,9 @@ from operator import add, floordiv, itemgetter, lshift, mul
 
 from .errors import DegenerateInputError, InvariantError, WrongOrientationError
 from .linalg import _int_det_bareiss
+from .search import _lengths, _middles, _window_path
 from .sequences import LiftedSequence, PlanarSequence
-from .tables import (Color, ColoringTable, _check_shape, _dense_cells, _guarded_comb, _lengths,
-                     _middles, _rank, _window_path)
+from .tables import Color, ColoringTable, _check_shape, _dense_cells, _guarded_comb, _rank
 
 
 def divdiff_color_table(p, order):
@@ -68,7 +68,7 @@ def _key_table(s, d):
 def longest_monotone_path(s, order=None):
     """Longest monochromatic subsequence of the order-d coloring of a planar
     sequence, or of a lifted sequence's coloring (d its dimension; ``order``
-    is for planar input), exactly, with the tie rule of
+    is for planar input, which needs it as an int), exactly, with the tie rule of
     ``tables.longest_monochromatic``: the most points, then the
     lexicographically least witness over both colors.
 
@@ -87,7 +87,7 @@ def longest_monotone_path(s, order=None):
     """
     if not isinstance(s, (PlanarSequence, LiftedSequence)):
         raise InvariantError("longest_monotone_path needs a PlanarSequence or LiftedSequence")
-    n, d = len(s), s.dimension if isinstance(s, LiftedSequence) else order
+    n, d = len(s), s.dimension if isinstance(s, LiftedSequence) else _planar_order(order)
     _check_shape(n, d + 1)
     windows = _guarded_comb(n, d, "windows")
     coloring = LazyDivdiffColors(s, d)
@@ -110,6 +110,7 @@ class LazyDivdiffColors:
                     f"a lifted sequence of dimension {s.dimension} has no order-{order} coloring")
             self._what = "lifted determinant"
         elif isinstance(s, PlanarSequence):
+            _planar_order(order)
             self._what = "divided difference"
         else:
             raise InvariantError("LazyDivdiffColors needs a PlanarSequence or LiftedSequence")
@@ -136,6 +137,13 @@ class LazyDivdiffColors:
 
     def _vanishes(self, tup):
         return DegenerateInputError(f"{self._what} vanishes at {tup}", witness=tup)
+
+
+def _planar_order(order):
+    """``order``, which a planar sequence's coloring needs as an int."""
+    if not isinstance(order, int):
+        raise InvariantError(f"a planar sequence needs an integer order, got {order!r}")
+    return order
 
 
 def _window_keys(s, d):
@@ -216,7 +224,7 @@ def _dot(vec, rows):
 
 def _keyed_middles(coloring):
     """Per middle M of d-1 points inside (0, n-1), in the order of
-    ``tables._middles``: M, the points xs outside its span, the number lo
+    ``search._middles``: M, the points xs outside its span, the number lo
     of them below it, and their keys.  Order 1 has one empty middle, whose
     xs are all n points, each both an a and an e.  Every (d+1)-tuple is
     compared under exactly one middle, so once all are yielded the

@@ -1,10 +1,11 @@
-"""Ordered two-colorings of r-tuples: storage, structure tests, searches.
+"""Ordered two-colorings of r-tuples: storage, structure tests, the search.
 
 A coloring assigns + or - to every increasing r-tuple over {0, ..., n-1}.
 Tables are stored densely, one bit per tuple in lex order, so bit i is the
 i-th tuple of ``combinations(range(n), r)``; a size guard refuses tables
 beyond the dense budget.  ``_rank`` is the one tuple rank: it validates a
-tuple and gives its bit, and ``paths`` ranks its windows by it too.
+tuple and gives its bit, and ``search`` and ``paths`` rank windows by it
+too.
 
 The checks and the search read candidate masks instead of single tuples.
 Every table answers one question, ``positive_among(Q, mask)``: for an
@@ -14,13 +15,9 @@ whole, from the stored bits (one contiguous run, nothing kept) or from the
 keys of ``paths``, and answer ``row & mask``.  The class rule then runs on
 all candidates y at once, one bit lane per candidate.
 
-Searches: ``longest_window_path`` is the monotone-path DP over the
-C(n, r-1) windows of a table, read row by row from its bits.  Its longest
-path bounds every monochromatic set, and its answer stands when its
-lex-least witness is monochromatic, which it checks; otherwise
-``longest_monochromatic``, the branch and bound under a node budget,
-answers.  ``abr search`` runs them in that order.  The sequence search of
-``paths`` walks the same ``_middles`` and ends in the same ``_window_path``.
+The search: ``longest_monochromatic`` is the one table search; its code
+lives in ``search``, imported when it runs, so no other table command
+compiles it.
 
 Structure predicates:
 
@@ -48,8 +45,7 @@ import enum
 import json
 import re
 import sys
-from collections import namedtuple
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 from operator import ne
 
@@ -384,234 +380,17 @@ def monotone_implies_transitive_check(table):
     return True
 
 
-class SearchResult(namedtuple("SearchResult", "size witness color exhaustive nodes_visited method",
-                              defaults=("branch-and-bound",))):
-    """Longest monochromatic subset found: its size, the lexicographically
-    least witness of that size, its color, whether the search completed, the
-    work done (search-tree nodes for the branch and bound, windows settled
-    for the monotone-path DP) and the method that found it."""
-
-    __slots__ = ()
-
-    def to_json_obj(self):
-        return {
-            "size": self.size,
-            "witness": list(self.witness),
-            "color": self.color.value,
-            "exhaustive": self.exhaustive,
-            "nodes_visited": self.nodes_visited,
-            "method": self.method,
-        }
-
-
-def _lengths(n, fill, count):
-    """An array of ``count`` path lengths, each at most n, set to ``fill``
-    (``array`` is imported here, so a table ``check`` does not load it)."""
-    from array import array
-
-    return array("B" if n < 1 << 8 else "H" if n < 1 << 16 else "I", [fill]) * count
-
-
-def longest_window_path(table):
-    """The longest monochromatic set of a table by the monotone-path DP,
-    when its witness certifies it; else None.
-
-    A window is an (r-1)-tuple.  The windows of a monochromatic set,
-    consecutive in the set, chain in its color, so on any table the
-    longest path U over the C(n, r-1) windows, in either color, bounds
-    every monochromatic set; on a transitive table it is exact
-    (Fox-Pach-Sudakov-Suk; Elias-Matousek).  ``_window_path`` gives the
-    lex-least U-path of both colors.  When it is monochromatic (its
-    C(U, r) cells are read as C(U-1, r-1) rows) it is a largest
-    monochromatic set, and the lex-least one of both colors, since every
-    such set is a U-path: the result equals ``longest_monochromatic``'s
-    but for ``nodes_visited``, the C(n, r-1) windows settled, and
-    ``method``.  Otherwise, or when the windows exceed MAX_DENSE_CELLS, it
-    returns None and only the branch and bound can answer.  No row is
-    kept: path lengths take a byte per window and color (two past
-    n = 255)."""
-    n, r = table.n, table.r
-    windows = comb(n, r - 1)
-    if windows > MAX_DENSE_CELLS:
-        return None
-    result = _window_path(table, _point_runs(table) if r == 2 else _window_runs(table, windows),
-                          windows)
-    above, mask = {}, 0  # the points of the witness above each one
-    for e in reversed(result.witness):
-        above[e], mask = mask, mask | 1 << e
-    for prefix in combinations(result.witness[:-1], r - 1):
-        want = above[prefix[-1]]
-        if table.positive_among(prefix, want) != (want if result.color is Color.POSITIVE else 0):
-            return None
-    return result
-
-
-def _window_path(coloring, runs, windows):
-    """The result of a window DP on a table or a sequence's keyed coloring:
-    ``runs`` holds, per color, the longest path from each window by lex
-    rank, and the witness is the lesser ``_greedy_path`` of the colors that
-    reach the longest."""
-    size = max(map(max, runs))
-    witness, color = min([(_greedy_path(coloring, run, size, color), color)
-                          for color, run in zip(Color, runs) if max(run) == size])
-    return SearchResult(size, witness, color, True, windows, "monotone-path")
-
-
-def _middles(n, k):
-    """The k-tuples M inside (0, n-1), lazily, by decreasing first point
-    (k = 0: the empty one), so each M[1:] + (e,) comes before M."""
-    if not k:
-        return iter([()])
-    return ((first, *rest) for first in reversed(range(1, n - 1))
-            for rest in combinations(range(first + 1, n - 1), k - 1))
-
-
-def _point_runs(table):
-    """r = 2: a window is one point and (a, e) an edge, so per color the
-    longest path from each point a, taken from the last, is one more than
-    the longest settled one that its row reaches.  ``masks[i]`` holds the
-    points settled with a path of i + 1 points, and every shorter length
-    is held too, so a point takes one AND per length from the top down."""
-    n, full = table.n, (1 << table.n) - 1
-    runs = []
-    for positive in (True, False):
-        run, masks = _lengths(n, 1, n), []
-        for a in reversed(range(n)):
-            hit = table.positive_among((a,), full)
-            if not positive:
-                hit = ~hit  # the masks hold only points above a
-            i = next((i for i in reversed(range(len(masks))) if hit & masks[i]), -1) + 1
-            run[a] = i + 1
-            if i == len(masks):
-                masks.append(0)
-            masks[i] |= 1 << a
-        runs.append(run)
-    return runs
-
-
-def _window_runs(table, windows):
-    """r >= 3: per color, the longest path starting at each window (a, M),
-    M an (r-2)-tuple, by its lex rank.  Middles are walked by
-    ``_middles``, so the windows (M, e) are settled before any (a, M).
-    Their lengths are bucketed into bit masks over e, and the row of
-    (a, M), one slice of the bits, is ANDed with one mask per distinct
-    length, longest first.  The windows of a middle
-    at the ends of the sequence have no edge and keep r - 1."""
-    n, r, d, bits = table.n, table.r, table.r - 1, table.bits
-    plus, minus = _lengths(n, d, windows), _lengths(n, d, windows)
-    # the last r-tuple and the last window that start with a
-    last_tuple = [_rank((a,), n, r, 1) for a in range(n)]
-    last_window = [_rank((a,), n, d, 1) for a in range(n)]
-    for middle in _middles(n, d - 1):
-        # (a, M)'s row ends as far from a's last r-tuple as (0, M)'s from
-        # 0's, and the window (a, M) lies as far from a's last one
-        to_tuple = _rank((0, *middle), n, r, d) - last_tuple[0]
-        to_window = _rank((0, *middle), n, d, d) - last_window[0]
-        low = middle[-1] + 1  # bit j of a row and of a mask is e = low + j
-        high = _rank(middle, n, d, d - 1) - n + 1  # the window (M, e) is high + e
-        both = [(run, _buckets(run[high + low:high + n])) for run in (plus, minus)]
-        for a in range(middle[0]):
-            end = last_tuple[a] + to_tuple
-            start = end - n + 1 + low
-            hit = int.from_bytes(bits[start >> 3:(end >> 3) + 1], "little") >> (start & 7)
-            for run, buckets in both:
-                for length, mask in buckets:
-                    if hit & mask:
-                        run[last_window[a] + to_window] = length + 1
-                        break
-                hit = ~hit  # the - edges of (a, M)
-    return plus, minus
-
-
-def _buckets(lengths):
-    """(length, mask of the j with lengths[j] == length), longest first."""
-    masks = {}
-    for j, length in enumerate(lengths):
-        masks[length] = masks.get(length, 0) | 1 << j
-    return sorted(masks.items(), reverse=True)
-
-
-def _greedy_path(coloring, run, size, color):
-    """The lex-least path of ``size`` points in ``color``: the lex-least
-    window with a path that long, the first in ``run``, then each time the
-    least next point e that keeps the color and whose window leaves a path
-    long enough."""
-    n, r = coloring.n, coloring.r
-    witness = list(next(islice(combinations(range(n), r - 1), run.index(size), None)))
-    while len(witness) < size:
-        need = size - len(witness) + r - 2  # the path from the next window
-        prefix = tuple(witness[1 - r:])
-        high = _rank(prefix[1:], n, r - 1, r - 2) - n + 1  # the window (M, e) is high + e
-        fits = sum(1 << e for e in range(prefix[-1] + 1, n) if run[high + e] >= need)
-        hit = coloring.positive_among(prefix, fits)
-        hit = hit if color is Color.POSITIVE else fits ^ hit
-        witness.append((hit & -hit).bit_length() - 1)
-    return tuple(witness)
-
-
 def longest_monochromatic(table, *, budget=None):
-    """Largest index set whose r-subtuples all share one color.
+    """Largest index set whose r-subtuples all share one color, the
+    lexicographically least of that size over both colors.  The window DP
+    answers when its witness certifies it (``search.longest_window_path``);
+    otherwise ``search.branch_and_bound``, cut by the DP's path lengths,
+    answers, and ``budget`` caps its nodes (exhaustive=False when it runs
+    out)."""
+    from .search import _certified, branch_and_bound, window_runs
 
-    Depth-first branch and bound over increasing index stacks, kept on an
-    explicit stack so no n is too deep.  Each level keeps a mask of the
-    candidate elements that keep every r-subtuple on the target color;
-    pushing e ANDs in the rows of the new (r-1)-subsets that end in e, and
-    the next candidate is the lowest set bit.
-
-    ``budget`` caps visited nodes deterministically; when it runs out the
-    best subset found so far is returned with exhaustive=False.  Ties between
-    equal-size subsets resolve to the lexicographically least witness.
-    """
-    n, r = table.n, table.r
-    best_size = 0
-    best_wit = None
-    best_color = Color.POSITIVE
-    nodes = 0
-    positive = table.positive_among
-
-    for color in (Color.POSITIVE, Color.NEGATIVE):
-        # cands[i] holds the untried candidates after the node stack[:i]: the
-        # elements above stack[i-1] that keep every r-subtuple on ``color``.
-        stack, cands = [], []
-        mask = (1 << n) - 1
-        entered = True
-        while True:
-            if entered:
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    return SearchResult(best_size, best_wit or (), best_color, False, nodes)
-                depth = len(stack)
-                if depth >= r:
-                    snap = tuple(stack)
-                    if depth > best_size or (
-                        depth == best_size and (best_wit is None or snap < best_wit)
-                    ):
-                        best_size, best_wit, best_color = depth, snap, color
-                if stack:
-                    # The new (r-1)-subsets are those that end in the new element.
-                    e = stack[-1]
-                    for rest in combinations(stack[:-1], r - 2):
-                        if not mask:
-                            break
-                        hit = positive(rest + (e,), mask)
-                        mask = hit if color is Color.POSITIVE else mask ^ hit
-                cands.append(mask)
-            mask = cands[-1]
-            low = mask & -mask
-            e = low.bit_length() - 1
-            if not mask or len(stack) + n - e < best_size:
-                cands.pop()
-                if not stack:
-                    break
-                stack.pop()
-                entered = False
-                continue
-            mask ^= low
-            cands[-1] = mask
-            stack.append(e)
-            entered = True
-
-    return SearchResult(best_size, best_wit or (), best_color, True, nodes)
+    runs = window_runs(table)
+    return _certified(table, runs) or branch_and_bound(table, runs, budget=budget)
 
 
 def ramsey_search_tiny(r, k, n_max, cls="monotone", *, max_tuples=64):

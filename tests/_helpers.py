@@ -142,20 +142,50 @@ def every_read(colors):
     return reads
 
 
-def reference_longest_monochromatic(table, *, budget=None):
-    """The branch and bound of ``longest_monochromatic`` with one ``color``
+def reference_window_runs(table):
+    """Per color, the longest path in points from each window W, an
+    (r-1)-tuple, where W steps to W[1:] + (e,) when W + (e,) has that color:
+    one ``color`` lookup per step, the windows taken last to first in lex
+    order, so every step's target is settled before W."""
+    from abr import Color
+
+    n, r = table.n, table.r
+    windows = list(combinations(range(n), r - 1))
+    runs = {}
+    for color in Color:
+        run = runs[color] = {}
+        for w in reversed(windows):
+            run[w] = max([run[w[1:] + (e,)] + 1 for e in range(w[-1] + 1, n)
+                          if table.color(w + (e,)) is color], default=r - 1)
+    return runs
+
+
+def reference_longest_monochromatic(table, *, budget=None, cut=True):
+    """The branch and bound of ``abr.branch_and_bound`` with one ``color``
     lookup per candidate and r-subtuple: the same nodes in the same order,
     so the whole SearchResult (nodes_visited and budget exits too) must
-    agree."""
+    agree.  With ``cut`` it takes path lengths from ``reference_window_runs``
+    as the table search does: a candidate e after the stack S is tried only
+    when the path from the window of S's last r-2 points and e reaches
+    best - |S| + r - 2 points, one more when the best set so far has the
+    color searched.  ``cut=False`` is the branch and bound without them."""
     from abr import Color, SearchResult
 
     n, r = table.n, table.r
     if n < r:
         return SearchResult(n, tuple(range(n)), Color.POSITIVE, True, 0)
+    runs = reference_window_runs(table) if cut else None
     best_size, best_wit, best_color, nodes = 0, None, Color.POSITIVE, 0
 
     def feasible(stack, e, color):
         return all(table.color(sub + (e,)) is color for sub in combinations(stack, r - 1))
+
+    def reaches(stack, e, color):
+        if runs is None or len(stack) < r - 2:
+            return True
+        window = tuple(stack[len(stack) - (r - 2):]) + (e,)
+        need = best_size - len(stack) + r - 2 + (best_color is color)
+        return runs[color][window] >= need
 
     for color in (Color.POSITIVE, Color.NEGATIVE):
         stack, nexts, entered = [], [], True
@@ -171,7 +201,7 @@ def reference_longest_monochromatic(table, *, budget=None):
                 nexts.append(stack[-1] + 1 if stack else 0)
             e = nexts[-1]
             while e < n and len(stack) + n - e >= best_size:
-                if feasible(stack, e, color):
+                if feasible(stack, e, color) and reaches(stack, e, color):
                     break
                 e += 1
             else:

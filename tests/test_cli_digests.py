@@ -72,7 +72,7 @@ RECORDED = [
     (4, "9408ff6a3a761e8e59fdca9816783fb5b795967d336f381c0a6e03792e655dfc"),
     (5, "7855cc17e0b7b62823b23794416b1d468ed01db0102c8e8ac1af63f6ca0641ee"),
     (5, "40bdf82a0b62031ee19f46d3fcdc17688673d3ee3ec9f9cefa0ce24201cb02cc"),
-    (0, "85fdcd09f064fa9fd885f145c4850045dd278b94605e8a567521fd28740591d7"),
+    (0, "0a2a22f5cbf1f38a5e7b78dc4fbb085d9de7d083bbd3c4a2c6af3c2d368d385a"),
     (0, "918f1e3729a9f9c36767e94aa71ca518d1a6cd20cb2e9dc40263c7ee2f5e1d15"),
     (2, "0ff83c4f3e13de2e07882631f8a3160b23950f5706f2d3c86d0458db3d6407ff"),
     (3, "ae94b85cc2705b08ea6e668b27ff52c5f686ce61dab35bea01a31e5e311fe018"),

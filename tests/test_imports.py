@@ -34,14 +34,16 @@ def _loaded(cwd, *argvs):
 
 
 def test_table_commands_load_only_cli_errors_and_tables(tmp_path):
-    # nor dataclasses, whose import pulls in inspect, ast, dis and tokenize
+    # nor dataclasses, whose import pulls in inspect, ast, dis and tokenize;
+    # only a search loads the search code
     table = ColoringTable.from_function(
         8, 3, lambda tup: Color.POSITIVE if sum(tup) % 3 else Color.NEGATIVE)
     (tmp_path / "t.csv").write_text(table.to_csv())
-    loaded = _loaded(tmp_path, ["check", "transitive", "t.csv", "--format", "json"],
-                     ["search", "t.csv", "-o", "F"])
-    assert (tmp_path / "F").read_bytes().startswith(b'{"color":')
+    loaded = _loaded(tmp_path, ["check", "transitive", "t.csv", "--format", "json"])
     assert loaded == {"abr", "abr.cli", "abr.errors", "abr.tables"}
+    loaded = _loaded(tmp_path, ["search", "t.csv", "-o", "F"])
+    assert (tmp_path / "F").read_bytes().startswith(b'{"color":')
+    assert loaded == {"abr", "abr.cli", "abr.errors", "abr.search", "abr.tables"}
 
 
 def _planar(cwd):

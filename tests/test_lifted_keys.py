@@ -44,7 +44,7 @@ def _assert_same(s):
     assert color_table(s) == reference
     got = longest_monotone_path(s)
     assert got.method == "monotone-path"
-    assert got[:3] == reference_longest_monochromatic(reference)[:3]
+    assert got[:3] == reference_longest_monochromatic(reference, cut=False)[:3]
     assert got == longest_window_path(reference)
 
 
@@ -119,6 +119,16 @@ def test_the_keyed_coloring_of_a_lifted_sequence_is_at_its_dimension():
     for order in (1, 2, 4, 7, None):
         with pytest.raises(InvariantError, match="dimension 3 has no order"):
             LazyDivdiffColors(s, order)
+
+
+def test_a_planar_sequence_needs_an_integer_order():
+    p = PlanarSequence(tuple((t, t ** 3) for t in range(6)))
+    for order in (None, "3", 3.0):
+        for build in (LazyDivdiffColors, longest_monotone_path):
+            with pytest.raises(InvariantError, match="^a planar sequence needs an integer order"):
+                build(p, order)
+    with pytest.raises(InvariantError, match=r"got None$"):
+        longest_monotone_path(p)
 
 
 def test_projections_that_are_not_cyclic_are_refused():

@@ -15,6 +15,7 @@ from abr import (
     ParseError,
     PlanarSequence,
     TooLargeError,
+    branch_and_bound,
     build_cluster_parabola,
     color_table,
     divdiff_color_table,
@@ -24,6 +25,7 @@ from abr import (
     monotone_implies_transitive_check,
     ramsey_search_tiny,
     random_cyclic_instance,
+    window_runs,
 )
 
 from _helpers import (
@@ -225,37 +227,48 @@ def test_longest_monochromatic_matches_naive():
 SEARCH_BUDGETS = (None, 1, 2, 3, 7, 20, 100, 1000)
 
 
+def cut_search(table, budget=None):
+    """The branch and bound of a table search, cut by the table's path
+    lengths, whether or not the window DP would answer first."""
+    return branch_and_bound(table, window_runs(table), budget=budget)
+
+
+def assert_cut_search_matches(table, budgets=SEARCH_BUDGETS):
+    for budget in budgets:
+        assert cut_search(table, budget) == reference_longest_monochromatic(table, budget=budget)
+    # the cut moves nodes only: the exhaustive answer is the uncut one
+    assert cut_search(table)[:4] == reference_longest_monochromatic(table, cut=False)[:4]
+
+
 def test_search_matches_reference_on_seeded_tables():
     rng = seeded(5150)
     for r in (2, 3, 4):
         for density in (0.2, 0.5, 0.8):
             for _ in range(4):
-                table = rand_table(rng, rng.randrange(r, r + 9), r, density)
-                for budget in SEARCH_BUDGETS:
-                    assert longest_monochromatic(table, budget=budget) == \
-                        reference_longest_monochromatic(table, budget=budget)
+                assert_cut_search_matches(rand_table(rng, rng.randrange(r, r + 9), r, density))
 
 
 def test_search_matches_reference_on_cupcap_tables():
     for table in cupcap_pair():
-        for budget in SEARCH_BUDGETS:
-            assert longest_monochromatic(table, budget=budget) == \
-                reference_longest_monochromatic(table, budget=budget)
+        assert_cut_search_matches(table)
 
 
 def test_search_matches_reference_on_dense_and_lazy_em_tables():
+    # a keyed coloring has no bits to take path lengths from: its branch and
+    # bound runs without them
     seq, _ = build_cluster_parabola(3, 2)
-    for table in (divdiff_color_table(seq, 3), LazyDivdiffColors(seq, 3)):
-        for budget in (None, 10, 40, 200):
-            assert longest_monochromatic(table, budget=budget) == \
-                reference_longest_monochromatic(table, budget=budget)
+    dense, lazy = divdiff_color_table(seq, 3), LazyDivdiffColors(seq, 3)
+    assert_cut_search_matches(dense, (None, 10, 40, 200))
+    for budget in (None, 10, 40, 200):
+        assert longest_monochromatic(lazy, budget=budget) == \
+            reference_longest_monochromatic(lazy, budget=budget, cut=False)
 
 
 def test_lazy_search_matches_reference_on_depth4_em():
     seq, _ = build_cluster_parabola(4, 2)
     lazy = LazyDivdiffColors(seq, 3)
     assert longest_monochromatic(lazy, budget=100) == \
-        reference_longest_monochromatic(lazy, budget=100)
+        reference_longest_monochromatic(lazy, budget=100, cut=False)
 
 
 def test_rows_are_read_on_demand(monkeypatch):
@@ -266,7 +279,8 @@ def test_rows_are_read_on_demand(monkeypatch):
         for monotone, check in ((True, is_monotone), (False, is_transitive)):
             want = naive_class_witness(table, monotone)
             assert check(table) == (want is None, want)
-        assert longest_monochromatic(table) == reference_longest_monochromatic(table)
+        assert cut_search(table) == reference_longest_monochromatic(
+            table, cut=isinstance(table, ColoringTable))
     # A check that stops at an early witness reads only the rows it needs.
     hole = (0,) + tuple(range(2, 9))
     big = ColoringTable.from_function(
@@ -362,16 +376,17 @@ def test_longest_monochromatic_tiny_and_ties():
 def test_longest_monochromatic_deep_table():
     # one stack level per element: a recursive search overflows here
     table = ColoringTable.from_function(1000, 2, lambda tup: Color.POSITIVE)
-    result = longest_monochromatic(table)
-    assert (result.size, result.witness, result.color) == (1000, tuple(range(1000)),
-                                                            Color.POSITIVE)
-    assert result.exhaustive and result.nodes_visited == 1003
+    found = (1000, tuple(range(1000)), Color.POSITIVE, True)
+    assert longest_monochromatic(table) == found + (1000, "monotone-path")
+    # the path lengths cut the - pass at its root: every - path has 1 point
+    assert cut_search(table) == found + (1002, "branch-and-bound")
+    assert branch_and_bound(table) == found + (1003, "branch-and-bound")
 
 
 def test_longest_monochromatic_budget():
     table = rand_table(seeded(7), 9, 3)
-    full = longest_monochromatic(table)
-    capped = longest_monochromatic(table, budget=5)
+    full = cut_search(table)
+    capped = cut_search(table, budget=5)
     assert not capped.exhaustive
     assert capped.size <= full.size
     assert capped.nodes_visited <= full.nodes_visited

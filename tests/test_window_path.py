@@ -1,12 +1,15 @@
-"""The window DP of a table search against the branch-and-bound reference.
+"""The table search against the branch-and-bound references.
 
 ``longest_window_path`` answers only when its lex-least longest window
-path is monochromatic, and then must equal the reference in size, witness,
-color and exhaustive flag.  The witness check proves only that the set is
-monochromatic, so a path bound that is too short would pass it: the size
-is what these comparisons catch.  When the DP does not answer, the table
-search is the branch and bound, whole SearchResult and all.  Both window
-DPs walk their middles by ``tables._middles``, tested here too.
+path is monochromatic, and then must equal the reference without cuts in
+size, witness, color and exhaustive flag.  The witness check proves only
+that the set is monochromatic, so a path bound that is too short would
+pass it: the size is what these comparisons catch.  When the DP does not
+answer, the table search is the branch and bound cut by the DP's path
+lengths, which must equal the reference with the same cut, whole
+SearchResult and all, and the reference without it in size, witness and
+color.  Both window DPs walk their middles by ``search._middles``, tested
+here too.
 """
 
 import json
@@ -22,32 +25,35 @@ from abr import (
     Color,
     ColoringTable,
     PlanarSequence,
+    branch_and_bound,
     color_table,
     cupcap_extremal,
     divdiff_color_table,
     longest_monochromatic,
     longest_window_path,
     random_cyclic_instance,
-    tables,
+    search,
+    window_runs,
 )
 
 from _helpers import (flipped_table, rand_planar_tuple, rand_table, reference_longest_monochromatic,
-                      seeded)
+                      reference_window_runs, seeded)
 
 
-def _search(table):
-    """The table search of ``abr search``: the DP when certified, else the
-    branch and bound."""
-    return longest_window_path(table) or longest_monochromatic(table)
-
-
-def _assert_matches(table, reference=reference_longest_monochromatic):
-    got, want = _search(table), reference(table)
+def _assert_matches(table, uncut=None):
+    """The table search against the reference without cuts (``uncut``, its
+    answer, when that is too slow), and the branch and bound it falls back
+    to against the reference with the cut; True when the DP answered."""
+    got = longest_monochromatic(table)
+    uncut = uncut or reference_longest_monochromatic(table, cut=False)
+    assert got[:4] == uncut[:4]
     if got.method == "monotone-path":
-        assert got[:4] == want[:4]
         assert got.nodes_visited == comb(table.n, table.r - 1)
+        assert longest_window_path(table) == got
     else:
-        assert got == want
+        assert longest_window_path(table) is None
+        assert got == reference_longest_monochromatic(table)
+        assert got.nodes_visited <= uncut.nodes_visited
     return got.method == "monotone-path"
 
 
@@ -69,17 +75,17 @@ def test_one_color_tables_are_the_whole_set(sign):
         table = ColoringTable.from_colors(n, r, sign * comb(n, r))
         result = longest_window_path(table)
         assert result == (n, tuple(range(n)), Color(sign), True, comb(n, r - 1), "monotone-path")
-        assert result[:4] == reference_longest_monochromatic(table)[:4]
+        assert result[:4] == reference_longest_monochromatic(table, cut=False)[:4]
 
 
 def test_matches_reference_on_cupcap_tables():
     for k in (4, 5):
         assert _assert_matches(divdiff_color_table(cupcap_extremal(k), 2))
     # k = 6 has 70 points: the per-lookup reference takes over half a minute
-    # there, so the row-mask branch and bound (equal to it on every tested
-    # table) stands in
+    # there, so the row-mask branch and bound without cuts (equal to it on
+    # every tested table) stands in
     table = divdiff_color_table(cupcap_extremal(6), 2)
-    assert _assert_matches(table, longest_monochromatic)
+    assert _assert_matches(table, branch_and_bound(table))
     assert longest_window_path(table)[:3] == (5, (0, 1, 2, 3, 4), Color.NEGATIVE)
 
 
@@ -93,6 +99,36 @@ def test_matches_reference_on_perturbed_cupcap_tables():
     assert certified[0] and not all(certified)
 
 
+@pytest.mark.parametrize("n", [24, 28, 32])
+def test_uncertified_perturbed_cupcap_tables_match_both_references(n):
+    # the branch and bound at 24-32 points, where the DP's path lengths cut
+    # its nodes from thousands to hundreds
+    rng = seeded(2400 + n)
+    table = divdiff_color_table(PlanarSequence(tuple(rand_planar_tuple(rng, n, bits=16))), 2)
+    certified = [_assert_matches(flipped_table(table, rng.sample(
+        list(combinations(range(n), 3)), flips))) for flips in (3, 10, 3, 10)]
+    assert not all(certified)
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_uncertified_random_tables_match_both_references(r):
+    rng = seeded(5000 + r)
+    certified = [_assert_matches(rand_table(rng, rng.randrange(r + 6, r + 11), r))
+                 for _ in range(12)]
+    assert certified.count(False) >= 6
+
+
+def test_window_runs_match_the_per_lookup_paths():
+    rng = seeded(6161)
+    for r in (2, 3, 4):
+        for density in (0.1, 0.5, 0.9):
+            table = rand_table(rng, rng.randrange(r, r + 8), r, density)
+            want = reference_window_runs(table)
+            windows = list(combinations(range(table.n), r - 1))
+            assert [list(run) for run in window_runs(table)] == [
+                [want[color][w] for w in windows] for color in Color]
+
+
 @pytest.mark.parametrize("d, n, seed", [(2, 12, 41), (3, 11, 42), (4, 10, 43), (3, 9, 44)])
 def test_matches_reference_on_lifted_tables(d, n, seed):
     # lifted colorings are transitive: the DP always answers
@@ -104,16 +140,20 @@ def test_one_colors_path_fails_and_the_others_holds():
     # U = 5 in both colors; the lex-least 5-path, (0, 1, 3, 4, 5) in -, is
     # not monochromatic, while the + one, (0, 2, 5, 6, 7), is the answer
     table = rand_table(seeded(78), 8, 2)
-    assert longest_window_path(table) is None
-    result = _search(table)
-    assert result == reference_longest_monochromatic(table)
-    assert result[:3] == (5, (0, 2, 5, 6, 7), Color.POSITIVE)
+    assert not _assert_matches(table)
+    assert longest_monochromatic(table)[:3] == (5, (0, 2, 5, 6, 7), Color.POSITIVE)
 
 
 def test_windows_beyond_the_guard_leave_the_branch_and_bound(monkeypatch):
-    table = ColoringTable.from_colors(9, 3, "+" * comb(9, 3))
-    monkeypatch.setattr(tables, "MAX_DENSE_CELLS", comb(9, 2) - 1)
-    assert longest_window_path(table) is None
+    # with no path lengths the branch and bound runs with its own cut alone
+    table = rand_table(seeded(78), 8, 3)
+    cut = longest_monochromatic(table)
+    assert cut.method == "branch-and-bound"
+    monkeypatch.setattr(search, "MAX_DENSE_CELLS", comb(8, 2) - 1)
+    assert window_runs(table) is None and longest_window_path(table) is None
+    uncut = longest_monochromatic(table)
+    assert uncut == reference_longest_monochromatic(table, cut=False)
+    assert cut[:4] == uncut[:4] and cut.nodes_visited < uncut.nodes_visited
 
 
 @pytest.mark.parametrize("name", ["cupcap-5", "two-colors"])
@@ -123,7 +163,7 @@ def test_cli_search_matches_reference(tmp_path, name):
     (tmp_path / "t.csv").write_text(table.to_csv())
     proc = subprocess.run([sys.executable, "-m", "abr.cli", "search", str(tmp_path / "t.csv")],
                           capture_output=True, check=True)
-    got, want = json.loads(proc.stdout), reference_longest_monochromatic(table)
+    got, want = json.loads(proc.stdout), reference_longest_monochromatic(table, cut=False)
     assert [got[k] for k in ("size", "witness", "color", "exhaustive")] == [
         want.size, list(want.witness), want.color.value, want.exhaustive]
     assert got["method"] == ("monotone-path" if name == "cupcap-5" else "branch-and-bound")
@@ -132,21 +172,21 @@ def test_cli_search_matches_reference(tmp_path, name):
 def test_middles_walk_every_k_subset_once_each_after_its_successors():
     for n in range(2, 10):
         for k in range(n - 1):
-            walk = list(tables._middles(n, k))
+            walk = list(search._middles(n, k))
             assert sorted(walk) == list(combinations(range(1, n - 1), k))
             at = {middle: i for i, middle in enumerate(walk)}
             assert len(at) == len(walk)
             # the windows (M, e) of a DP over (a, M) are settled first
             assert all(at[middle[1:] + (e,)] < i for middle, i in at.items() if middle
                        for e in range(middle[-1] + 1, n - 1))
-    assert list(tables._middles(5, 0)) == [()]
+    assert list(search._middles(5, 0)) == [()]
 
 
 def test_middles_arrive_one_at_a_time():
     # C(24, 11) = 2,496,144 middles: a list of them would take hundreds of MB
     tracemalloc.start()
     try:
-        first = next(iter(tables._middles(26, 11)))
+        first = next(iter(search._middles(26, 11)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
