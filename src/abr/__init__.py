@@ -21,7 +21,9 @@ counterexample is a proof-grade artifact.  The package covers:
 - instance generators: the doubly-exponential cluster construction, the
   classical cup/cap extremal sets, and seeded random cyclic sequences
   (``constructions``);
-- the ``abr`` command-line tool (``cli``).
+- the ``abr`` command-line tool: its parser, I/O and table routes
+  (``cli``), and its sequence commands, loaded only when one runs
+  (``cli_sequences``).
 
 ``import abr`` loads no submodule: each public name below, and each
 submodule, is imported on first use (PEP 562), so a command loads only the
@@ -67,7 +69,7 @@ _NAMES = {
     ),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}
-_SUBMODULES = frozenset(_NAMES) | {"cli"}
+_SUBMODULES = frozenset(_NAMES) | {"cli", "cli_sequences"}
 
 __all__ = sorted(_HOME)
 

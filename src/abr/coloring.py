@@ -30,8 +30,6 @@ one-switch certificate reads ``linalg.SignKernel``, like the lifted
 identities check.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations

@@ -20,8 +20,6 @@ Three families:
   guaranteed nondegenerate by redraw, for property suites.
 """
 
-from __future__ import annotations
-
 import random
 import sys
 from collections import namedtuple

@@ -17,8 +17,6 @@ columns also feed the key engine of ``paths``, from which every color of a
 sequence is computed at run time: tables, lazy colors and searches.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from fractions import Fraction

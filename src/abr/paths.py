@@ -18,8 +18,6 @@ front end too, rebuilds the witness from the coloring's rows.  This module
 imports no ``coloring`` code, so a planar command compiles none of it.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from itertools import combinations, repeat
 from math import gcd, lcm

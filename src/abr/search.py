@@ -15,8 +15,6 @@ cannot reach the best set so far.  The sequence search of ``paths`` walks
 the same ``_middles`` and ends in the same ``_window_path``.
 """
 
-from __future__ import annotations
-
 from array import array
 from collections import namedtuple
 from itertools import combinations, islice

@@ -29,8 +29,6 @@ Unknown fields are rejected rather than ignored.  The JSON codec itself
 (``load_json`` / ``dump_json``) lives in ``tables``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property
 from itertools import combinations

@@ -39,8 +39,6 @@ CSV errors are reported.  This module imports only ``errors``, so a table
 command loads no sequence or rational code.
 """
 
-from __future__ import annotations
-
 import enum
 import json
 import re
@@ -344,16 +342,16 @@ def _first_violation(table, monotone):
     full = (1 << n) - 1
     for prefix in combinations(range(n - 1), r - 1):
         own = positive(prefix, full ^ ((2 << prefix[-1]) - 1))
+        # Lex order: drop y (T's own color in every lane), then drop t (the
+        # prefix's row), then the prefix's elements, last to first.
+        drops = [prefix[:j] + prefix[j + 1:] for j in range(r - 2, -1, -1)]
         for t in range(prefix[-1] + 1, n - 1):
-            tup = prefix + (t,)
             lanes = full ^ ((2 << t) - 1)
-            # Lex order: drop y (T's own color in every lane), then drop t
-            # (the prefix's row), then the earlier elements, last to first.
             colors = [lanes if own >> t & 1 else 0, own & lanes]
-            colors += [positive(tup[:j] + tup[j + 1:], lanes) for j in range(r - 2, -1, -1)]
+            colors += [positive(drop + (t,), lanes) for drop in drops]
             bad = _leaves_class(colors, monotone)
             if bad:
-                return False, tup + ((bad & -bad).bit_length() - 1,)
+                return False, prefix + (t, (bad & -bad).bit_length() - 1)
     return True, None
 
 

@@ -660,6 +660,9 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
     ("i0,i1,color\n0,1,+\n", "budget must be an integer >= 0, got -3",
      ["search", "--budget", "-3"]),
     (_FIVE_PLANAR, "budget must be an integer >= 0, got -1", ["search", "--budget", "-1"]),
+    # a target size below 1, refused before the input is read
+    ("i0,i1,color\n0,1,+\n", "k must be an integer >= 1, got -1", ["search", "--k", "-1"]),
+    (_FIVE_PLANAR, "k must be an integer >= 1, got 0", ["search", "--k", "0"]),
 ], ids=["negative-n", "huge-n-r", "long-json-int", "long-csv-index", "long-rational",
         "arabic-digit", "trailing-newline", "csv-arabic-index", "csv-spaced-index",
         "csv-underscore-index", "deep-json", "csv-bad-color", "planar-search-windows",
@@ -670,7 +673,8 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
         "random-bits-20000", "random-n-400", "em-base-2-80",
         "identities-lifted-200", "identities-planar-200", "identities-planar-73-cells",
         "identities-planar-order-10-cells", "cupcap-k-10", "cupcap-k-600",
-        "cupcap-k-1e9", "search-budget-negative-table", "search-budget-negative-sequence"])
+        "cupcap-k-1e9", "search-budget-negative-table", "search-budget-negative-sequence",
+        "search-k-negative-table", "search-k-zero-sequence"])
 def test_hostile_input_is_one_line_exit_2(tmp_path, capsys, text, message, command):
     from abr import cli
 
@@ -755,7 +759,7 @@ def test_generate_moment_bounds_the_lift_dimension(tmp_path, capsys, n, d, limit
 def test_generate_moment_bounds_the_output_digits(monkeypatch, capsys, n, d, admitted):
     # --n 300 --d 300 writes 28 MB and reaches the first point; --n 1000
     # --d 1000 would write about 1 GB and is refused before it
-    from abr import cli
+    from abr import cli, cli_sequences
 
     class Formed(Exception):
         pass
@@ -763,7 +767,7 @@ def test_generate_moment_bounds_the_output_digits(monkeypatch, capsys, n, d, adm
     def formed(*args):
         raise Formed
 
-    monkeypatch.setattr(cli, "_moment_heights", formed)
+    monkeypatch.setattr(cli_sequences, "_moment_heights", formed)
     argv = ["generate", "moment", "--n", str(n), "--d", str(d)]
     if admitted:
         with pytest.raises(Formed):

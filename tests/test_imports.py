@@ -58,13 +58,24 @@ def test_planar_search_does_not_load_constructions(tmp_path):
 
 
 def test_planar_check_and_search_load_no_coloring_or_dataclasses(tmp_path):
-    # both build from the keys of abr.paths
+    # both build from the keys of abr.paths, with no sequence command
     _planar(tmp_path)
     for argv in (["check", "monotone", "p.json", "--d", "3", "--format", "json"],
                  ["search", "p.json", "--d", "3", "-o", "F"]):
         loaded = _loaded(tmp_path, argv)
         assert "abr.paths" in loaded
-        assert not loaded & {"abr.coloring", "dataclasses", "inspect"}
+        assert not loaded & {"abr.cli_sequences", "abr.coloring", "dataclasses", "inspect"}
+
+
+def test_sequence_commands_load_cli_sequences(tmp_path):
+    points = [[str(t), str(t * t), str(t ** 3 + t % 3)] for t in range(9)]
+    (tmp_path / "s.json").write_text(json.dumps({"kind": "lifted", "dimension": 3,
+                                                 "points": points}))
+    for argv in (["generate", "random", "--d", "3", "--n", "6", "-o", "R"],
+                 ["color", "s.json", "-o", "C"],
+                 ["check", "one-switch", "s.json", "--format", "json"],
+                 ["search", "s.json", "-o", "F"]):
+        assert "abr.cli_sequences" in _loaded(tmp_path, argv)
 
 
 def test_generate_random_and_lifted_color_load_no_dataclasses(tmp_path):
