@@ -126,6 +126,15 @@ class LazyDivdiffColors:
         _rank(prefix, self.n, self.r, self.r - 1)
         return self._row(prefix, range(prefix[-1] + 1, self.n)) & mask
 
+    def positive_pairs(self, head, low):
+        """Lane (t, y), low < t < y < n in lex order, set when head + (t, y)
+        is +: the rows head + (t,), ORed together in increasing t."""
+        lanes = at = 0
+        for t in range(low + 1, self.n - 1):
+            lanes |= self.positive_among(head + (t,), -1) >> t + 1 << at  # -1: the whole row
+            at += self.n - 1 - t
+        return lanes
+
     def _row(self, prefix, ys):
         """Bit y set when prefix + (y,) is +, for y in ``ys``; the least tie raises."""
         key, *keys = self.keys_of(prefix[1:], [prefix[0], *ys])

@@ -8,12 +8,12 @@ tuple and gives its bit, and ``search`` and ``paths`` rank windows by it
 too.
 
 The checks and the search read candidate masks instead of single tuples.
-Every table answers one question, ``positive_among(Q, mask)``: for an
-(r-1)-tuple Q, which candidate bits y of ``mask`` make Q + (y,) positive.
-Both table types compute the row of Q (bit y set when Q + (y,) is +)
-whole, from the stored bits (one contiguous run, nothing kept) or from the
-keys of ``paths``, and answer ``row & mask``.  The class rule then runs on
-all candidates y at once, one bit lane per candidate.
+Every table answers two questions: ``positive_among(Q, mask)``, which bits
+y of ``mask`` make the (r-1)-tuple Q + (y,) positive (Q's row, one run of
+stored bits or one key call of ``paths``, nothing kept), and
+``positive_pairs(H, low)``, which pairs low < t < y make the (r-2)-tuple
+H + (t, y) positive (one run of bits, or H's rows ORed).  The class rule
+runs on every (r+1)-tuple P + (t, y) of a prefix P at once, one lane a pair.
 
 The search: ``longest_monochromatic`` is the one table search; its code
 lives in ``search``, imported when it runs, so no other table command
@@ -159,10 +159,11 @@ def _lex_subtuples(tup):
 
 def _leaves_class(colors, monotone):
     """The lanes in which the colors of an (r+1)-tuple's r-subtuples, in
-    lexicographic order, leave the class.  Each color is an int whose bit is
-    set in the lanes where that subtuple is +; a list of 0/1 colors is the
-    one-lane case.  Two or more switches break monotonicity; they break
-    transitivity when the ends are equal (another color sits between)."""
+    lexicographic order, leave the class.  Each color is an int with one bit
+    per lane (a check's lanes are the pairs (t, y) after a prefix), set where
+    that subtuple is +; a list of 0/1 colors is the one-lane case.  Two or
+    more switches break monotonicity; they break transitivity when the ends
+    are equal (another color sits between)."""
     once = twice = 0
     for a, b in zip(colors, colors[1:]):
         switch = a ^ b
@@ -216,12 +217,20 @@ class ColoringTable(Frozen):
     def positive_among(self, prefix, mask):
         """The bits y of ``mask`` (each max(prefix) < y < n) for which
         prefix + (y,) is +: the row of prefix, read as one slice."""
-        n, r = self.n, self.r
-        end = _rank(prefix, n, r, r - 1)  # the bit of prefix + (n - 1,)
-        low = prefix[-1] + 1
-        first = end - n + 1 + low  # the bit of prefix + (low,)
-        row = int.from_bytes(self.bits[first >> 3:(end >> 3) + 1], "little") >> (first & 7)
-        return (row & ((1 << (n - low)) - 1)) << low & mask
+        n, low = self.n, prefix[-1] + 1
+        end = _rank(prefix, n, self.r, self.r - 1)  # the bit of prefix + (n - 1,)
+        return self._run(end - n + 1 + low, end) << low & mask
+
+    def positive_pairs(self, head, low):
+        """Lane (t, y), low < t < y < n in lex order, set when head + (t, y)
+        is +: the C(n-1-low, 2) bits up to head + (n-2, n-1), one slice."""
+        end = _rank(head, self.n, self.r, self.r - 2)
+        return self._run(end + 1 - comb(self.n - 1 - low, 2), end)
+
+    def _run(self, first, end):
+        """The stored bits first..end as an int, bit ``first`` its bit 0."""
+        run = int.from_bytes(self.bits[first >> 3:(end >> 3) + 1], "little") >> (first & 7)
+        return run & ((1 << end + 1 - first) - 1)
 
     def color(self, tup):
         """Color of one increasing tuple (lex-ranked O(r) lookup)."""
@@ -334,24 +343,30 @@ class ColoringTable(Frozen):
 
 
 def _first_violation(table, monotone):
-    """Walk the r-tuples T in lex order; the r+1 subtuple colors of every
-    T + (y,), y > max T, are r+1 masks over y, and the lowest violating lane
-    of the first T that has one is the lex-least witness."""
+    """Walk the (r-1)-tuples P in lex order (for n = r the one P, so a keyed
+    coloring still names a vanishing tuple); the r+1 subtuple colors of all
+    P + (t, y), max P < t < y < n, are masks with one lane per pair (t, y)
+    in lex order, and the first P's lowest violating lane is the witness."""
     n, r = table.n, table.r
-    positive = table.positive_among
-    full = (1 << n) - 1
-    for prefix in combinations(range(n - 1), r - 1):
-        own = positive(prefix, full ^ ((2 << prefix[-1]) - 1))
-        # Lex order: drop y (T's own color in every lane), then drop t (the
-        # prefix's row), then the prefix's elements, last to first.
-        drops = [prefix[:j] + prefix[j + 1:] for j in range(r - 2, -1, -1)]
-        for t in range(prefix[-1] + 1, n - 1):
-            lanes = full ^ ((2 << t) - 1)
-            colors = [lanes if own >> t & 1 else 0, own & lanes]
-            colors += [positive(drop + (t,), lanes) for drop in drops]
-            bad = _leaves_class(colors, monotone)
-            if bad:
-                return False, prefix + (t, (bad & -bad).bit_length() - 1)
+    for prefix in combinations(range(max(n - 2, r - 1)), r - 1):
+        low = prefix[-1]
+        # Lex order: drop y (P's row at t) and drop t (P's row at y), spread
+        # over the lanes, then P's elements, last to first, one block each.
+        own = table.positive_among(prefix, (1 << n) - (2 << low))
+        drop_y = drop_t = at = 0
+        for t in range(low + 1, n - 1):
+            if own >> t & 1:
+                drop_y |= ((1 << n - 1 - t) - 1) << at
+            drop_t |= own >> t + 1 << at
+            at += n - 1 - t
+        colors = [drop_y, drop_t] + [table.positive_pairs(prefix[:j] + prefix[j + 1:], low)
+                                     for j in range(r - 2, -1, -1)]
+        bad = _leaves_class(colors, monotone)
+        if bad:
+            lane, t = (bad & -bad).bit_length() - 1, low + 1
+            while lane >= n - 1 - t:
+                lane, t = lane - (n - 1 - t), t + 1
+            return False, prefix + (t, t + 1 + lane)
     return True, None
 
 

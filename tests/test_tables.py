@@ -1,11 +1,14 @@
 """Coloring tables, structure predicates, and subset searches."""
 
 import re
+import sys
+import tracemalloc
 from itertools import combinations
 from math import comb
 
 import pytest
 
+import abr.tables
 from abr import (
     Color,
     ColoringTable,
@@ -180,7 +183,7 @@ def test_class_witnesses_match_naive_scan():
             assert check(table) == (want is None, want)
             seen.add((table.r, monotone, want is None))
     assert seen == {(3, False, True), (3, False, False), (3, True, True), (3, True, False)}
-    for r in (2, 3, 4):
+    for r in (2, 3, 4, 5, 6):
         for _ in range(60):
             n = rng.randrange(r + 1, r + 5)
             table = rand_table(rng, n, r)
@@ -192,7 +195,58 @@ def test_class_witnesses_match_naive_scan():
                 want = naive_class_witness(table, monotone)
                 assert check(table) == (want is None, want)
                 seen.add((r, monotone, want is None))
-    assert len(seen) == 12  # every r and class, with and without the property
+    assert len(seen) == 20  # every r and class, with and without the property
+    for r in (2, 3, 4, 5, 6):
+        # n = r has no (r+1)-tuple; n = r + 1 has one, in one prefix
+        for n in (r, r + 1):
+            for _ in range(4):
+                table = rand_table(rng, n, r)
+                for monotone, check in ((True, is_monotone), (False, is_transitive)):
+                    want = naive_class_witness(table, monotone)
+                    assert check(table) == (want is None, want)
+        # one flipped cell of a constant table, inside the last (r+1)-tuple
+        # L and no other: only the last prefix that has a pair breaks
+        for n in range(r + 2, r + 5):
+            last = tuple(range(n - r - 1, n))
+            for j in range(1, r):
+                cell = last[:j] + last[j + 1:]
+                for sign in Color:
+                    table = ColoringTable.from_function(
+                        n, r, lambda tup: sign.flipped() if tup == cell else sign)
+                    for monotone, check in ((True, is_monotone), (False, is_transitive)):
+                        assert naive_class_witness(table, monotone) == last
+                        assert check(table) == (False, last)
+
+
+def test_keyed_checks_match_the_dense_table():
+    # planar orders 1-4 and a lifted d = 3 instance; small integer heights
+    # make vanishing tuples common, and then the keyed checks raise
+    # DegenerateInputError at a vanishing tuple and nothing else
+    rng = seeded(2323)
+    inputs = [(random_cyclic_instance(3, 8, 75, bits=8), 3)]
+    for order in (1, 2, 3, 4):
+        inputs.append((PlanarSequence(tuple(rand_planar_tuple(rng, order + 5))), order))
+        for _ in range(12):
+            n = rng.randrange(order + 1, order + 6)
+            inputs.append((PlanarSequence(tuple((t, rng.randrange(-3, 4)) for t in range(n))),
+                           order))
+    degenerate = 0
+    for s, order in inputs:
+        lazy = LazyDivdiffColors(s, order)
+        try:
+            dense = divdiff_color_table(s, order) if isinstance(s, PlanarSequence) \
+                else color_table(s)
+        except DegenerateInputError:
+            degenerate += 1
+            for check in (is_monotone, is_transitive):
+                with pytest.raises(DegenerateInputError) as info:
+                    check(lazy)
+                with pytest.raises(DegenerateInputError):
+                    lazy.color(info.value.witness)
+            continue
+        for check in (is_monotone, is_transitive):
+            assert check(lazy) == check(dense)
+    assert 0 < degenerate < len(inputs)
 
 
 def test_monotone_implies_transitive_on_random_monotone_tables():
@@ -285,15 +339,53 @@ def test_rows_are_read_on_demand(monkeypatch):
     hole = (0,) + tuple(range(2, 9))
     big = ColoringTable.from_function(
         16, 8, lambda tup: Color.NEGATIVE if tup == hole else Color.POSITIVE)
-    read, positive_among = set(), ColoringTable.positive_among
+    read = []
+    positive_among, positive_pairs = ColoringTable.positive_among, ColoringTable.positive_pairs
 
     def counted(table, prefix, mask):
-        read.add(prefix)
+        read.append(prefix)
         return positive_among(table, prefix, mask)
 
+    def counted_pairs(table, head, low):
+        read.append((head, low))
+        return positive_pairs(table, head, low)
+
     monkeypatch.setattr(ColoringTable, "positive_among", counted)
+    monkeypatch.setattr(ColoringTable, "positive_pairs", counted_pairs)
     assert is_transitive(big) == (False, tuple(range(9)))
     assert len(read) <= 8
+
+
+def test_checks_rank_per_prefix_and_keep_nothing(monkeypatch):
+    # A full check ranks O(r) times per (r-1)-tuple prefix, not once per
+    # tuple or per (r+1)-tuple
+    n, r = 22, 3
+    table = ColoringTable.from_function(
+        n, r, lambda tup: Color.POSITIVE if tup[0] < 9 else Color.NEGATIVE)
+    calls, rank = [], abr.tables._rank
+
+    def counted(*args):
+        calls.append(args)
+        return rank(*args)
+
+    monkeypatch.setattr(abr.tables, "_rank", counted)
+    for check in (is_monotone, is_transitive):
+        calls.clear()
+        assert check(table) == (True, None)
+        assert len(calls) <= r * comb(n - 2, r - 1) < comb(n, r)
+    monkeypatch.undo()
+    # ... and keeps no rows: a cache of all C(n, r-1) rows would hold at
+    # least that many ints of n bits
+    n, r = 75, 3
+    table = ColoringTable.from_colors(n, r, "+" * comb(n, r))
+    assert table.total >= 1 << 16
+    tracemalloc.start()
+    try:
+        assert is_transitive(table) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < comb(n, r - 1) * sys.getsizeof(1 << n - 1)
 
 
 def test_bits_are_the_colors_in_lex_order():
