@@ -28,15 +28,15 @@ Structure predicates:
   because drop-last is the lexicographically first subtuple and drop-first
   the last.
 
-Table I/O: CSV (one ``i0,...,color`` line per tuple, in lex order) and
-JSON (``{"n", "r", "colors"}``), plus the canonical JSON codec
-``load_json`` / ``dump_json`` behind every JSON input and output of the
-package.  Every writer and reader reads or writes the bits in sequence,
-as one '+'/'-' string; the CSV lines of a string come from one lex walk,
-``_csv_lines``.  A CSV whose rows are exactly those lines is read by its
-last characters; any other CSV goes through the dict path, the one place
-CSV errors are reported.  This module imports only ``errors``, so a table
-command loads no sequence or rational code.
+Table I/O: CSV (one ``i0,...,color`` line per tuple) and JSON (``{"n",
+"r", "colors"}``), plus the canonical JSON codec ``load_json`` /
+``dump_json`` behind every JSON input and output of the package.  Writers
+read the bits as one '+'/'-' string; ``to_csv`` lists its lines in lex
+order by one walk, ``_csv_lines``.  ``from_csv`` reads rows in any order
+into one guarded buffer of C(n, r) signs: rows equal to their walk lines
+unparsed, any other row checked by ``_csv_row`` and placed at its
+``_rank``.  This module imports only ``errors``, so a table command loads
+no sequence or rational code.
 """
 
 import enum
@@ -47,10 +47,9 @@ from itertools import combinations
 from math import comb
 from operator import ne
 
-from .errors import AbrError, Frozen, InvariantError, ParseError, TooLargeError
+from .errors import Frozen, InvariantError, ParseError, TooLargeError
 
 MAX_DENSE_CELLS = 1 << 24
-_INDEX_RE = re.compile(r"[0-9]+")
 _DIGIT_OF_SIGN = str.maketrans("+-", "10")
 _SIGN_OF_DIGIT = str.maketrans("10", "+-")
 
@@ -143,6 +142,33 @@ def _csv_lines(n, r, signs):
     for prefix in combinations(range(n - 1), r - 1):
         stem = ",".join(map(names.__getitem__, prefix)) + ","
         yield from [f"{stem}{y},{sign}" for y, sign in zip(range(prefix[-1] + 1, n), signs)]
+
+
+def _csv_row(line, r, line_no):
+    """The tuple and sign of a CSV row of r increasing ASCII-digit indices
+    and a sign; any other row raises ParseError."""
+    *head, sign = parts = line.split(",")
+    if len(parts) != r + 1:
+        raise ParseError(f"row has {len(parts)} fields, expected {r + 1}", line=line_no)
+    for x in head:
+        if not (x.isascii() and x.isdigit()):
+            raise ParseError(f"bad index {x!r} in row {line_no}; expected ASCII digits")
+    try:
+        tup = tuple(map(int, head))
+    except ValueError as exc:
+        raise ParseError(f"bad index in row {line_no}: {exc}") from exc
+    if list(tup) != sorted(set(tup)):
+        raise ParseError(f"indices {tup} must be strictly increasing", line=line_no)
+    if sign not in ("+", "-"):
+        raise ParseError(f"bad color {sign!r}", line=line_no)
+    return tup, sign
+
+
+def _rows_error(lines, r):
+    """Raise a row's error or the guard's, else return the count's, for n = top index + 1."""
+    n = 1 + max((_csv_row(x, r, i)[0][-1] for i, x in enumerate(lines, 2)), default=-1)
+    cells = _dense_cells(n, r)
+    return ParseError(f"table has {len(lines)} rows but {cells} tuples exist for n={n}, r={r}")
 
 
 def _pack(signs):
@@ -258,67 +284,41 @@ class ColoringTable(Frozen):
 
     @classmethod
     def from_csv(cls, text):
+        """The table of CSV rows in any order; errors in line order, then ``_rows_error``."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ParseError("empty CSV table")
         header = lines[0].split(",")
-        if len(header) < 3 or header[-1] != "color":
-            raise ParseError(f"bad CSV header {lines[0]!r}")
         r = len(header) - 1
-        if header != [f"i{k}" for k in range(r)] + ["color"]:
+        if r < 2 or header != [f"i{k}" for k in range(r)] + ["color"]:
             raise ParseError(f"bad CSV header {lines[0]!r}")
         del lines[0]  # in place: a slice would copy one pointer per row
-        table = cls._from_lex_rows(lines, r)
-        if table is not None:
-            return table
-        entries = {}
-        top = -1
-        for line_no, line in enumerate(lines, start=2):
-            parts = line.split(",")
-            if len(parts) != r + 1:
-                raise ParseError(f"row has {len(parts)} fields, expected {r + 1}", line=line_no)
-            for x in parts[:r]:
-                if not _INDEX_RE.fullmatch(x):
-                    raise ParseError(f"bad index {x!r} in row {line_no}; expected ASCII digits")
-            try:
-                tup = tuple(int(x) for x in parts[:r])
-            except ValueError as exc:
-                raise ParseError(f"bad index in row {line_no}: {exc}") from exc
-            if list(tup) != sorted(set(tup)):
-                raise ParseError(f"indices {tup} must be strictly increasing", line=line_no)
-            if parts[r] not in ("+", "-"):
-                raise ParseError(f"bad color {parts[r]!r}", line=line_no)
-            if tup in entries:
-                raise ParseError(f"tuple {tup} listed twice", line=line_no)
-            entries[tup] = Color(parts[r])
-            top = max(top, tup[-1])
-        n = top + 1
-        cells = _dense_cells(n, r)
-        if len(entries) != cells:
-            raise ParseError(
-                f"table has {len(entries)} rows but {cells} tuples exist for n={n}, r={r}"
-            )
-        return cls.from_function(n, r, lambda tup: entries[tup])
-
-    @classmethod
-    def _from_lex_rows(cls, rows, r):
-        """The table when ``rows`` are exactly the lines ``to_csv`` writes
-        for n = last index + 1, each line's last character its sign; else
-        None.  Never raises: a shape ``_dense_cells`` refuses, and any
-        mismatch, leave the error to the dict path."""
-        last = rows[-1].split(",") if rows else ()
-        top = last[-2] if len(last) == r + 1 else ""
-        if not (0 < len(top) <= 8 and top.isascii() and top.isdigit()):
-            return None
-        n = int(top) + 1
+        rows, n = len(lines), r
+        while comb(n, r) < rows:
+            n += 1
         try:
             cells = _dense_cells(n, r)
-        except AbrError:
-            return None
-        signs = "".join(line[-1] for line in rows)
-        if cells != len(rows) or signs.strip("+-") or any(map(ne, rows, _csv_lines(n, r, signs))):
-            return None
-        return cls(n, r, _pack(signs))
+        except TooLargeError:
+            raise _rows_error(lines, r) from None
+        signs = "".join(line[-1] for line in lines)
+        # a walk line ends in its row's sign, or, for a bad sign, in a line break no row holds
+        differs = bytes(map(ne, lines, _csv_lines(n, r, re.sub("[^+-]", "\n", signs))))
+        lead = differs.find(1) % (rows + 1)  # rows when every row is its walk line
+        placed = bytearray(signs[:lead], "ascii") + bytes(cells - lead)  # 0: not listed
+        for i in range(lead, rows):
+            rank, sign = i, signs[i]
+            if differs[i]:
+                tup, sign = _csv_row(lines[i], r, i + 2)
+                if tup[-1] >= n:
+                    raise _rows_error(lines, r)
+                rank = _rank(tup, n, r, r)
+            if placed[rank]:
+                tup = _csv_row(lines[i], r, i + 2)[0]
+                raise ParseError(f"tuple {tup} listed twice", line=i + 2)
+            placed[rank] = ord(sign)
+        if rows < cells:
+            raise _rows_error(lines, r)
+        return cls(n, r, _pack(placed.decode()))
 
     def to_json_obj(self):
         return {"n": self.n, "r": self.r, "colors": self._signs()}
@@ -334,7 +334,7 @@ class ColoringTable(Frozen):
             n, r, colors = obj["n"], obj["r"], obj["colors"]
         except KeyError as exc:
             raise ParseError(f"missing table field {exc.args[0]!r}") from exc
-        if not isinstance(colors, str) or any(c not in "+-" for c in colors):
+        if not isinstance(colors, str) or colors.strip("+-"):
             raise ParseError("'colors' must be a string of '+'/'-'")
         cells = _dense_cells(n, r)
         if len(colors) != cells:

@@ -6,6 +6,7 @@ test.
 """
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -83,6 +84,58 @@ def rand_table(rng, n, r, density=0.5):
     return ColoringTable.from_function(
         n, r, lambda tup: Color.POSITIVE if rng.random() < density else Color.NEGATIVE
     )
+
+
+_INDEX_RE = re.compile(r"[0-9]+")
+
+
+def reference_from_csv(text):
+    """The table CSV reader that kept a dict of tuples: every row checked
+    and entered in line order, then the dense-table guard and the row count
+    for n = largest index + 1, then one lookup per tuple in lex order.  It
+    places no row by rank, so ``ColoringTable.from_csv`` must give its
+    table or its error."""
+    from abr import Color, ColoringTable, ParseError
+    from abr.tables import _dense_cells
+
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ParseError("empty CSV table")
+    header = lines[0].split(",")
+    if len(header) < 3 or header[-1] != "color":
+        raise ParseError(f"bad CSV header {lines[0]!r}")
+    r = len(header) - 1
+    if header != [f"i{k}" for k in range(r)] + ["color"]:
+        raise ParseError(f"bad CSV header {lines[0]!r}")
+    del lines[0]
+    entries = {}
+    top = -1
+    for line_no, line in enumerate(lines, start=2):
+        parts = line.split(",")
+        if len(parts) != r + 1:
+            raise ParseError(f"row has {len(parts)} fields, expected {r + 1}", line=line_no)
+        for x in parts[:r]:
+            if not _INDEX_RE.fullmatch(x):
+                raise ParseError(f"bad index {x!r} in row {line_no}; expected ASCII digits")
+        try:
+            tup = tuple(int(x) for x in parts[:r])
+        except ValueError as exc:
+            raise ParseError(f"bad index in row {line_no}: {exc}") from exc
+        if list(tup) != sorted(set(tup)):
+            raise ParseError(f"indices {tup} must be strictly increasing", line=line_no)
+        if parts[r] not in ("+", "-"):
+            raise ParseError(f"bad color {parts[r]!r}", line=line_no)
+        if tup in entries:
+            raise ParseError(f"tuple {tup} listed twice", line=line_no)
+        entries[tup] = Color(parts[r])
+        top = max(top, tup[-1])
+    n = top + 1
+    cells = _dense_cells(n, r)
+    if len(entries) != cells:
+        raise ParseError(
+            f"table has {len(entries)} rows but {cells} tuples exist for n={n}, r={r}"
+        )
+    return ColoringTable.from_function(n, r, lambda tup: entries[tup])
 
 
 def flipped_table(table, cells):

@@ -41,6 +41,10 @@ def test_table_commands_load_only_cli_errors_and_tables(tmp_path):
     (tmp_path / "t.csv").write_text(table.to_csv())
     loaded = _loaded(tmp_path, ["check", "transitive", "t.csv", "--format", "json"])
     assert loaded == {"abr", "abr.cli", "abr.errors", "abr.tables"}
+    # rows in another order are read by the same loop, with nothing more loaded
+    header, *rows = table.to_csv().splitlines()
+    (tmp_path / "s.csv").write_text("\n".join([header] + rows[::-1]) + "\n")
+    assert _loaded(tmp_path, ["check", "transitive", "s.csv", "--format", "json"]) == loaded
     loaded = _loaded(tmp_path, ["search", "t.csv", "-o", "F"])
     assert (tmp_path / "F").read_bytes().startswith(b'{"color":')
     assert loaded == {"abr", "abr.cli", "abr.errors", "abr.search", "abr.tables"}

@@ -388,17 +388,21 @@ def test_checks_rank_per_prefix_and_keep_nothing(monkeypatch):
     assert peak < comb(n, r - 1) * sys.getsizeof(1 << n - 1)
 
 
-def test_bits_are_the_colors_in_lex_order():
+def test_bits_are_the_colors_in_lex_order(monkeypatch):
     rng = seeded(1616)
     source = rand_table(rng, 9, 3)
     colors = source.to_json_obj()["colors"]
     lines = source.to_csv().splitlines()
-    reordered = "\n".join(lines[:1] + lines[:0:-1]) + "\n"  # read on the dict path
-    assert ColoringTable._from_lex_rows(reordered.splitlines()[1:], 3) is None
+    reordered = "\n".join(lines[:1] + lines[:0:-1]) + "\n"  # no row on its walk line
+    rank, ranked = abr.tables._rank, []
+    monkeypatch.setattr(abr.tables, "_rank", lambda *args: ranked.append(args[0]) or rank(*args))
+    from_reordered = ColoringTable.from_csv(reordered)
+    assert ranked == list(combinations(range(9), 3))[::-1]  # each row placed at its rank
+    monkeypatch.undo()
     planar = PlanarSequence(tuple(rand_planar_tuple(rng, 9)))
     built = [source, ColoringTable.from_colors(9, 3, colors),
              ColoringTable.from_colors(9, 3, [Color(c) for c in colors]),
-             ColoringTable.from_csv(source.to_csv()), ColoringTable.from_csv(reordered),
+             ColoringTable.from_csv(source.to_csv()), from_reordered,
              ColoringTable.from_json_obj(source.to_json_obj())]
     assert all(table == source for table in built)
     built += [divdiff_color_table(planar, order) for order in (1, 2, 3)]
