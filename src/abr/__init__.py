@@ -6,8 +6,8 @@ counterexample is a proof-grade artifact.  The package covers:
 
 - exact determinants, signed minors, and the integer sign kernel behind
   every validator and certificate (``linalg``);
-- planar and lifted point sequences with wire formats and validators
-  (``sequences``);
+- planar and lifted point sequences with wire formats (rationals too)
+  and validators (``sequences``);
 - the four equivalent color oracles (kernel/heights, determinant,
   divided differences, and geometric crossing for d = 3) plus the
   one-switch certificate for (d+2)-tuples (``coloring``);
@@ -38,9 +38,8 @@ __version__ = "0.1.0"
 _NAMES = {
     "coloring": (
         "HeightPair", "OneSwitchCertificate", "RadonCertificate",
-        "color_by_crossing", "color_by_determinant", "color_by_heights", "color_table",
-        "divided_difference", "one_switch_certificate",
-        "radon_certificate", "vandermonde_divdiff_residual",
+        "color_by_crossing", "color_by_determinant", "color_by_heights", "divided_difference",
+        "one_switch_certificate", "radon_certificate", "vandermonde_divdiff_residual",
     ),
     "constructions": (
         "ClusterParabolaParams", "build_cluster_parabola", "cluster_parabola_sequence",
@@ -53,13 +52,14 @@ _NAMES = {
         "TooLargeError", "WrongOrientationError",
     ),
     "linalg": (
-        "Matrix", "as_fraction", "complementary_minors", "det", "format_rational",
-        "parse_rational", "plucker_residual", "signed_minor_kernel",
+        "Matrix", "complementary_minors", "det", "plucker_residual", "signed_minor_kernel",
     ),
-    "paths": ("LazyDivdiffColors", "divdiff_color_table", "longest_monotone_path"),
+    "paths": ("LazyDivdiffColors", "color_table", "divdiff_color_table",
+              "longest_monotone_path"),
     "search": ("SearchResult", "branch_and_bound", "longest_window_path", "window_runs"),
     "sequences": (
-        "LiftedSequence", "PlanarSequence", "ValidationReport", "moment_lift",
+        "LiftedSequence", "PlanarSequence", "ValidationReport", "as_fraction",
+        "format_rational", "moment_lift", "parse_rational",
         "parse_sequence", "serialize_sequence", "validate_cyclic_projections",
         "validate_d_general_position", "validate_general_position",
     ),

@@ -31,7 +31,7 @@ def lifted_table(s, args, build=None, work=()):
     from .sequences import PlanarSequence, moment_lift, validate_cyclic_projections
 
     if build is None:
-        from .coloring import color_table as build
+        from .paths import color_table as build
 
     if isinstance(s, PlanarSequence):
         if args.d >= 2 and len(s) <= args.d:

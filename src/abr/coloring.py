@@ -22,10 +22,10 @@ The oracles and ``divided_difference`` are the Fraction references, each
 value computed once: the divided difference by Newton's recursion, the
 Radon point from the even block.  The closed Lagrange form and the odd
 block are the tests' cross-checks, not run-time ones.  The lifted table
-``color_table`` is built from the integer keys of ``paths``, one key pass
-per middle, like the dense planar table and every search of a sequence.
-``divdiff_color_table`` and ``LazyDivdiffColors``, the keyed coloring of
-every sequence search, live in ``paths`` and are re-exported here.  The
+``color_table`` and the planar ``divdiff_color_table`` are built from the
+integer keys of ``paths``, one key pass per middle, like every search of a
+sequence; they, and ``LazyDivdiffColors``, the keyed coloring of every
+sequence search, live in ``paths`` and are re-exported here.  The
 one-switch certificate reads ``linalg.SignKernel``, like the lifted
 identities check.
 """
@@ -50,8 +50,8 @@ from .linalg import (
     det,
     signed_minor_kernel,
 )
-from .paths import LazyDivdiffColors, _key_table, divdiff_color_table  # noqa: F401  re-exported
-from .sequences import LiftedSequence, moment_coordinates
+from .paths import LazyDivdiffColors, color_table, divdiff_color_table  # noqa: F401  re-exported
+from .sequences import moment_coordinates
 from .tables import Color
 
 
@@ -334,12 +334,3 @@ def certify_one_switch(kernel, tup, allow_zero=False):
             f"deletion signs switch {switches} times; the certificate forbids more than one"
         )
     return minors, d_values, zero_positions, switches
-
-
-def color_table(s):
-    """Color every increasing (d+1)-tuple of a lifted sequence with cyclic
-    projections by the sign of its determinant, from the integer keys of
-    ``paths``; the lex-least vanishing one raises DegenerateInputError."""
-    if not isinstance(s, LiftedSequence):
-        raise InvariantError("color_table needs a LiftedSequence")
-    return _key_table(s, s.dimension)

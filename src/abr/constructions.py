@@ -33,9 +33,8 @@ from .errors import (
     ParameterSearchFailedError,
     TooLargeError,
 )
-from .linalg import format_rational
 from .search import SearchResult
-from .sequences import PlanarSequence, moment_lift, serialize_sequence
+from .sequences import PlanarSequence, format_rational, moment_lift, serialize_sequence
 from .tables import MAX_DENSE_CELLS, Color, _guarded_comb
 
 MAX_BASE = 2 ** 64

@@ -13,60 +13,18 @@ that share one point's denominator, while a row mixes denominators of every
 point, so per-column scales stay small where per-row scales would explode.
 ``SignKernel``, behind every validator, one-switch certificate and lifted
 identities check, clears each point once and caches its minors; its cleared
-columns also feed the key engine of ``paths``, from which every color of a
-sequence is computed at run time: tables, lazy colors and searches.
+columns also feed the key engine of ``paths``, which keys a lifted sequence
+by Bareiss cofactors (a planar one has closed-form keys and loads no
+``linalg``).  The rational wire format (``as_fraction``, ``parse_rational``,
+``format_rational``) lives in ``sequences`` and is re-exported here.
 """
 
-import re
-import sys
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import (
-    BadIndicesError,
-    BadShapeError,
-    Frozen,
-    InvariantError,
-    NonSquareError,
-    ParseError,
-    TooLargeError,
-)
-
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
-
-
-def as_fraction(value):
-    """Coerce ints, Fractions and Fraction-like exact values; reject floats."""
-    if isinstance(value, float):
-        raise InvariantError(
-            f"floating point value {value!r} is not exact; use Fraction or int"
-        )
-    return Fraction(value)
-
-
-def parse_rational(text):
-    """Parse 'p/q' or 'p' (ASCII decimal digits, optional sign) into a
-    Fraction."""
-    if not isinstance(text, str):
-        raise ParseError(f"rational must be a string, got {type(text).__name__}")
-    if not _RATIONAL_RE.fullmatch(text):
-        raise ParseError(f"malformed rational {text!r}; expected 'p/q' or 'p'")
-    try:
-        return Fraction(text)
-    except ValueError as exc:
-        raise ParseError(
-            f"rational has more than {sys.get_int_max_str_digits()} digits") from exc
-
-
-def format_rational(value):
-    """Render a Fraction as 'p/q' (always with the denominator); a part with
-    more digits than Python converts to a string raises TooLargeError."""
-    value = as_fraction(value)
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError as exc:
-        raise TooLargeError(
-            f"an output number has more than {sys.get_int_max_str_digits()} digits") from exc
+from .errors import BadIndicesError, BadShapeError, Frozen, InvariantError, NonSquareError
+from .sequences import as_fraction
+from .sequences import format_rational, parse_rational  # noqa: F401  re-exported
 
 
 class Matrix(Frozen):

@@ -7,15 +7,20 @@ integer columns (1, z, h): a lifted sequence's, or the moment columns
 (1, t, ..., t^(d-1), h) of a planar sequence, whose sign is that of the
 order-d divided difference.  Per middle M, one ``keys_of(M, xs)`` call keys
 the points outside M's span, and (a, M, e) is + exactly when e's key
-exceeds a's.  ``LazyDivdiffColors`` is that coloring, planar at an order or
+exceeds a's.  Planar keys are in closed form, O(d^2) per middle: the
+order-(d-1) divided difference over M and x is (h_x - p_M(t_x)) /
+omega_M(t_x).  Lifted keys take two cofactor vectors of M by Bareiss, so
+only a lifted sequence, whose kernel has loaded it already, reads
+``linalg``.  ``LazyDivdiffColors`` is that coloring, planar at an order or
 lifted at its dimension, and every key read here goes through it, middle
-by middle in the walk of ``search._middles``.  ``_key_table`` builds the
-dense tables (``divdiff_color_table``, ``coloring.color_table``) from the
-keys, one run of lex-ordered bits per window (a, M), placed by
-``tables._rank``; ``longest_monotone_path`` sorts them into the longest
-path from each window, and ``search._window_path``, the table search's
-front end too, rebuilds the witness from the coloring's rows.  This module
-imports no ``coloring`` code, so a planar command compiles none of it.
+by middle in the walk of ``tables._middles``.  ``_key_table`` builds the
+dense tables (``divdiff_color_table``, ``color_table``) from the keys, one
+run of lex-ordered bits per window (a, M), placed by ``tables._rank``;
+``longest_monotone_path`` sorts them into the longest path from each
+window, and ``search._window_path``, the table search's front end too,
+rebuilds the witness from the coloring's rows.  Only that search imports
+``search``, and nothing here imports ``coloring``, so a planar ``check``
+compiles neither, nor ``linalg``.
 """
 
 from bisect import bisect_left
@@ -24,10 +29,9 @@ from math import gcd, lcm
 from operator import add, floordiv, itemgetter, lshift, mul
 
 from .errors import DegenerateInputError, InvariantError, WrongOrientationError
-from .linalg import _int_det_bareiss
-from .search import _lengths, _middles, _window_path
 from .sequences import LiftedSequence, PlanarSequence
-from .tables import Color, ColoringTable, _check_shape, _dense_cells, _guarded_comb, _rank
+from .tables import (Color, ColoringTable, _check_shape, _dense_cells, _guarded_comb, _middles,
+                     _rank)
 
 
 def divdiff_color_table(p, order):
@@ -36,6 +40,15 @@ def divdiff_color_table(p, order):
     if not isinstance(p, PlanarSequence):
         raise InvariantError("divdiff_color_table needs a PlanarSequence")
     return _key_table(p, order)
+
+
+def color_table(s):
+    """Color every increasing (d+1)-tuple of a lifted sequence with cyclic
+    projections by the sign of its determinant (``_key_table``); the
+    lex-least vanishing one raises DegenerateInputError."""
+    if not isinstance(s, LiftedSequence):
+        raise InvariantError("color_table needs a LiftedSequence")
+    return _key_table(s, s.dimension)
 
 
 def _key_table(s, d):
@@ -85,12 +98,14 @@ def longest_monotone_path(s, order=None):
     """
     if not isinstance(s, (PlanarSequence, LiftedSequence)):
         raise InvariantError("longest_monotone_path needs a PlanarSequence or LiftedSequence")
+    from .search import _lengths, _window_path
+
     n, d = len(s), s.dimension if isinstance(s, LiftedSequence) else _planar_order(order)
     _check_shape(n, d + 1)
     windows = _guarded_comb(n, d, "windows")
     coloring = LazyDivdiffColors(s, d)
-    middles = _keyed_middles(coloring)
-    runs = _order_one_runs(middles, n) if d == 1 else _window_runs(middles, n, d, windows)
+    runs = _lengths(n, d, windows), _lengths(n, d, windows)
+    (_order_one_runs if d == 1 else _window_runs)(_keyed_middles(coloring), n, d, runs)
     return _window_path(coloring, runs, windows)
 
 
@@ -166,58 +181,102 @@ def _window_keys(s, d):
     sign (-1)^(d-1) right of it, as the projections are cyclic.  So
     (a, M, e) is + exactly when sigma(M) w_j / w_h is larger at e than at
     a, sigma(M) the sign of (-1)^(d-1) det[e_h, M, e_j].  Both w are dot
-    products with cofactors of M, each vector divided by its gcd, and the
-    key is floor(2^s sigma(M) w_j / w_h) with 2^s >= max |w_h|^2: distinct
-    quotients differ by at least 2^-s, so keys order and tie exactly as
-    the quotients do.  A lifted sequence passes its kernel's columns, a
-    planar one its moment columns with t and h each cleared by one lcm.
-    A lifted sequence's d-tuples that hold both its ends are no (u, M), so
-    their projection minors are checked here, once."""
-    if isinstance(s, LiftedSequence):
-        n, minor = len(s), s.kernel.minor
-        if any(minor((0, *inner, n - 1)) <= 0 for inner in combinations(range(1, n - 1), d - 2)):
-            raise WrongOrientationError("projections are not cyclically ordered")
-        columns = s.kernel.columns
-    else:
-        ts, hs = zip(*s.points)
-        tscale = lcm(*(x.denominator for x in ts))
-        hscale = lcm(*(x.denominator for x in hs))
-        t = [x.numerator * (tscale // x.denominator) for x in ts]
-        h = [x.numerator * (hscale // x.denominator) for x in hs]
-        columns = [tuple(tx ** e for e in range(d)) + (hx,) for tx, hx in zip(t, h)]
+    products with cofactors of M (``_planar_forms``, ``_lifted_forms``),
+    each vector divided by its gcd, and the key is floor(2^s sigma(M) w_j
+    / w_h) with 2^s >= max |w_h|^2: distinct quotients differ by at least
+    2^-s, so keys order and tie exactly as the quotients do."""
+    coords, forms = (_lifted_forms if isinstance(s, LiftedSequence) else _planar_forms)(s, d)
 
-    coords = list(zip(*columns))  # row by row, the entries of every point
+    def keys_of(middle, xs):
+        pick = itemgetter(*xs) if len(xs) > 1 else lambda row: (row[xs[0]],)
+        at = [pick(row) for row in coords]
+        height, numerator = forms(middle)
+        w = _dot(height, at)  # stops before the height row
+        lo = bisect_left(xs, middle[0]) if middle else len(xs)  # the points a
+        if min(w[:lo]) <= 0 or xs[lo:] and (
+                max(w[lo:]) >= 0 if d % 2 == 0 else min(w[lo:]) <= 0):
+            raise WrongOrientationError("projections are not cyclically ordered")
+        j, other = numerator()
+        num = _dot(other, at[:j] + at[j + 1:])
+        shift = 2 * max(map(abs, w)).bit_length()
+        return list(map(floordiv, map(lshift, num, repeat(shift)), w))
+
+    return keys_of
+
+
+def _planar_forms(s, d):
+    """The rows of a planar sequence's moment columns, t and h each cleared
+    by one lcm, and per middle M the two vectors of ``_window_keys`` in
+    closed form, O(d^2) integer operations.  With V(M) the Vandermonde
+    determinant of M, omega_M = prod (X - t_m) and p_M interpolating h on
+    M, (x, M)'s projection minor is (-1)^(d-1) V(M) omega_M(t_x), and its
+    cofactors without the last power row give (-1)^(d-1) V(M) (h_x -
+    p_M(t_x)): w is (-1)^(d-1) omega_M, and the other vector (-1)^(d-1)
+    (-V(M) p_M, V(M)) over its gcd.  Newton's recursion builds them with
+    no division: m above the points S so far multiplies V(S) by
+    omega_S(t_m) and V(S) p_S too, then adds V(S) (h_m - p_S(t_m)) omega_S."""
+    t, h = (_cleared(column) for column in zip(*s.points))
+    sign = 1 if d & 1 else -1  # (-1)^(d-1)
+
+    def forms(middle):
+        omega, vp, v = [1], [], 1  # omega_S and V(S) p_S, lowest coefficient first, and V(S)
+        for m in middle:
+            x, a, b = t[m], 0, 0
+            for c in reversed(omega):
+                a = a * x + c
+            for c in reversed(vp):
+                b = b * x + c
+            b = v * h[m] - b
+            vp = [a * p + b * c for p, c in zip(vp + [0], omega)]
+            omega = [low - x * c for low, c in zip([0] + omega, omega + [0])]
+            v *= a
+        g = sign * gcd(*vp, v)
+        return [sign * c for c in omega], lambda: (d - 1, [-c // g for c in vp] + [v // g])
+
+    return [[x ** e for x in t] for e in range(d)] + [h], forms
+
+
+def _cleared(values):
+    """Rationals times the lcm of their denominators, as ints."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _lifted_forms(s, d):
+    """The rows of a lifted sequence's kernel columns, and per middle M the
+    two vectors of ``_window_keys``: M's cofactors of the height row, and
+    of the last row j they do not all vanish on, each by d Bareiss minors.
+    The d-tuples that hold both ends of the sequence are no (u, M), so
+    their projection minors are checked here, once."""
+    from .linalg import _int_det_bareiss
+
+    n, minor, columns = len(s), s.kernel.minor, s.kernel.columns
+    if any(minor((0, *inner, n - 1)) <= 0 for inner in combinations(range(1, n - 1), d - 2)):
+        raise WrongOrientationError("projections are not cyclically ordered")
     # per row r, the sign and the rows of each minor that w_r's cofactors take
     plans = [[(-1 if pos & 1 else 1, [q for q in keep if q != i]) for pos, i in enumerate(keep)]
              for keep in ([q for q in range(d + 1) if q != r] for r in range(d + 1))]
 
     def cofactors(rows, r):
         """c with c . u = det of the rows other than r of [u, M], u on those rows"""
-        if not rows[0]:
-            return [1]  # order 1: the empty middle
         return [sign * _int_det_bareiss([rows[q] for q in minor]) for sign, minor in plans[r]]
 
-    def keys_of(middle, xs):
-        rows = list(zip(*(columns[m] for m in middle))) or [()] * (d + 1)
+    def forms(middle):
+        rows = list(zip(*(columns[m] for m in middle)))
         height = cofactors(rows, d)
-        pick = itemgetter(*xs) if len(xs) > 1 else lambda row: (row[xs[0]],)
-        at = [pick(row) for row in coords]
         hg = gcd(*height) or 1  # 0 when M's projections are affinely dependent: all w vanish
-        w = _dot([c // hg for c in height], at)  # stops before the height row
-        lo = bisect_left(xs, middle[0]) if middle else len(xs)  # the points a
-        if min(w[:lo]) <= 0 or xs[lo:] and (
-                max(w[lo:]) >= 0 if d % 2 == 0 else min(w[lo:]) <= 0):
-            raise WrongOrientationError("projections are not cyclically ordered")
-        j = max(i for i in range(d) if height[i])
-        other = cofactors(rows, j)
-        og = gcd(*other)
-        if (height[j] < 0) != (j & 1):  # sigma(M) w_j is -(other . u) here
-            og = -og
-        num = _dot([c // og for c in other], at[:j] + at[j + 1:])
-        shift = 2 * max(map(abs, w)).bit_length()
-        return list(map(floordiv, map(lshift, num, repeat(shift)), w))
 
-    return keys_of
+        def numerator():
+            j = max(i for i in range(d) if height[i])
+            other = cofactors(rows, j)
+            og = gcd(*other)
+            if (height[j] < 0) != (j & 1):  # sigma(M) w_j is -(other . u) here
+                og = -og
+            return j, [c // og for c in other]
+
+        return [c // hg for c in height], numerator
+
+    return list(zip(*columns)), forms
 
 
 def _dot(vec, rows):
@@ -231,7 +290,7 @@ def _dot(vec, rows):
 
 def _keyed_middles(coloring):
     """Per middle M of d-1 points inside (0, n-1), in the order of
-    ``search._middles``: M, the points xs outside its span, the number lo
+    ``tables._middles``: M, the points xs outside its span, the number lo
     of them below it, and their keys.  Order 1 has one empty middle, whose
     xs are all n points, each both an a and an e.  Every (d+1)-tuple is
     compared under exactly one middle, so once all are yielded the
@@ -254,11 +313,11 @@ def _keyed_middles(coloring):
         raise coloring._vanishes(degenerate)
 
 
-def _window_runs(middles, n, d, windows):
-    """Per color, the longest monochromatic path starting at each window of
-    d >= 2 points, by lex rank.  The windows (a, M) of a middle at the
-    ends of the sequence have no (a, M, e) and keep d."""
-    plus, minus = _lengths(n, d, windows), _lengths(n, d, windows)
+def _window_runs(middles, n, d, runs):
+    """Per color, into ``runs``, the longest monochromatic path starting at
+    each window of d >= 2 points, by lex rank.  The windows (a, M) of a
+    middle at the ends of the sequence have no (a, M, e) and keep d."""
+    plus, minus = runs
     last = [_rank((a,), n, d, 1) for a in range(n)]  # the last window that starts with a
     for middle, xs, lo, keys in middles:
         # lex ranks in key order: (a, M) sits as far below a's last window
@@ -275,22 +334,19 @@ def _window_runs(middles, n, d, windows):
                     run[~rank] = best + 1
                 elif run[rank] > best:
                     best = run[rank]
-    return plus, minus
 
 
-def _order_one_runs(middles, n):
-    """Order 1: a window is one point and (a, e) is + when e's key, its
-    height, exceeds a's, so a path is a strictly monotone subsequence.
-    Points are taken from the last, and ``tails[i]`` holds the key of the
-    best start of a path of i + 1 points seen so far, negated for +, so it
-    increases with i and one bisect gives the longest path from a."""
+def _order_one_runs(middles, n, d, runs):
+    """Order 1, into ``runs``: a window is one point and (a, e) is + when
+    e's key, its height, exceeds a's, so a path is a strictly monotone
+    subsequence.  Points are taken from the last, and ``tails[i]`` holds
+    the key of the best start of a path of i + 1 points seen so far,
+    negated for +, so it increases with i and one bisect gives the longest
+    path from a."""
     (keys,) = [keys for _, _, _, keys in middles]
-    runs = []
-    for sign in (-1, 1):
-        run, tails = _lengths(n, 0, n), []
+    for run, sign in zip(runs, (-1, 1)):
+        tails = []
         for a in reversed(range(n)):
             i = bisect_left(tails, sign * keys[a])
             run[a] = i + 1
             tails[i:i + 1] = [sign * keys[a]]
-        runs.append(run)
-    return runs

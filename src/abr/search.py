@@ -1,8 +1,8 @@
 """Longest monochromatic sets of a table: the window DP and the branch and
 bound.  ``tables.longest_monochromatic`` imports this module when it
-runs, so a table ``check`` does not load it; ``paths`` and
-``constructions`` import it at load, for the sequence search's
-``_window_path`` and its ``SearchResult``.
+runs, and so does ``paths.longest_monotone_path``, the sequence search,
+for ``_lengths`` and ``_window_path``, so no ``check`` loads it;
+``constructions`` imports it at load, for ``SearchResult``.
 
 A window is an (r-1)-tuple.  The consecutive windows of a monochromatic
 set chain in its color, so on any table, transitive or not, the longest
@@ -12,7 +12,7 @@ lengths per color, row by row from a table's bits.  ``longest_window_path``
 answers when the lex-least longest path is monochromatic; otherwise
 ``branch_and_bound`` answers, the same lengths cutting every branch that
 cannot reach the best set so far.  The sequence search of ``paths`` walks
-the same ``_middles`` and ends in the same ``_window_path``.
+the same ``tables._middles`` and ends in the same ``_window_path``.
 """
 
 from array import array
@@ -20,7 +20,7 @@ from collections import namedtuple
 from itertools import combinations, islice
 from math import comb
 
-from .tables import MAX_DENSE_CELLS, Color, ColoringTable, _rank
+from .tables import MAX_DENSE_CELLS, Color, ColoringTable, _middles, _rank
 
 
 class SearchResult(namedtuple("SearchResult", "size witness color exhaustive nodes_visited method",
@@ -104,15 +104,6 @@ def _window_path(coloring, runs, windows):
     witness, color = min([(_greedy_path(coloring, run, size, color), color)
                           for color, run in zip(Color, runs) if max(run) == size])
     return SearchResult(size, witness, color, True, windows, "monotone-path")
-
-
-def _middles(n, k):
-    """The k-tuples M inside (0, n-1), lazily, by decreasing first point
-    (k = 0: the empty one), so each M[1:] + (e,) comes before M."""
-    if not k:
-        return iter([()])
-    return ((first, *rest) for first in reversed(range(1, n - 1))
-            for rest in combinations(range(first + 1, n - 1), k - 1))
 
 
 def _point_runs(table):

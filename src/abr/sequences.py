@@ -17,7 +17,8 @@ the tests' references.  They share one scan loop over integer kernel
 values: a lifted sequence's ``kernel`` (built lazily, its columns keyed by
 ``paths``), or ``moment_kernel`` on a planar sequence's moment lift, which
 only ``validate_d_general_position`` reads: every planar color is computed
-from the keys of ``paths``, which forms its own integer moment columns.
+from the closed-form keys of ``paths``.  Both kernels import ``linalg``
+when they are built, so a planar command loads no ``linalg``.
 ``moment_coordinates`` forms the lift's rational coordinates.
 
 Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
@@ -25,17 +26,20 @@ Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
     {"kind": "planar", "points": [["0/1", "5/1"], ...]}
     {"kind": "lifted", "dimension": d, "points": [[z_1, ..., z_{d-1}, h], ...]}
 
-Unknown fields are rejected rather than ignored.  The JSON codec itself
-(``load_json`` / ``dump_json``) lives in ``tables``.
+Unknown fields are rejected rather than ignored.  A rational is read by
+``parse_rational`` and written by ``format_rational``, both here (``linalg``
+re-exports them, with ``as_fraction``, which refuses floats); the JSON
+codec itself (``load_json`` / ``dump_json``) lives in ``tables``.
 """
 
+import re
+import sys
 from collections import namedtuple
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .errors import Frozen, InvariantError, ParseError, TooFewPointsError
-from .linalg import SignKernel, as_fraction, cleared_column, format_rational, parse_rational
-from .linalg import det  # noqa: F401  kept bound here; bench/test_bench.py traces it
+from .errors import Frozen, InvariantError, ParseError, TooFewPointsError, TooLargeError
 from .tables import dump_json, load_json
 
 VALID = "valid"
@@ -45,6 +49,42 @@ UNVERIFIED = "unverified"
 ZERO_DETERMINANT = "zero_determinant"
 NEGATIVE_DETERMINANT = "negative_determinant"
 ZERO_DIVIDED_DIFFERENCE = "zero_divided_difference"
+
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
+
+
+def as_fraction(value):
+    """Coerce ints, Fractions and Fraction-like exact values; reject floats."""
+    if isinstance(value, float):
+        raise InvariantError(
+            f"floating point value {value!r} is not exact; use Fraction or int"
+        )
+    return Fraction(value)
+
+
+def parse_rational(text):
+    """Parse 'p/q' or 'p' (ASCII decimal digits, optional sign) into a
+    Fraction."""
+    if not isinstance(text, str):
+        raise ParseError(f"rational must be a string, got {type(text).__name__}")
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ParseError(f"malformed rational {text!r}; expected 'p/q' or 'p'")
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise ParseError(
+            f"rational has more than {sys.get_int_max_str_digits()} digits") from exc
+
+
+def format_rational(value):
+    """Render a Fraction as 'p/q' (always with the denominator); a part with
+    more digits than Python converts to a string raises TooLargeError."""
+    value = as_fraction(value)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise TooLargeError(
+            f"an output number has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 class ValidationReport(namedtuple("ValidationReport", "status failures checked")):
@@ -135,6 +175,8 @@ class LiftedSequence(Frozen):
     @cached_property
     def kernel(self):
         """Integer kernel of the columns (1, z_i, h_i), shared by every pass."""
+        from .linalg import SignKernel, cleared_column
+
         return SignKernel([cleared_column(pt) for pt in self.points])
 
 
@@ -161,6 +203,8 @@ def moment_kernel(points, d):
     increasing t.  The determinant of a (d+1)-tuple is Vandermonde(t) > 0
     times its order-d divided difference, so the kernel value has the
     divided difference's sign."""
+    from .linalg import SignKernel, cleared_column
+
     return SignKernel([cleared_column(c) for c in moment_coordinates(points, d)])
 
 

@@ -5,7 +5,7 @@ Tables are stored densely, one bit per tuple in lex order, so bit i is the
 i-th tuple of ``combinations(range(n), r)``; a size guard refuses tables
 beyond the dense budget.  ``_rank`` is the one tuple rank: it validates a
 tuple and gives its bit, and ``search`` and ``paths`` rank windows by it
-too.
+too, walking their middles by ``_middles``.
 
 The checks and the search read candidate masks instead of single tuples.
 Every table answers two questions: ``positive_among(Q, mask)``, which bits
@@ -108,6 +108,15 @@ def _rank(tup, n, r, size):
     raise InvariantError(
         f"need a strictly increasing {size}-tuple of indices below {n}, got {tup!r}"
     )
+
+
+def _middles(n, k):
+    """The k-tuples M inside (0, n-1), lazily, by decreasing first point
+    (k = 0: the empty one), so each M[1:] + (e,) comes before M."""
+    if not k:
+        return iter([()])
+    return ((first, *rest) for first in reversed(range(1, n - 1))
+            for rest in combinations(range(first + 1, n - 1), k - 1))
 
 
 def _check_shape(n, r):

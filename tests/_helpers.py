@@ -177,6 +177,57 @@ def kernel_color_table(s):
     return _kernel_table(s.kernel.value, len(s), s.dimension + 1, "lifted determinant")
 
 
+def reference_planar_keys(p, d):
+    """The planar ``keys_of`` of ``abr.paths`` by cofactors: per middle M, the
+    cofactor vectors of the height row and of the last power row over the
+    moment columns (1, t, ..., t^(d-1), h), t and h each cleared by one
+    lcm, by 2d Bareiss minors, each vector divided by its gcd.  The
+    closed-form keys must equal these integer for integer, and raise
+    WrongOrientationError where these do."""
+    from math import gcd
+
+    from abr import WrongOrientationError
+    from abr.linalg import _int_det_bareiss
+
+    ts, hs = zip(*p.points)
+    tscale = lcm(*(x.denominator for x in ts))
+    hscale = lcm(*(x.denominator for x in hs))
+    t = [x.numerator * (tscale // x.denominator) for x in ts]
+    h = [x.numerator * (hscale // x.denominator) for x in hs]
+    columns = [tuple(tx ** e for e in range(d)) + (hx,) for tx, hx in zip(t, h)]
+
+    def cofactors(rows, r):
+        """c with c . u = det of the rows other than r of [u, M]"""
+        if not rows[0]:
+            return [1]  # order 1: the empty middle
+        keep = [q for q in range(d + 1) if q != r]
+        return [(-1) ** pos * _int_det_bareiss([rows[q] for q in keep if q != i])
+                for pos, i in enumerate(keep)]
+
+    def dot(vec, rows, xs):
+        return [sum(c * columns[x][q] for c, q in zip(vec, rows)) for x in xs]
+
+    def keys_of(middle, xs):
+        rows = list(zip(*(columns[m] for m in middle))) or [()] * (d + 1)
+        height = cofactors(rows, d)
+        hg = gcd(*height)
+        w = dot([c // hg for c in height], range(d), xs)
+        lo = sum(x < middle[0] for x in xs) if middle else len(xs)
+        if min(w[:lo]) <= 0 or xs[lo:] and (
+                max(w[lo:]) >= 0 if d % 2 == 0 else min(w[lo:]) <= 0):
+            raise WrongOrientationError("projections are not cyclically ordered")
+        j = max(i for i in range(d) if height[i])
+        other = cofactors(rows, j)
+        og = gcd(*other)
+        if (height[j] < 0) != (j & 1):
+            og = -og
+        num = dot([c // og for c in other], [q for q in range(d + 1) if q != j], xs)
+        shift = 2 * max(map(abs, w)).bit_length()
+        return [(a << shift) // b for a, b in zip(num, w)]
+
+    return keys_of
+
+
 def every_read(colors):
     """Every color of a table or keyed coloring, then every full row, each
     in lex order; each part the first DegenerateInputError's message and

@@ -447,13 +447,12 @@ def test_over_guard_lifted_work_is_refused_before_any_minor(tmp_path, monkeypatc
                                                             command, kind, n, message):
     # The moment curve backwards: the orientation scan would call it not
     # cyclic (exit 4), but the guard of the command's work refuses first.
-    from abr import cli, linalg, paths
+    from abr import cli, linalg
 
     def forbidden(grid):
         raise AssertionError("a Bareiss minor was formed")
 
-    monkeypatch.setattr(linalg, "_int_det_bareiss", forbidden)
-    monkeypatch.setattr(paths, "_int_det_bareiss", forbidden)
+    monkeypatch.setattr(linalg, "_int_det_bareiss", forbidden)  # read by lifted keys too
     ts = range(n, 0, -1) if kind == "lifted" else range(n)
     obj = ({"kind": "lifted", "dimension": 3,
             "points": [[str(t), str(t * t), str(t ** 3)] for t in ts]} if kind == "lifted"

@@ -71,6 +71,26 @@ def test_planar_check_and_search_load_no_coloring_or_dataclasses(tmp_path):
         assert not loaded & {"abr.cli_sequences", "abr.coloring", "dataclasses", "inspect"}
 
 
+def test_planar_commands_load_no_linalg(tmp_path):
+    # planar keys are in closed form, with no determinant; only a search
+    # loads the search code
+    _planar(tmp_path)
+    planar = {"abr", "abr.cli", "abr.errors", "abr.paths", "abr.sequences", "abr.tables",
+              "fractions"}
+    for what in ("monotone", "transitive"):
+        argv = ["check", what, "p.json", "--d", "3", "--format", "json"]
+        assert _loaded(tmp_path, argv) == planar
+    loaded = _loaded(tmp_path, ["search", "p.json", "--d", "3", "-o", "F"])
+    assert json.loads((tmp_path / "F").read_text())["method"] == "monotone-path"
+    assert loaded == planar | {"abr.search"}
+
+
+def test_generate_em_loads_no_linalg(tmp_path):
+    loaded = _loaded(tmp_path, ["generate", "em", "--m", "2", "-o", "E"])
+    assert json.loads((tmp_path / "E").read_text())["kind"] == "planar"
+    assert "abr.constructions" in loaded and "abr.linalg" not in loaded
+
+
 def test_sequence_commands_load_cli_sequences(tmp_path):
     points = [[str(t), str(t * t), str(t ** 3 + t % 3)] for t in range(9)]
     (tmp_path / "s.json").write_text(json.dumps({"kind": "lifted", "dimension": 3,
@@ -83,11 +103,12 @@ def test_sequence_commands_load_cli_sequences(tmp_path):
 
 
 def test_generate_random_and_lifted_color_load_no_dataclasses(tmp_path):
+    # a lifted color table is built by the key engine of abr.paths
     loaded = _loaded(tmp_path, ["generate", "random", "--d", "3", "--n", "6", "-o", "R"],
                      ["color", "R", "-o", "C"])
     assert (tmp_path / "C").read_text().startswith("i0,i1,i2,i3,color\n")
-    assert {"abr.constructions", "abr.coloring"} <= loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert "abr.constructions" in loaded
+    assert not loaded & {"abr.coloring", "dataclasses", "inspect"}
 
 
 def test_generate_random_loads_no_coloring(tmp_path):

@@ -8,7 +8,7 @@ pass it: the size is what these comparisons catch.  When the DP does not
 answer, the table search is the branch and bound cut by the DP's path
 lengths, which must equal the reference with the same cut, whole
 SearchResult and all, and the reference without it in size, witness and
-color.  Both window DPs walk their middles by ``search._middles``, tested
+color.  Both window DPs walk their middles by ``tables._middles``, tested
 here too.
 """
 
@@ -33,6 +33,7 @@ from abr import (
     longest_window_path,
     random_cyclic_instance,
     search,
+    tables,
     window_runs,
 )
 
@@ -172,21 +173,21 @@ def test_cli_search_matches_reference(tmp_path, name):
 def test_middles_walk_every_k_subset_once_each_after_its_successors():
     for n in range(2, 10):
         for k in range(n - 1):
-            walk = list(search._middles(n, k))
+            walk = list(tables._middles(n, k))
             assert sorted(walk) == list(combinations(range(1, n - 1), k))
             at = {middle: i for i, middle in enumerate(walk)}
             assert len(at) == len(walk)
             # the windows (M, e) of a DP over (a, M) are settled first
             assert all(at[middle[1:] + (e,)] < i for middle, i in at.items() if middle
                        for e in range(middle[-1] + 1, n - 1))
-    assert list(search._middles(5, 0)) == [()]
+    assert list(tables._middles(5, 0)) == [()]
 
 
 def test_middles_arrive_one_at_a_time():
     # C(24, 11) = 2,496,144 middles: a list of them would take hundreds of MB
     tracemalloc.start()
     try:
-        first = next(iter(search._middles(26, 11)))
+        first = next(iter(tables._middles(26, 11)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
