@@ -18,20 +18,20 @@ MAX_OUTPUT_DIGITS = 1 << 26
 
 
 def lifted_table(s, args, build=None, work=()):
-    """Lifted sequence (a planar one is moment-lifted to ``--d``) and
-    ``build`` of it, by default its color table.  The build is the one check
-    of cyclic order and general position: it keys every d-tuple and
-    (d+1)-tuple, and stops at the lex-least zero determinant.  Only when it
-    finds the projections not cyclic, or there are at most d points, are
-    they scanned to name the lex-least witness: a sequence whose reversal
-    is cyclic gets WrongOrientationError, or with ``--reverse-orientation``
-    is replaced by that reversal and built again.  The command visits
-    C(n, d+k) items of each (k, what) in ``work``; more than the dense
-    guard are refused before any minor."""
+    """Lifted sequence and ``build`` of it, by default its color table.  A
+    planar one is moment-lifted to ``--d``, for ``--cross-check`` and the
+    certificates to read, and colored by ``divdiff_color_table``: the lift's
+    determinants are Vandermonde(t) > 0 times the divided differences.  The
+    build is the one check of cyclic order and general position: it keys
+    every d-tuple and (d+1)-tuple, and stops at the lex-least zero
+    determinant.  Only when it finds the projections not cyclic, or there
+    are at most d points, are they scanned to name the lex-least witness: a
+    sequence whose reversal is cyclic gets WrongOrientationError, or with
+    ``--reverse-orientation`` is replaced by that reversal and built again.
+    The command visits C(n, d+k) items of each (k, what) in ``work``; more
+    than the dense guard are refused before any minor."""
+    from .paths import color_table, divdiff_color_table
     from .sequences import PlanarSequence, moment_lift, validate_cyclic_projections
-
-    if build is None:
-        from .paths import color_table as build
 
     if isinstance(s, PlanarSequence):
         if args.d >= 2 and len(s) <= args.d:
@@ -39,7 +39,9 @@ def lifted_table(s, args, build=None, work=()):
             # below: the cyclic scan needs d points, the colors d + 1.
             need = args.d if len(s) < args.d else args.d + 1
             raise TooFewPointsError(f"need at least {need} points, got {len(s)}")
-        s = moment_lift(s, args.d)
+        planar, s = s, moment_lift(s, args.d)
+        build = build or (lambda _: divdiff_color_table(planar, args.d))
+    build = build or color_table
     for extra, what in work:
         if len(s) >= s.dimension + extra:
             _guarded_comb(len(s), s.dimension + extra, what)

@@ -15,8 +15,7 @@ point, so per-column scales stay small where per-row scales would explode.
 identities check, clears each point once and caches its minors; its cleared
 columns also feed the key engine of ``paths``, which keys a lifted sequence
 by Bareiss cofactors (a planar one has closed-form keys and loads no
-``linalg``).  The rational wire format (``as_fraction``, ``parse_rational``,
-``format_rational``) lives in ``sequences`` and is re-exported here.
+``linalg``).
 """
 
 from fractions import Fraction
@@ -24,7 +23,6 @@ from math import lcm, prod
 
 from .errors import BadIndicesError, BadShapeError, Frozen, InvariantError, NonSquareError
 from .sequences import as_fraction
-from .sequences import format_rational, parse_rational  # noqa: F401  re-exported
 
 
 class Matrix(Frozen):

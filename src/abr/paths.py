@@ -14,13 +14,15 @@ only a lifted sequence, whose kernel has loaded it already, reads
 ``linalg``.  ``LazyDivdiffColors`` is that coloring, planar at an order or
 lifted at its dimension, and every key read here goes through it, middle
 by middle in the walk of ``tables._middles``.  ``_key_table`` builds the
-dense tables (``divdiff_color_table``, ``color_table``) from the keys, one
-run of lex-ordered bits per window (a, M), placed by ``tables._rank``;
-``longest_monotone_path`` sorts them into the longest path from each
-window, and ``search._window_path``, the table search's front end too,
-rebuilds the witness from the coloring's rows.  Only that search imports
-``search``, and nothing here imports ``coloring``, so a planar ``check``
-compiles neither, nor ``linalg``.
+dense tables from the keys, one run of lex-ordered bits per window (a, M),
+placed by ``tables._rank``: ``divdiff_color_table`` of every planar
+command, ``color`` and ``check one-switch`` too, and ``color_table`` of a
+lifted one.  ``longest_monotone_path`` sorts the runs into the longest path
+from each window, and ``search._window_path``, the table search's front
+end too, rebuilds the witness from the coloring's rows.  Only that search
+imports ``search``, and nothing here imports ``coloring``, so a planar
+``check``, or ``color`` without ``--cross-check``, compiles neither, nor
+``linalg``.
 """
 
 from bisect import bisect_left

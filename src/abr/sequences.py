@@ -27,9 +27,9 @@ Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
     {"kind": "lifted", "dimension": d, "points": [[z_1, ..., z_{d-1}, h], ...]}
 
 Unknown fields are rejected rather than ignored.  A rational is read by
-``parse_rational`` and written by ``format_rational``, both here (``linalg``
-re-exports them, with ``as_fraction``, which refuses floats); the JSON
-codec itself (``load_json`` / ``dump_json``) lives in ``tables``.
+``parse_rational`` and written by ``format_rational``, both here with
+``as_fraction``, which refuses floats; the JSON codec itself
+(``load_json`` / ``dump_json``) lives in ``tables``.
 """
 
 import re

@@ -177,6 +177,16 @@ def kernel_color_table(s):
     return _kernel_table(s.kernel.value, len(s), s.dimension + 1, "lifted determinant")
 
 
+def reference_lift_table(p, d):
+    """The planar table by the lift route: the moment lift of ``p`` keyed as
+    lifted input, by Bareiss cofactors.  ``divdiff_color_table`` must equal
+    it bit for bit, and raise where it does, with the same witness."""
+    from abr.paths import color_table
+    from abr.sequences import moment_lift
+
+    return color_table(moment_lift(p, d))
+
+
 def reference_planar_keys(p, d):
     """The planar ``keys_of`` of ``abr.paths`` by cofactors: per middle M, the
     cofactor vectors of the height row and of the last power row over the

@@ -522,7 +522,7 @@ def test_degenerate_planar_input_witness(tmp_path, command):
     code, stdout, stderr = run(*command[:-2], src, *command[-2:])
     assert code == 4
     assert stdout == b""
-    if command[0] == "color":  # colored through the moment lift
+    if command[0] == "color":  # the closed-form table, reported as the lift's
         assert stderr == b"error: degenerate lifted tuple (0, 1, 2, 3)\n"
     else:
         assert stderr == b"error: divided difference vanishes at (0, 1, 2, 3)\n"

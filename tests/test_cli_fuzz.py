@@ -5,9 +5,10 @@ Every subcommand and flag is drawn with small values and hostile ones
 and table CSV.  Each run must end in a documented exit code, print no
 traceback, print exactly one ``error: `` line when it exits 2, and finish
 well inside a bound.  Sizes stay where a command takes well under a
-second: n <= 10 points, dimension <= 5, and order <= 9 for ``check`` and
-``search`` (whose planar keys are in closed form), <= 5 elsewhere; the
-slow high-order inputs that the guards still admit are ROADMAP item 5.
+second: n <= 10 points, order <= 9 for ``color``, ``check`` and ``search``
+(whose planar keys are in closed form), and dimension <= 5 for lifted
+input and the generators; the slow high-order inputs that the guards
+still admit are ROADMAP item 5.
 """
 
 import contextlib
@@ -130,8 +131,9 @@ def _run(draw):
         return ["generate", "cupcap", "--k", draw(_value(3, 7))] + out, None
     source = draw(st.sampled_from(["{in}"] * 8 + ["-", "{missing}"]))
     if command == "color":
-        argv = ["color", source] + _flags(draw, {"--d": d, "--format": st.sampled_from(
-            ["csv", "json"])}, ["--cross-check", "--reverse-orientation"]) + out
+        argv = ["color", source] + _flags(draw, {
+            "--d": _value(1, 9), "--format": st.sampled_from(["csv", "json"])},
+            ["--cross-check", "--reverse-orientation"]) + out
     elif command == "check":
         what = draw(st.sampled_from(["monotone", "transitive", "one-switch", "identities"]))
         argv = ["check", what, source] + _flags(draw, {"--d": _value(1, 9), "--format":

@@ -73,7 +73,7 @@ def test_planar_check_and_search_load_no_coloring_or_dataclasses(tmp_path):
 
 def test_planar_commands_load_no_linalg(tmp_path):
     # planar keys are in closed form, with no determinant; only a search
-    # loads the search code
+    # loads the search code, and only color's cross-check the color oracles
     _planar(tmp_path)
     planar = {"abr", "abr.cli", "abr.errors", "abr.paths", "abr.sequences", "abr.tables",
               "fractions"}
@@ -83,6 +83,11 @@ def test_planar_commands_load_no_linalg(tmp_path):
     loaded = _loaded(tmp_path, ["search", "p.json", "--d", "3", "-o", "F"])
     assert json.loads((tmp_path / "F").read_text())["method"] == "monotone-path"
     assert loaded == planar | {"abr.search"}
+    loaded = _loaded(tmp_path, ["color", "p.json", "--d", "3", "-o", "C"])
+    assert (tmp_path / "C").read_text().startswith("i0,i1,i2,i3,color\n")
+    assert loaded == planar | {"abr.cli_sequences"}
+    loaded = _loaded(tmp_path, ["color", "p.json", "--d", "3", "-o", "C", "--cross-check"])
+    assert {"abr.coloring", "abr.linalg"} <= loaded
 
 
 def test_generate_em_loads_no_linalg(tmp_path):

@@ -3,11 +3,16 @@ kept in ``_helpers.reference_planar_keys``: integer for integer on every
 middle, with the same WrongOrientationError, on drawn rational inputs of
 orders 1 to 8 (ties included), on windows of the depth-4 cluster instance
 and on 40 points at order 38.  Equal keys make equal tables, searches and
-degenerate witnesses, which the drawn inputs check too.  No planar build or
-search forms a determinant."""
+degenerate witnesses, which the drawn inputs check too.  Planar ``color``
+and ``check one-switch`` give the bytes, messages and witnesses of the
+lift route kept in ``_helpers.reference_lift_table``.  No planar build,
+search or ``color`` forms a determinant."""
 
+import contextlib
+import io
 import json
 import time
+from argparse import Namespace
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -17,13 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abr import (DegenerateInputError, PlanarSequence, WrongOrientationError,
-                 build_cluster_parabola, divdiff_color_table, linalg, longest_monotone_path,
-                 paths)
+from abr import (AbrError, ColoringTable, DegenerateInputError, PlanarSequence,
+                 WrongOrientationError, build_cluster_parabola, cli_sequences,
+                 divdiff_color_table, linalg, longest_monotone_path, paths)
 from abr.cli import main
 from abr.tables import _middles
 
-from _helpers import reference_planar_keys
+from _helpers import reference_lift_table, reference_planar_keys
 
 
 def _keys(keys_of, middle, xs):
@@ -127,12 +132,44 @@ def test_forty_points_at_order_38(tmp_path, capsys):
         assert got(middle, xs) == want(middle, xs)
 
 
+def _cli(argv):
+    """Exit code, stdout bytes and stderr text of one command run in-process."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+def _write_planar(path, p):
+    path.write_text(json.dumps({"kind": "planar", "points": [
+        [str(t), str(h)] for t, h in p.points]}))
+    return str(path)
+
+
+def test_forty_points_color_at_order_38(tmp_path):
+    # 47-67 s by the lift route: 2·38 Bareiss minors of 37 x 37 per middle
+    p = PlanarSequence(_FORTY)
+    src = _write_planar(tmp_path / "p.json", p)
+    start = time.perf_counter()
+    code, out, err = _cli(["color", src, "--d", "38"])
+    elapsed = time.perf_counter() - start
+    table = divdiff_color_table(p, 38)
+    positive, negative = table.counts()
+    assert code == 0
+    assert ColoringTable.from_csv(out.decode("utf-8")) == table
+    assert err == f"n=40 d=38 tuples={table.total} positive={positive} negative={negative}\n"
+    assert elapsed < 2.0
+
+
 def test_planar_builds_and_searches_form_no_determinant(tmp_path, monkeypatch, capsys):
     p = build_cluster_parabola(3, 2)[0]
     table, result = divdiff_color_table(p, 3), longest_monotone_path(p, 3)
-    src = tmp_path / "p.json"
-    src.write_text(json.dumps({"kind": "planar", "points": [
-        [str(t), str(h)] for t, h in p.points]}))
+    src = _write_planar(tmp_path / "p.json", p)
+    colors = [["color", src, "--d", "3", "--format", fmt] for fmt in ("csv", "json")]
+    with patch.object(paths, "divdiff_color_table", reference_lift_table):
+        want = [_cli(argv) for argv in colors]
+    assert [code for code, _, _ in want] == [0, 0]
 
     def forbidden(grid):
         raise AssertionError("a Bareiss determinant was formed")
@@ -141,7 +178,53 @@ def test_planar_builds_and_searches_form_no_determinant(tmp_path, monkeypatch, c
     monkeypatch.setattr(paths, "_int_det_bareiss", forbidden, raising=False)
     assert divdiff_color_table(p, 3) == table
     assert longest_monotone_path(p, 3) == result
-    assert main(["check", "transitive", str(src), "--d", "3"]) == 0
-    assert main(["search", str(src), "--d", "3", "-o", str(tmp_path / "F")]) == 0
+    assert main(["check", "transitive", src, "--d", "3"]) == 0
+    assert main(["search", src, "--d", "3", "-o", str(tmp_path / "F")]) == 0
     assert json.loads((tmp_path / "F").read_text())["size"] == result.size
     assert capsys.readouterr().err == ""
+    assert [_cli(argv) for argv in colors] == want  # the lift route's bytes and summary
+
+
+def _planar_color_runs(p, d, src):
+    """What planar ``color`` (CSV and JSON) and ``check one-switch`` print,
+    and ``lifted_table``'s table or its error with the witness."""
+    runs = [_cli(["color", src, "--d", str(d), "--format", fmt]) for fmt in ("csv", "json")]
+    if len(p) >= d + 2:
+        runs.append(_cli(["check", "one-switch", src, "--d", str(d), "--format", "json"]))
+    try:
+        runs.append(cli_sequences.lifted_table(p, Namespace(d=d, reverse_orientation=False)))
+    except AbrError as exc:
+        runs.append((type(exc), str(exc), getattr(exc, "witness", None)))
+    return runs
+
+
+@st.composite
+def planar_colorings(draw):
+    d = draw(st.integers(2, 9))
+    n = draw(st.integers(d + 1, d + 3))
+    ints = st.integers(-12, 12)
+    values = ints if draw(st.booleans()) else st.builds(Fraction, ints,
+                                                        st.sampled_from((1, 2, 3, 5)))
+    ts = sorted(draw(st.sets(values, min_size=n, max_size=n)))
+    # any d + 1 points on one polynomial of degree below d tie
+    poly = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    hs = [draw(st.one_of(st.just(sum(c * t ** e for e, c in enumerate(poly))), values))
+          for t in ts]
+    return PlanarSequence(tuple(zip(ts, hs))), d
+
+
+def test_planar_color_and_one_switch_match_the_lift_route(tmp_path):
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(planar_colorings())
+    def run(case):
+        p, d = case
+        src = _write_planar(tmp_path / "p.json", p)
+        with patch.object(paths, "divdiff_color_table", reference_lift_table):
+            want = _planar_color_runs(p, d, src)
+        assert _planar_color_runs(p, d, src) == want
+        seen["table" if want[0][0] == 0 else "degenerate"] += 1
+
+    run()
+    assert min(seen["table"], seen["degenerate"]) >= 20, seen
