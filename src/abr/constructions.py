@@ -17,7 +17,12 @@ Three families:
   C(2k-4, k-2) points with no k-point cup and no k-point cap.
 
 * ``random_cyclic_instance``: seeded random moment-curve instances that are
-  guaranteed nondegenerate by redraw, for property suites.
+  guaranteed nondegenerate by redraw, for property suites; one key pass of
+  ``paths`` decides each redraw, with no search.
+
+Each function imports ``paths`` and ``search`` when it runs them, so
+``generate em --no-verify``, ``generate cupcap`` and ``generate moment
+--heights random`` compile neither, and ``generate random`` no ``search``.
 """
 
 import random
@@ -25,7 +30,6 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .paths import longest_monotone_path
 from .errors import (
     DegenerateInputError,
     GenerationFailedError,
@@ -33,7 +37,6 @@ from .errors import (
     ParameterSearchFailedError,
     TooLargeError,
 )
-from .search import SearchResult
 from .sequences import PlanarSequence, format_rational, moment_lift, serialize_sequence
 from .tables import MAX_DENSE_CELLS, Color, _guarded_comb
 
@@ -155,6 +158,9 @@ def verify_cluster_parabola(p, m):
     have the depth-m size 2^(2^(m-1)), and TooLargeError for a depth whose
     windows exceed the guard (m >= 5), before any divided difference.
     """
+    from .paths import longest_monotone_path
+    from .search import SearchResult
+
     expected = _verified_points(m)
     if len(p) != expected:
         raise InvariantError(f"depth {m} means {expected} points, got {len(p)}")
@@ -266,12 +272,16 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
     Projections sit on the moment curve at n distinct random rationals (so
     every projected d-tuple is automatically positively oriented); heights
     are independent random rationals.  Draws are rejected wholesale while
-    the key engine of ``paths.longest_monotone_path``, which keys every
-    (d+1)-tuple, finds one affinely degenerate, so the output passes both
-    validators in full.  Identical seeds give identical sequences.
-    ``bits`` whose 2^bits - 1 does not print, and an n whose C(n, d+1)
-    tuples exceed the dense guard, raise TooLargeError before any draw.
+    one key pass of ``paths`` (``_keyed_middles``), which compares every
+    (d+1)-tuple under its middle, finds one affinely degenerate, so the
+    output passes both validators in full.  Identical seeds give identical
+    sequences.  ``bits`` whose 2^bits - 1 does not print, and an n whose
+    C(n, d+1) tuples exceed the dense guard, raise TooLargeError before any
+    draw; C(n, d) windows past the guard of the monotone-path search, after
+    the first draw and before any key.
     """
+    from .paths import LazyDivdiffColors, _keyed_middles
+
     if not isinstance(d, int) or d < 2:
         raise InvariantError(f"dimension must be an integer >= 2, got {d!r}")
     if not isinstance(n, int) or n < d + 1:
@@ -289,8 +299,10 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
         ts = _increasing_rationals(rng, n, bits)
         heights = [_random_rational(rng, bits, signed=True) for _ in range(n)]
         lifted = moment_lift(PlanarSequence(tuple(zip(ts, heights))), d)
+        _guarded_comb(n, d, "windows")
         try:
-            longest_monotone_path(lifted)
+            for _ in _keyed_middles(LazyDivdiffColors(lifted, d)):
+                pass  # the lex-least tie raises once every middle is keyed
         except DegenerateInputError:
             continue
         return lifted

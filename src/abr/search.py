@@ -2,7 +2,8 @@
 bound.  ``tables.longest_monochromatic`` imports this module when it
 runs, and so does ``paths.longest_monotone_path``, the sequence search,
 for ``_lengths`` and ``_window_path``, so no ``check`` loads it;
-``constructions`` imports it at load, for ``SearchResult``.
+``constructions.verify_cluster_parabola`` imports it when it runs, for
+``SearchResult``, so no generator but a verified ``generate em`` does.
 
 A window is an (r-1)-tuple.  The consecutive windows of a monochromatic
 set chain in its color, so on any table, transitive or not, the longest

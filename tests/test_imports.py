@@ -55,6 +55,12 @@ def _planar(cwd):
     (cwd / "p.json").write_text(json.dumps({"kind": "planar", "points": points}))
 
 
+def _lifted(cwd):
+    points = [[str(t), str(t * t), str(t ** 3 + t % 3)] for t in range(9)]
+    (cwd / "s.json").write_text(json.dumps({"kind": "lifted", "dimension": 3,
+                                            "points": points}))
+
+
 def test_planar_search_does_not_load_constructions(tmp_path):
     _planar(tmp_path)
     loaded = _loaded(tmp_path, ["search", "p.json", "--d", "3", "-o", "F"])
@@ -96,10 +102,19 @@ def test_generate_em_loads_no_linalg(tmp_path):
     assert "abr.constructions" in loaded and "abr.linalg" not in loaded
 
 
+def test_unverified_generators_load_no_paths_or_search(tmp_path):
+    # constructions imports the key engine and the search only where they run
+    for argv in (["generate", "em", "--m", "2", "--no-verify", "-o", "E"],
+                 ["generate", "cupcap", "--k", "5", "-o", "K"],
+                 ["generate", "moment", "--d", "3", "--n", "8", "--heights", "random",
+                  "-o", "M"]):
+        loaded = _loaded(tmp_path, argv)
+        assert "abr.constructions" in loaded
+        assert not loaded & {"abr.paths", "abr.search"}, argv
+
+
 def test_sequence_commands_load_cli_sequences(tmp_path):
-    points = [[str(t), str(t * t), str(t ** 3 + t % 3)] for t in range(9)]
-    (tmp_path / "s.json").write_text(json.dumps({"kind": "lifted", "dimension": 3,
-                                                 "points": points}))
+    _lifted(tmp_path)
     for argv in (["generate", "random", "--d", "3", "--n", "6", "-o", "R"],
                  ["color", "s.json", "-o", "C"],
                  ["check", "one-switch", "s.json", "--format", "json"],
@@ -117,16 +132,32 @@ def test_generate_random_and_lifted_color_load_no_dataclasses(tmp_path):
 
 
 def test_generate_random_loads_no_coloring(tmp_path):
-    # the key engine of abr.paths decides each redraw
+    # one key pass of abr.paths decides each redraw: no search, and integer
+    # minors only, with no Fraction matrix
     loaded = _loaded(tmp_path, ["generate", "random", "--d", "3", "--n", "6", "-o", "R"])
-    assert "abr.paths" in loaded and "abr.coloring" not in loaded
+    assert {"abr.paths", "abr.kernel"} <= loaded
+    assert not loaded & {"abr.coloring", "abr.linalg", "abr.search"}
+
+
+def test_lifted_commands_load_kernel_and_no_linalg(tmp_path):
+    # lifted keys are Bareiss minors of abr.kernel; only the Fraction
+    # oracles of color's cross-check and the one-switch certificates of
+    # abr.coloring load abr.linalg
+    _lifted(tmp_path)
+    for argv in (["color", "s.json", "-o", "C"],
+                 ["check", "monotone", "s.json", "--format", "json"],
+                 ["check", "transitive", "s.json", "--format", "json"],
+                 ["search", "s.json", "-o", "F"]):
+        loaded = _loaded(tmp_path, argv)
+        assert "abr.kernel" in loaded and "abr.linalg" not in loaded, argv
+    for argv in (["color", "s.json", "-o", "C", "--cross-check"],
+                 ["check", "one-switch", "s.json", "--format", "json"]):
+        assert {"abr.coloring", "abr.kernel", "abr.linalg"} <= _loaded(tmp_path, argv), argv
 
 
 def test_lifted_search_loads_paths_and_no_constructions_or_dataclasses(tmp_path):
     # the monotone-path DP: no generator, no branch and bound over a table
-    points = [[str(t), str(t * t), str(t ** 3 + t % 3)] for t in range(9)]
-    (tmp_path / "s.json").write_text(json.dumps({"kind": "lifted", "dimension": 3,
-                                                 "points": points}))
+    _lifted(tmp_path)
     loaded = _loaded(tmp_path, ["search", "s.json", "-o", "F"])
     assert json.loads((tmp_path / "F").read_text())["method"] == "monotone-path"
     assert "abr.paths" in loaded
