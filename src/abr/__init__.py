@@ -4,10 +4,8 @@ Everything here works over exact rationals (fractions.Fraction); there is
 no floating point anywhere, so every reported sign, certificate, and
 counterexample is a proof-grade artifact.  The package covers:
 
-- the integer sign kernel, Bareiss determinants over cleared columns,
-  behind every validator, certificate and lifted key (``kernel``);
-- exact rational determinants and signed minors, the Fraction ``Matrix``
-  API edge read by the oracles and the tests (``linalg``);
+- exact determinants, signed minors, and the integer sign kernel behind
+  every validator and certificate (``linalg``);
 - planar and lifted point sequences with wire formats (rationals too)
   and validators (``sequences``);
 - the four equivalent color oracles (kernel/heights, determinant,
@@ -71,7 +69,7 @@ _NAMES = {
     ),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}
-_SUBMODULES = frozenset(_NAMES) | {"cli", "cli_sequences", "kernel"}
+_SUBMODULES = frozenset(_NAMES) | {"cli", "cli_sequences"}
 
 __all__ = sorted(_HOME)
 

@@ -26,9 +26,8 @@ block are the tests' cross-checks, not run-time ones.  The lifted table
 integer keys of ``paths``, one key pass per middle, like every search of a
 sequence; they, and ``LazyDivdiffColors``, the keyed coloring of every
 sequence search, live in ``paths`` and are re-exported here.  The
-one-switch certificate reads the integer ``kernel.SignKernel``, like the
-lifted identities check; only the Fraction oracles read ``linalg``, and
-this is the one module that imports it.
+one-switch certificate reads ``linalg.SignKernel``, like the lifted
+identities check.
 """
 
 from collections import namedtuple
@@ -43,10 +42,16 @@ from .errors import (
     InvariantError,
     WrongOrientationError,
 )
-from .kernel import SignKernel, cleared_column
-from .linalg import Matrix, det, signed_minor_kernel
+from .linalg import (
+    Matrix,
+    SignKernel,
+    as_fraction,
+    cleared_column,
+    det,
+    signed_minor_kernel,
+)
 from .paths import LazyDivdiffColors, color_table, divdiff_color_table  # noqa: F401  re-exported
-from .sequences import as_fraction, moment_coordinates
+from .sequences import moment_coordinates
 from .tables import Color
 
 

@@ -295,11 +295,12 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
         raise TooLargeError(f"an output number has more than {limit} digits")
     _guarded_comb(n, d + 1, "tuples")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for attempt in range(max_retries):
         ts = _increasing_rationals(rng, n, bits)
         heights = [_random_rational(rng, bits, signed=True) for _ in range(n)]
         lifted = moment_lift(PlanarSequence(tuple(zip(ts, heights))), d)
-        _guarded_comb(n, d, "windows")
+        if attempt == 0:
+            _guarded_comb(n, d, "windows")  # longest_monotone_path's guard, at the same point
         try:
             for _ in _keyed_middles(LazyDivdiffColors(lifted, d)):
                 pass  # the lex-least tie raises once every middle is keyed

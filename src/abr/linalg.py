@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: the Fraction API edge.
+"""Exact rational linear algebra and the integer sign kernel.
 
 Scalars are ``fractions.Fraction`` at the API edge; Fraction keeps numerator
 and denominator reduced with a positive denominator, so equality is
@@ -6,22 +6,22 @@ structural and results are canonical.  Floats are rejected everywhere: a
 binary float smuggled into an exact pipeline silently poisons every
 determinant sign downstream.
 
-``det`` clears denominators column by column and runs fraction-free
-(Bareiss) elimination over plain Python integers, by ``cleared_column``
-and ``_int_det_bareiss`` of ``kernel``, then divides out the columns'
-scales.  The signed minors, complementary minors and Plucker residual are
-the references of the tests and of the oracles of ``coloring``, the one
-module that imports this one: only a command that runs those oracles or
-certificates (``color --cross-check``, ``check one-switch``, ``check
-identities``) loads it, and a lifted ``generate random``, ``color``,
-``check`` or ``search`` compiles no Matrix or Fraction code.
+Determinants clear denominators column by column (``cleared_column``) and
+then run fraction-free (Bareiss) elimination over plain Python integers.
+Column clearing matters: the matrices built in this package have columns
+that share one point's denominator, while a row mixes denominators of every
+point, so per-column scales stay small where per-row scales would explode.
+``SignKernel``, behind every validator, one-switch certificate and lifted
+identities check, clears each point once and caches its minors; its cleared
+columns also feed the key engine of ``paths``, which keys a lifted sequence
+by Bareiss cofactors (a planar one has closed-form keys and loads no
+``linalg``).
 """
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .errors import BadIndicesError, BadShapeError, Frozen, InvariantError, NonSquareError
-from .kernel import _int_det_bareiss, cleared_column
 from .sequences import as_fraction
 
 
@@ -76,6 +76,39 @@ class Matrix(Frozen):
         return tuple(sum(row[j] * vec[j] for j in range(self.cols)) for row in self.entries)
 
 
+def _int_det_bareiss(grid):
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    All intermediate divisions are exact (they divide by the previous pivot),
+    so the computation stays in the integers.
+    """
+    n = len(grid)
+    if n == 2:
+        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
+    a = [list(row) for row in grid]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            row_k = a[k]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
 def det(m):
     """Exact determinant of a square Matrix."""
     if m.rows != m.cols:
@@ -83,6 +116,51 @@ def det(m):
     columns = [cleared_column(m.column(j)) for j in range(m.cols)]
     grid = [[column[i + 1] for column in columns] for i in range(m.rows)]
     return Fraction(_int_det_bareiss(grid), prod(column[0] for column in columns))
+
+
+def cleared_column(coords):
+    """Integer column (L, L*x_1, ..., L*x_k) for a point x; L > 0 is the lcm
+    of the denominators, so determinant signs are unchanged."""
+    scale = lcm(*(x.denominator for x in coords))
+    return (scale,) + tuple(x.numerator * (scale // x.denominator) for x in coords)
+
+
+class SignKernel:
+    """Integer determinants over subsets of cleared columns of d+1 rows:
+    ``minor(sub)`` is the d x d minor of rows 0..d-1 over a d-subset, cached
+    in ``minors`` (at most ``max_cached``, about 150-200 bytes each);
+    ``value(tup)`` is the determinant over a (d+1)-subset by Laplace
+    expansion along row d, d+1 multiply-adds of cached minors, and
+    ``pair_minors(tup)`` the minors of a (d+2)-subset keyed by the deleted
+    position pair (a, b): ``complementary_minors`` times the columns' scales."""
+
+    max_cached = 1 << 18
+
+    def __init__(self, columns):
+        self.columns = columns
+        self.d = len(columns[0]) - 1
+        self.minors = {}
+
+    def minor(self, sub):
+        value = self.minors.get(sub)
+        if value is None:
+            cols = self.columns
+            value = _int_det_bareiss([[cols[i][row] for i in sub] for row in range(self.d)])
+            if len(self.minors) < self.max_cached:
+                self.minors[sub] = value
+        return value
+
+    def pair_minors(self, tup):
+        return {(a, b): self.minor(tup[:a] + tup[a + 1:b] + tup[b + 1:])
+                for a in range(len(tup)) for b in range(a + 1, len(tup))}
+
+    def value(self, tup):
+        d, cols = self.d, self.columns
+        total = 0
+        for j in range(d + 1):
+            term = cols[tup[j]][d] * self.minor(tup[:j] + tup[j + 1:])
+            total += -term if (d - j) & 1 else term
+        return total
 
 
 def signed_minor_kernel(p):

@@ -9,12 +9,11 @@ order-d divided difference.  Per middle M, one ``keys_of(M, xs)`` call keys
 the points outside M's span, and (a, M, e) is + exactly when e's key
 exceeds a's.  Planar keys are in closed form, O(d^2) per middle: the
 order-(d-1) divided difference over M and x is (h_x - p_M(t_x)) /
-omega_M(t_x).  Lifted keys take two cofactor vectors of M by the Bareiss
-determinants of ``kernel``, so only a lifted sequence, whose
-``SignKernel`` has loaded it already, reads that module; no key reads the
-Fraction ``linalg``.  ``LazyDivdiffColors`` is that coloring, planar at an
-order or lifted at its dimension, and every key read here goes through
-it, middle by middle in the walk of ``tables._middles``.  ``_key_table`` builds the
+omega_M(t_x).  Lifted keys take two cofactor vectors of M by Bareiss, so
+only a lifted sequence, whose kernel has loaded it already, reads
+``linalg``.  ``LazyDivdiffColors`` is that coloring, planar at an order or
+lifted at its dimension, and every key read here goes through it, middle
+by middle in the walk of ``tables._middles``.  ``_key_table`` builds the
 dense tables from the keys, one run of lex-ordered bits per window (a, M),
 placed by ``tables._rank``: ``divdiff_color_table`` of every planar
 command, ``color`` and ``check one-switch`` too, and ``color_table`` of a
@@ -23,9 +22,8 @@ from each window, and ``search._window_path``, the table search's front
 end too, rebuilds the witness from the coloring's rows.  Only that search
 imports ``search``; ``constructions.random_cyclic_instance`` reads the key
 pass ``_keyed_middles`` alone, which decides general position with no
-search.  Nothing here imports ``coloring`` or ``linalg``, so a planar
-``check``, or ``color`` without ``--cross-check``, compiles neither, and a
-lifted one, or a ``search``, no Matrix or Fraction code.
+search.  Nothing here imports ``coloring``, so a planar ``check``, or
+``color`` without ``--cross-check``, compiles neither, nor ``linalg``.
 """
 
 from bisect import bisect_left
@@ -253,7 +251,7 @@ def _lifted_forms(s, d):
     of the last row j they do not all vanish on, each by d Bareiss minors.
     The d-tuples that hold both ends of the sequence are no (u, M), so
     their projection minors are checked here, once."""
-    from .kernel import _int_det_bareiss
+    from .linalg import _int_det_bareiss
 
     n, minor, columns = len(s), s.kernel.minor, s.kernel.columns
     if any(minor((0, *inner, n - 1)) <= 0 for inner in combinations(range(1, n - 1), d - 2)):

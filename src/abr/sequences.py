@@ -17,9 +17,8 @@ the tests' references.  They share one scan loop over integer kernel
 values: a lifted sequence's ``kernel`` (built lazily, its columns keyed by
 ``paths``), or ``moment_kernel`` on a planar sequence's moment lift, which
 only ``validate_d_general_position`` reads: every planar color is computed
-from the closed-form keys of ``paths``.  Both are ``kernel.SignKernel``s,
-imported when they are built, so a planar command loads no ``kernel``;
-neither reads the Fraction ``linalg``.
+from the closed-form keys of ``paths``.  Both kernels import ``linalg``
+when they are built, so a planar command loads no ``linalg``.
 ``moment_coordinates`` forms the lift's rational coordinates.
 
 Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
@@ -176,7 +175,7 @@ class LiftedSequence(Frozen):
     @cached_property
     def kernel(self):
         """Integer kernel of the columns (1, z_i, h_i), shared by every pass."""
-        from .kernel import SignKernel, cleared_column
+        from .linalg import SignKernel, cleared_column
 
         return SignKernel([cleared_column(pt) for pt in self.points])
 
@@ -204,7 +203,7 @@ def moment_kernel(points, d):
     increasing t.  The determinant of a (d+1)-tuple is Vandermonde(t) > 0
     times its order-d divided difference, so the kernel value has the
     divided difference's sign."""
-    from .kernel import SignKernel, cleared_column
+    from .linalg import SignKernel, cleared_column
 
     return SignKernel([cleared_column(c) for c in moment_coordinates(points, d)])
 

@@ -197,7 +197,7 @@ def reference_planar_keys(p, d):
     from math import gcd
 
     from abr import WrongOrientationError
-    from abr.kernel import _int_det_bareiss
+    from abr.linalg import _int_det_bareiss
 
     ts, hs = zip(*p.points)
     tscale = lcm(*(x.denominator for x in ts))

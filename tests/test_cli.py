@@ -258,14 +258,14 @@ def test_corrupted_kernel_minor_fails_the_identities(tmp_path, monkeypatch, caps
     # minor (0, 1, 2) is the one that deletes positions 3 and 4 of the first
     # tuple; the first relation to read it is that of columns (0, 1, 3, 4),
     # whose residual is then the minor deleting positions 0 and 1
-    from abr import cli, kernel
+    from abr import cli, linalg
 
     src = tmp_path / "m.json"
     cli.main(["generate", "moment", "--n", "6", "-o", str(src)])
     capsys.readouterr()
     want = parse_sequence(src.read_text()).kernel.minor((2, 3, 4))
-    minor = kernel.SignKernel.minor
-    monkeypatch.setattr(kernel.SignKernel, "minor",
+    minor = linalg.SignKernel.minor
+    monkeypatch.setattr(linalg.SignKernel, "minor",
                         lambda self, sub: minor(self, sub) + (sub == (0, 1, 2)))
     assert (cli.main(["check", "identities", str(src)]), *capsys.readouterr()) == (
         5, "", f"error: three-term minor residual {want} at (0, 1, 2, 3, 4) columns (0, 1, 3, 4)\n")
@@ -407,24 +407,18 @@ def test_generate_random_rejects_nonpositive_bits(bits):
     assert stderr == f"error: bits must be an integer >= 1, got {bits}\n".encode()
 
 
-@pytest.mark.parametrize("argv, code, message", [
-    # C(27, 16) = 13,037,895 tuples pass the guard ahead of the draw; the
-    # C(27, 15) windows of the monotone-path search are refused after it,
-    # before any key
-    (["--d", "15", "--n", "27"], 2, "17383860 windows exceed the dense-table guard"),
-    # so a draw that fails is reported first
-    (["--d", "15", "--n", "27", "--bits", "1"], 3,
-     "could not draw 27 distinct 1-bit rationals; raise the bit budget"),
-], ids=["windows", "draw-first"])
-def test_generate_random_guards_the_windows_after_the_draw(tmp_path, capsys, argv, code,
-                                                          message):
+def test_generate_random_reports_a_failed_draw_before_the_window_guard(tmp_path, capsys):
+    # the window guard of --d 15 --n 27 (exit 2) waits for the draw, so a
+    # draw that fails is reported first
     from abr import cli
 
     out = tmp_path / "r.json"
     start = time.perf_counter()
-    assert cli.main(["generate", "random", *argv, "-o", str(out)]) == code
+    argv = ["generate", "random", "--d", "15", "--n", "27", "--bits", "1", "-o", str(out)]
+    assert cli.main(argv) == 3
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == (
+        "", "error: could not draw 27 distinct 1-bit rationals; raise the bit budget\n")
     assert not out.exists()
 
 
@@ -468,12 +462,12 @@ def test_over_guard_lifted_work_is_refused_before_any_minor(tmp_path, monkeypatc
                                                             command, kind, n, message):
     # The moment curve backwards: the orientation scan would call it not
     # cyclic (exit 4), but the guard of the command's work refuses first.
-    from abr import cli, kernel
+    from abr import cli, linalg
 
     def forbidden(grid):
         raise AssertionError("a Bareiss minor was formed")
 
-    monkeypatch.setattr(kernel, "_int_det_bareiss", forbidden)  # read by lifted keys too
+    monkeypatch.setattr(linalg, "_int_det_bareiss", forbidden)  # read by lifted keys too
     ts = range(n, 0, -1) if kind == "lifted" else range(n)
     obj = ({"kind": "lifted", "dimension": 3,
             "points": [[str(t), str(t * t), str(t ** 3)] for t in ts]} if kind == "lifted"
@@ -576,11 +570,11 @@ def test_short_planar_input_is_refused_before_any_power(tmp_path, monkeypatch, c
 def test_generate_moment_capped_summary_builds_few_minors(tmp_path, monkeypatch, capsys):
     from math import comb
 
-    from abr import cli, kernel
+    from abr import cli, linalg
 
     calls = []
-    bareiss = kernel._int_det_bareiss
-    monkeypatch.setattr(kernel, "_int_det_bareiss", lambda a: calls.append(1) or bareiss(a))
+    bareiss = linalg._int_det_bareiss
+    monkeypatch.setattr(linalg, "_int_det_bareiss", lambda a: calls.append(1) or bareiss(a))
     out = tmp_path / "m.json"
     assert cli.main(["generate", "moment", "--d", "3", "--n", "400", "-o", str(out)]) == 0
     assert capsys.readouterr().out == (
@@ -650,6 +644,10 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
      ["generate", "random", "--n", "5", "--bits", "20000"]),
     (None, "1050739900 tuples exceed the dense-table guard",
      ["generate", "random", "--d", "3", "--n", "400"]),
+    # C(27, 16) = 13,037,895 tuples pass that guard; the C(27, 15) windows
+    # of the monotone-path search are refused after the draw, before any key
+    (None, "17383860 windows exceed the dense-table guard",
+     ["generate", "random", "--d", "15", "--n", "27"]),
     # a depth-4 instance at base 2^80 does not print, refused before the
     # verification search
     (None, "an output number has more than 4300 digits",
@@ -690,7 +688,7 @@ _FIVE_PLANAR = json.dumps({"kind": "planar", "points": [[str(t), str(t ** 3)] fo
         "moment-dimension-minus-2", "moment-dimension-1e9", "moment-power-boundary",
         "moment-zero-boundary", "moment-many-points", "moment-windows-n-1e8",
         "moment-windows-boundary", "moment-output-digits", "moment-two-points-d-1e9",
-        "random-bits-20000", "random-n-400", "em-base-2-80",
+        "random-bits-20000", "random-n-400", "random-windows-d-15", "em-base-2-80",
         "identities-lifted-200", "identities-planar-200", "identities-planar-73-cells",
         "identities-planar-order-10-cells", "cupcap-k-10", "cupcap-k-600",
         "cupcap-k-1e9", "search-budget-negative-table", "search-budget-negative-sequence",

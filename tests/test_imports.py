@@ -132,27 +132,10 @@ def test_generate_random_and_lifted_color_load_no_dataclasses(tmp_path):
 
 
 def test_generate_random_loads_no_coloring(tmp_path):
-    # one key pass of abr.paths decides each redraw: no search, and integer
-    # minors only, with no Fraction matrix
+    # one key pass of abr.paths decides each redraw, with no search
     loaded = _loaded(tmp_path, ["generate", "random", "--d", "3", "--n", "6", "-o", "R"])
-    assert {"abr.paths", "abr.kernel"} <= loaded
-    assert not loaded & {"abr.coloring", "abr.linalg", "abr.search"}
-
-
-def test_lifted_commands_load_kernel_and_no_linalg(tmp_path):
-    # lifted keys are Bareiss minors of abr.kernel; only the Fraction
-    # oracles of color's cross-check and the one-switch certificates of
-    # abr.coloring load abr.linalg
-    _lifted(tmp_path)
-    for argv in (["color", "s.json", "-o", "C"],
-                 ["check", "monotone", "s.json", "--format", "json"],
-                 ["check", "transitive", "s.json", "--format", "json"],
-                 ["search", "s.json", "-o", "F"]):
-        loaded = _loaded(tmp_path, argv)
-        assert "abr.kernel" in loaded and "abr.linalg" not in loaded, argv
-    for argv in (["color", "s.json", "-o", "C", "--cross-check"],
-                 ["check", "one-switch", "s.json", "--format", "json"]):
-        assert {"abr.coloring", "abr.kernel", "abr.linalg"} <= _loaded(tmp_path, argv), argv
+    assert "abr.paths" in loaded
+    assert not loaded & {"abr.coloring", "abr.search"}
 
 
 def test_lifted_search_loads_paths_and_no_constructions_or_dataclasses(tmp_path):

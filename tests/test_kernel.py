@@ -25,7 +25,7 @@ from abr import (
     validate_d_general_position,
     validate_general_position,
 )
-from abr.kernel import SignKernel, cleared_column
+from abr.linalg import SignKernel, cleared_column
 from abr.sequences import moment_kernel
 
 from _helpers import rand_fraction, rand_planar_tuple, seeded

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from abr import (AbrError, ColoringTable, DegenerateInputError, PlanarSequence,
                  WrongOrientationError, build_cluster_parabola, cli_sequences,
-                 divdiff_color_table, kernel, linalg, longest_monotone_path, paths)
+                 divdiff_color_table, linalg, longest_monotone_path, paths)
 from abr.cli import main
 from abr.tables import _middles
 
@@ -174,8 +174,7 @@ def test_planar_builds_and_searches_form_no_determinant(tmp_path, monkeypatch, c
     def forbidden(grid):
         raise AssertionError("a Bareiss determinant was formed")
 
-    for module in (kernel, linalg):
-        monkeypatch.setattr(module, "_int_det_bareiss", forbidden)
+    monkeypatch.setattr(linalg, "_int_det_bareiss", forbidden)
     monkeypatch.setattr(paths, "_int_det_bareiss", forbidden, raising=False)
     assert divdiff_color_table(p, 3) == table
     assert longest_monotone_path(p, 3) == result
