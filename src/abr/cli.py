@@ -64,8 +64,11 @@ def _emit(data, path):
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
         return False
-    with open(path, "wb") as fh:
-        fh.write(data)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
     return True
 
 

@@ -43,6 +43,7 @@ from .tables import MAX_DENSE_CELLS, Color, _guarded_comb
 MAX_BASE = 2 ** 64
 # The deepest m whose 2^(2^(m-1)) points fit the 2^24 guard: 2^(m-1) <= 24.
 MAX_DEPTH = (MAX_DENSE_CELLS.bit_length() - 1).bit_length()
+MAX_REDRAWS = 64  # draws of random_cyclic_instance before it gives up
 
 
 class ClusterParabolaParams(namedtuple("ClusterParabolaParams",
@@ -266,7 +267,7 @@ def _increasing_rationals(rng, n, bits):
     )
 
 
-def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
+def random_cyclic_instance(d, n, seed, *, bits=16):
     """Seeded random lifted sequence with cyclically ordered projections.
 
     Projections sit on the moment curve at n distinct random rationals (so
@@ -295,7 +296,7 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
         raise TooLargeError(f"an output number has more than {limit} digits")
     _guarded_comb(n, d + 1, "tuples")
     rng = random.Random(seed)
-    for attempt in range(max_retries):
+    for attempt in range(MAX_REDRAWS):
         ts = _increasing_rationals(rng, n, bits)
         heights = [_random_rational(rng, bits, signed=True) for _ in range(n)]
         lifted = moment_lift(PlanarSequence(tuple(zip(ts, heights))), d)
@@ -308,5 +309,5 @@ def random_cyclic_instance(d, n, seed, *, bits=16, max_retries=64):
             continue
         return lifted
     raise GenerationFailedError(
-        f"no nondegenerate instance in {max_retries} redraws (d={d}, n={n}, seed={seed})"
+        f"no nondegenerate instance in {MAX_REDRAWS} redraws (d={d}, n={n}, seed={seed})"
     )

@@ -47,13 +47,6 @@ class Matrix(Frozen):
     def cols(self):
         return len(self.entries[0])
 
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n))
-            for i in range(n)
-        ))
-
     def column(self, j):
         return tuple(row[j] for row in self.entries)
 

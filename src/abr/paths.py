@@ -114,10 +114,10 @@ def longest_monotone_path(s, order=None):
 
 class LazyDivdiffColors:
     """The coloring of a planar sequence at ``order``, or of a lifted one at
-    its dimension, read like a ``ColoringTable``: Q + (y,) is + when y's key
-    under the middle Q[1:] exceeds Q[0]'s.  Nothing is kept, and a row is
-    keyed whole, so a degenerate tuple anywhere in a row that is read
-    raises, even one outside the mask asked for."""
+    its dimension, read a tuple or a row at a time, and no table that a
+    check takes: Q + (y,) is + when y's key under the middle Q[1:] exceeds
+    Q[0]'s.  Nothing is kept, and a row is keyed whole, so a degenerate
+    tuple anywhere in a row that is read raises, even outside the mask."""
 
     def __init__(self, s, order):
         if isinstance(s, LiftedSequence):
@@ -143,15 +143,6 @@ class LazyDivdiffColors:
         prefix + (y,) is +."""
         _rank(prefix, self.n, self.r, self.r - 1)
         return self._row(prefix, range(prefix[-1] + 1, self.n)) & mask
-
-    def positive_pairs(self, head, low):
-        """Lane (t, y), low < t < y < n in lex order, set when head + (t, y)
-        is +: the rows head + (t,), ORed together in increasing t."""
-        lanes = at = 0
-        for t in range(low + 1, self.n - 1):
-            lanes |= self.positive_among(head + (t,), -1) >> t + 1 << at  # -1: the whole row
-            at += self.n - 1 - t
-        return lanes
 
     def _row(self, prefix, ys):
         """Bit y set when prefix + (y,) is +, for y in ``ys``; the least tie raises."""

@@ -21,6 +21,7 @@ from collections import namedtuple
 from itertools import combinations, islice
 from math import comb
 
+from .errors import InvariantError
 from .tables import MAX_DENSE_CELLS, Color, ColoringTable, _middles, _rank
 
 
@@ -51,13 +52,12 @@ def _lengths(n, fill, count):
 
 def window_runs(table):
     """Per color (+ then -), the longest monochromatic path from each window
-    of a ``ColoringTable``, in points, by the window's lex rank; None for a
-    coloring with no bits (a keyed coloring of ``paths``, whose search is
-    ``paths.longest_monotone_path``) or when the C(n, r-1) windows exceed
-    MAX_DENSE_CELLS.  Lengths take a byte per window and color (two past
-    n = 255)."""
+    of a ``ColoringTable``, in points, by the window's lex rank; None when
+    the C(n, r-1) windows exceed MAX_DENSE_CELLS.  Anything else, a keyed
+    coloring of ``paths`` too, raises InvariantError.  Lengths take a byte
+    per window and color (two past n = 255)."""
     if not isinstance(table, ColoringTable):
-        return None
+        raise InvariantError("a table search needs a ColoringTable")
     windows = comb(table.n, table.r - 1)
     if windows > MAX_DENSE_CELLS:
         return None

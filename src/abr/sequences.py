@@ -127,14 +127,6 @@ class PlanarSequence(Frozen):
     def __len__(self):
         return len(self.points)
 
-    @property
-    def ts(self):
-        return tuple(t for t, _ in self.points)
-
-    @property
-    def heights(self):
-        return tuple(h for _, h in self.points)
-
 
 class LiftedSequence(Frozen):
     """Finite sequence of points in R^dimension, height stored last."""
@@ -160,13 +152,6 @@ class LiftedSequence(Frozen):
 
     def __len__(self):
         return len(self.points)
-
-    def z(self, i):
-        """Projection of point i (all coordinates but the height)."""
-        return self.points[i][:-1]
-
-    def height(self, i):
-        return self.points[i][-1]
 
     def reversed(self):
         """Same points in the opposite order (orientation repair)."""

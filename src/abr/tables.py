@@ -7,13 +7,13 @@ beyond the dense budget.  ``_rank`` is the one tuple rank: it validates a
 tuple and gives its bit, and ``search`` and ``paths`` rank windows by it
 too, walking their middles by ``_middles``.
 
-The checks and the search read candidate masks instead of single tuples.
-Every table answers two questions: ``positive_among(Q, mask)``, which bits
-y of ``mask`` make the (r-1)-tuple Q + (y,) positive (Q's row, one run of
-stored bits or one key call of ``paths``, nothing kept), and
-``positive_pairs(H, low)``, which pairs low < t < y make the (r-2)-tuple
-H + (t, y) positive (one run of bits, or H's rows ORed).  The class rule
-runs on every (r+1)-tuple P + (t, y) of a prefix P at once, one lane a pair.
+The checks and the search read candidate masks instead of single tuples,
+and refuse anything but a ``ColoringTable``.  A table answers two
+questions, each by one run of stored bits, nothing kept:
+``positive_among(Q, mask)``, which bits y of ``mask`` make the
+(r-1)-tuple Q + (y,) positive, and ``positive_pairs(H, low)``, which pairs
+low < t < y make the (r-2)-tuple H + (t, y) positive.  The class rule runs
+on every (r+1)-tuple P + (t, y) of a prefix P at once, one lane a pair.
 
 The search: ``longest_monochromatic`` is the one table search; its code
 lives in ``search``, imported when it runs, so no other table command
@@ -352,12 +352,13 @@ class ColoringTable(Frozen):
 
 
 def _first_violation(table, monotone):
-    """Walk the (r-1)-tuples P in lex order (for n = r the one P, so a keyed
-    coloring still names a vanishing tuple); the r+1 subtuple colors of all
-    P + (t, y), max P < t < y < n, are masks with one lane per pair (t, y)
-    in lex order, and the first P's lowest violating lane is the witness."""
+    """Walk a table's (r-1)-tuples P in lex order; the r+1 subtuple colors of
+    all P + (t, y), max P < t < y < n, are masks with one lane per pair
+    (t, y) in lex order, and the first P's lowest violating lane is the witness."""
+    if not isinstance(table, ColoringTable):
+        raise InvariantError("a structure check needs a ColoringTable")
     n, r = table.n, table.r
-    for prefix in combinations(range(max(n - 2, r - 1)), r - 1):
+    for prefix in combinations(range(n - 2), r - 1):
         low = prefix[-1]
         # Lex order: drop y (P's row at t) and drop t (P's row at y), spread
         # over the lanes, then P's elements, last to first, one block each.

@@ -378,6 +378,20 @@ def test_parse_errors_are_exit_2(tmp_path):
     assert code == 2  # indices reach 2 but the (0,2) pair is missing
 
 
+def test_unwritable_output_is_one_line_exit_2(tmp_path):
+    # a directory, or a file in a directory that does not exist: no
+    # traceback, nothing on stdout, one error line
+    table = tmp_path / "t.csv"
+    table.write_text(VIOLATING_TABLE)
+    for target in (tmp_path, tmp_path / "missing" / "x.json"):
+        for command in (("generate", "cupcap", "--k", "4"), ("search", str(table))):
+            code, stdout, stderr = run(*command, "-o", str(target))
+            assert (code, stdout) == (2, b"")
+            assert stderr.startswith(f"error: cannot write {target}: ".encode())
+            assert stderr.count(b"\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_stdin_sequence_roundtrip():
     code, stdout, _ = run("generate", "moment", "--n", "5")
     assert code == 0

@@ -45,7 +45,7 @@ def test_build_sizes_and_positivity():
         assert len(seq) == size
         assert params.depth == m and params.base == 2
         assert len(params.x_scale) == m - 1
-        assert all(t > 0 for t in seq.ts)
+        assert all(t > 0 for t, _ in seq.points)
 
 
 def test_build_validates_arguments():

@@ -145,3 +145,17 @@ def test_lifted_search_loads_paths_and_no_constructions_or_dataclasses(tmp_path)
     assert json.loads((tmp_path / "F").read_text())["method"] == "monotone-path"
     assert "abr.paths" in loaded
     assert not loaded & {"abr.constructions", "dataclasses", "inspect"}
+
+
+def test_every_public_name_resolves_in_its_home_module():
+    # a name deleted from its module but left in abr._NAMES fails here
+    import importlib
+
+    homes = {name: module for module, names in abr._NAMES.items() for name in names}
+    assert sorted(homes) == abr.__all__
+    listed = dir(abr)
+    for name, module in homes.items():
+        home = importlib.import_module(f"abr.{module}")
+        assert hasattr(home, name), f"abr.{module} has no {name}"
+        assert getattr(abr, name) is getattr(home, name)
+        assert name in listed

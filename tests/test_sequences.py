@@ -29,8 +29,7 @@ def lifted_cubic(n, d=3):
 def test_planar_sequence_basics():
     p = PlanarSequence(((0, 1), (Fraction(1, 2), -3), (2, 0)))
     assert len(p) == 3
-    assert p.ts == (0, Fraction(1, 2), 2)
-    assert p.heights == (1, -3, 0)
+    assert p.points == ((0, 1), (Fraction(1, 2), -3), (2, 0))
 
 
 def test_planar_sequence_rejects_bad_input():
@@ -47,11 +46,9 @@ def test_planar_sequence_rejects_bad_input():
 def test_lifted_sequence_accessors():
     s = LiftedSequence(3, (((0, 0, 5)), (1, 1, 7), (2, 4, 9)))
     assert len(s) == 3
-    assert s.z(1) == (1, 1)
-    assert s.height(2) == 9
+    assert s.points[1] == (1, 1, 7)
     r = s.reversed()
-    assert r.z(0) == (2, 4)
-    assert r.height(0) == 9
+    assert r.points == ((2, 4, 9), (1, 1, 7), (0, 0, 5))
     assert r.dimension == 3
 
 
@@ -199,4 +196,4 @@ def test_parse_lifted_dimension_checks():
         b'{"kind":"lifted","dimension":2,"points":[["0/1","5/1"],["1/1","6/1"]]}'
     )
     assert s.dimension == 2
-    assert s.height(1) == 6
+    assert s.points[1][-1] == 6

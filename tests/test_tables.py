@@ -218,10 +218,12 @@ def test_class_witnesses_match_naive_scan():
                         assert check(table) == (False, last)
 
 
-def test_keyed_checks_match_the_dense_table():
-    # planar orders 1-4 and a lifted d = 3 instance; small integer heights
-    # make vanishing tuples common, and then the keyed checks raise
-    # DegenerateInputError at a vanishing tuple and nothing else
+def test_keyed_colorings_are_refused_by_the_table_checks_and_search():
+    # planar orders 1-4 and a lifted d = 3 instance: a keyed coloring is no
+    # table, so the structure checks and the table search refuse it before
+    # any key, even where a vanishing tuple would raise; small integer
+    # heights make vanishing tuples common, and the dense table's witness
+    # vanishes under the keyed coloring too
     rng = seeded(2323)
     inputs = [(random_cyclic_instance(3, 8, 75, bits=8), 3)]
     for order in (1, 2, 3, 4):
@@ -233,19 +235,15 @@ def test_keyed_checks_match_the_dense_table():
     degenerate = 0
     for s, order in inputs:
         lazy = LazyDivdiffColors(s, order)
+        for refuse in (is_monotone, is_transitive, longest_monochromatic, window_runs):
+            with pytest.raises(InvariantError, match="needs a ColoringTable"):
+                refuse(lazy)
         try:
-            dense = divdiff_color_table(s, order) if isinstance(s, PlanarSequence) \
-                else color_table(s)
-        except DegenerateInputError:
+            divdiff_color_table(s, order) if isinstance(s, PlanarSequence) else color_table(s)
+        except DegenerateInputError as exc:
             degenerate += 1
-            for check in (is_monotone, is_transitive):
-                with pytest.raises(DegenerateInputError) as info:
-                    check(lazy)
-                with pytest.raises(DegenerateInputError):
-                    lazy.color(info.value.witness)
-            continue
-        for check in (is_monotone, is_transitive):
-            assert check(lazy) == check(dense)
+            with pytest.raises(DegenerateInputError):
+                lazy.color(exc.witness)
     assert 0 < degenerate < len(inputs)
 
 
@@ -307,34 +305,27 @@ def test_search_matches_reference_on_cupcap_tables():
         assert_cut_search_matches(table)
 
 
-def test_search_matches_reference_on_dense_and_lazy_em_tables():
-    # a keyed coloring has no bits to take path lengths from: its branch and
-    # bound runs without them
+def test_search_matches_reference_on_dense_em_tables():
     seq, _ = build_cluster_parabola(3, 2)
-    dense, lazy = divdiff_color_table(seq, 3), LazyDivdiffColors(seq, 3)
-    assert_cut_search_matches(dense, (None, 10, 40, 200))
-    for budget in (None, 10, 40, 200):
-        assert longest_monochromatic(lazy, budget=budget) == \
-            reference_longest_monochromatic(lazy, budget=budget, cut=False)
+    assert_cut_search_matches(divdiff_color_table(seq, 3), (None, 10, 40, 200))
 
 
 def test_lazy_search_matches_reference_on_depth4_em():
+    # the branch and bound reads only rows, so a keyed coloring runs it
+    # uncut: it has no bits to take path lengths from
     seq, _ = build_cluster_parabola(4, 2)
     lazy = LazyDivdiffColors(seq, 3)
-    assert longest_monochromatic(lazy, budget=100) == \
+    assert branch_and_bound(lazy, budget=100) == \
         reference_longest_monochromatic(lazy, budget=100, cut=False)
 
 
 def test_rows_are_read_on_demand(monkeypatch):
     rng = seeded(77)
-    dense = [rand_table(rng, 10, r, 0.8) for r in (2, 3, 4)] + list(cupcap_pair())
-    seq, _ = build_cluster_parabola(3, 2)
-    for table in dense + [LazyDivdiffColors(seq, 3)]:
+    for table in [rand_table(rng, 10, r, 0.8) for r in (2, 3, 4)] + list(cupcap_pair()):
         for monotone, check in ((True, is_monotone), (False, is_transitive)):
             want = naive_class_witness(table, monotone)
             assert check(table) == (want is None, want)
-        assert cut_search(table) == reference_longest_monochromatic(
-            table, cut=isinstance(table, ColoringTable))
+        assert cut_search(table) == reference_longest_monochromatic(table)
     # A check that stops at an early witness reads only the rows it needs.
     hole = (0,) + tuple(range(2, 9))
     big = ColoringTable.from_function(
