@@ -184,13 +184,12 @@ def _window_keys(s, d):
     def keys_of(middle, xs):
         pick = itemgetter(*xs) if len(xs) > 1 else lambda row: (row[xs[0]],)
         at = [pick(row) for row in coords]
-        height, numerator = forms(middle)
+        height, j, other = forms(middle)
         w = _dot(height, at)  # stops before the height row
         lo = bisect_left(xs, middle[0]) if middle else len(xs)  # the points a
         if min(w[:lo]) <= 0 or xs[lo:] and (
                 max(w[lo:]) >= 0 if d % 2 == 0 else min(w[lo:]) <= 0):
             raise WrongOrientationError("projections are not cyclically ordered")
-        j, other = numerator()
         num = _dot(other, at[:j] + at[j + 1:])
         shift = 2 * max(map(abs, w)).bit_length()
         return list(map(floordiv, map(lshift, num, repeat(shift)), w))
@@ -225,7 +224,7 @@ def _planar_forms(s, d):
             omega = [low - x * c for low, c in zip([0] + omega, omega + [0])]
             v *= a
         g = sign * gcd(*vp, v)
-        return [sign * c for c in omega], lambda: (d - 1, [-c // g for c in vp] + [v // g])
+        return [sign * c for c in omega], d - 1, [-c // g for c in vp] + [v // g]
 
     return [[x ** e for x in t] for e in range(d)] + [h], forms
 
@@ -237,9 +236,11 @@ def _cleared(values):
 
 
 def _lifted_forms(s, d):
-    """The rows of a lifted sequence's kernel columns, and per middle M the
-    two vectors of ``_window_keys``: M's cofactors of the height row, and
-    of the last row j they do not all vanish on, each by d Bareiss minors.
+    """The rows of a lifted sequence's kernel columns, and per middle M
+    ``(height, j, other)`` of ``_window_keys``: M's cofactors of the height
+    row, and of the last row j they do not all vanish on, each by d Bareiss
+    minors.  j is row 0 when they all do, a middle whose projections are
+    affinely dependent, which ``keys_of``'s orientation check refuses.
     The d-tuples that hold both ends of the sequence are no (u, M), so
     their projection minors are checked here, once."""
     from .linalg import _int_det_bareiss
@@ -258,17 +259,12 @@ def _lifted_forms(s, d):
     def forms(middle):
         rows = list(zip(*(columns[m] for m in middle)))
         height = cofactors(rows, d)
-        hg = gcd(*height) or 1  # 0 when M's projections are affinely dependent: all w vanish
-
-        def numerator():
-            j = max(i for i in range(d) if height[i])
-            other = cofactors(rows, j)
-            og = gcd(*other)
-            if (height[j] < 0) != (j & 1):  # sigma(M) w_j is -(other . u) here
-                og = -og
-            return j, [c // og for c in other]
-
-        return [c // hg for c in height], numerator
+        j = max((i for i in range(d) if height[i]), default=0)
+        other = cofactors(rows, j)
+        hg, og = gcd(*height) or 1, gcd(*other) or 1
+        if (height[j] < 0) != (j & 1):  # sigma(M) w_j is -(other . u) here
+            og = -og
+        return [c // hg for c in height], j, [c // og for c in other]
 
     return list(zip(*columns)), forms
 

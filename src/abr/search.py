@@ -55,7 +55,8 @@ def window_runs(table):
     of a ``ColoringTable``, in points, by the window's lex rank; None when
     the C(n, r-1) windows exceed MAX_DENSE_CELLS.  Anything else, a keyed
     coloring of ``paths`` too, raises InvariantError.  Lengths take a byte
-    per window and color (two past n = 255)."""
+    per window and color, as ``_lengths`` does: two bytes past n = 255 and
+    four past 65,535."""
     if not isinstance(table, ColoringTable):
         raise InvariantError("a table search needs a ColoringTable")
     windows = comb(table.n, table.r - 1)
@@ -77,20 +78,19 @@ def _certified(table, runs):
     The longest path U over the windows, in either color, bounds every
     monochromatic set, and on a transitive table it is exact.
     ``_window_path`` gives the lex-least U-path of both colors.  When it is
-    monochromatic (its C(U, r) cells are read as C(U-1, r-1) rows) it is a
-    largest monochromatic set, and the lex-least one of both colors, since
-    every such set is a U-path: the result equals ``branch_and_bound``'s
-    but for ``nodes_visited``, the C(n, r-1) windows settled, and
-    ``method``."""
+    monochromatic (its C(U, r) cells are read as C(U-1, r-1) rows, each
+    masked to the witness's points above it) it is a largest monochromatic
+    set, and the lex-least one of both colors, since every such set is a
+    U-path: the result equals ``branch_and_bound``'s but for
+    ``nodes_visited``, the C(n, r-1) windows settled, and ``method``."""
     if runs is None:
         return None
     n, r = table.n, table.r
     result = _window_path(table, runs, comb(n, r - 1))
-    above, mask = {}, 0  # the points of the witness above each one
-    for e in reversed(result.witness):
-        above[e], mask = mask, mask | 1 << e
+    points = sum(1 << e for e in result.witness)
     for prefix in combinations(result.witness[:-1], r - 1):
-        want = above[prefix[-1]]
+        p = prefix[-1]
+        want = points >> p + 1 << p + 1
         if table.positive_among(prefix, want) != (want if result.color is Color.POSITIVE else 0):
             return None
     return result
@@ -194,10 +194,11 @@ def branch_and_bound(table, runs=None, *, budget=None):
     """Largest index set whose r-subtuples all share one color.
 
     Depth-first branch and bound over increasing index stacks, kept on an
-    explicit stack so no n is too deep.  Each level keeps a mask of the
-    candidate elements that keep every r-subtuple on the target color;
-    pushing e ANDs in the rows of the new (r-1)-subsets that end in e, and
-    the next candidate is the lowest set bit.
+    explicit stack so no n is too deep.  Each node is counted, checked
+    against ``budget`` and recorded when it is pushed, and given a mask of
+    the candidates that keep every r-subtuple on the target color: the
+    untried ones of its level, ANDed with the rows of the new (r-1)-subsets
+    that end in it.  The next candidate is the lowest set bit.
 
     ``runs``, a table's ``window_runs``, cuts further.  A stack S grows
     through e, in color c, to at most |S| - (r-2) + run_c[W] points, W the
@@ -221,33 +222,13 @@ def branch_and_bound(table, runs=None, *, budget=None):
     positive = table.positive_among
 
     for color, run in zip(Color, runs or (None, None)):
-        # cands[i] holds the untried candidates after the node stack[:i]: the
-        # elements above stack[i-1] that keep every r-subtuple on ``color``.
-        stack, cands = [], []
-        mask = (1 << n) - 1
-        entered = True
+        nodes += 1  # the root
+        if budget is not None and nodes > budget:
+            return SearchResult(best_size, best_wit or (), best_color, False, nodes)
+        # cands[i] holds the untried candidates after the node stack[:i]
+        stack, cands = [], [(1 << n) - 1]
         while True:
-            depth = len(stack)
-            if entered:
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    return SearchResult(best_size, best_wit or (), best_color, False, nodes)
-                if depth >= r:
-                    snap = tuple(stack)
-                    if depth > best_size or (
-                        depth == best_size and (best_wit is None or snap < best_wit)
-                    ):
-                        best_size, best_wit, best_color = depth, snap, color
-                if stack:
-                    # The new (r-1)-subsets are those that end in the new element.
-                    e = stack[-1]
-                    for rest in combinations(stack[:-1], r - 2):
-                        if not mask:
-                            break
-                        hit = positive(rest + (e,), mask)
-                        mask = hit if color is Color.POSITIVE else mask ^ hit
-                cands.append(mask)
-            mask = cands[-1]
+            depth, mask = len(stack), cands[-1]
             if run is not None and depth >= r - 2:
                 # Skip each lowest candidate e whose window, at high + e, has
                 # too short a path.  While best_size is 0 every window
@@ -263,11 +244,21 @@ def branch_and_bound(table, runs=None, *, budget=None):
                 if not stack:
                     break
                 stack.pop()
-                entered = False
                 continue
-            mask ^= low  # the children's candidates: those above e
+            mask ^= low  # the untried candidates, all above e
             cands[-1] = mask
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return SearchResult(best_size, best_wit or (), best_color, False, nodes)
             stack.append(e)
-            entered = True
+            if depth >= r - 1 and (depth >= best_size or
+                                   depth + 1 == best_size and tuple(stack) < best_wit):
+                best_size, best_wit, best_color = depth + 1, tuple(stack), color
+            for rest in combinations(stack[:-1], r - 2):
+                if not mask:
+                    break
+                hit = positive(rest + (e,), mask)
+                mask = hit if color is Color.POSITIVE else mask ^ hit
+            cands.append(mask)
 
     return SearchResult(best_size, best_wit or (), best_color, True, nodes)

@@ -306,6 +306,12 @@ def test_search_budget_exit_codes(tmp_path):
     assert json.loads(stdout)["exhaustive"] is False
     code, _, _ = run("search", str(coin), "--budget", "1", "--best-effort")
     assert code == 0
+    # budget 0 stops at the root, before any set is found
+    empty = {"size": 0, "witness": [], "exhaustive": False, "nodes_visited": 1}
+    for flags, want in (([], 6), (["--best-effort"], 0)):
+        code, stdout, stderr = run("search", str(coin), "--budget", "0", *flags)
+        assert (code, stderr) == (want, b"budget exhausted after 1 nodes\n")
+        assert {key: json.loads(stdout)[key] for key in empty} == empty
     for source in (table, src):  # a negative budget, for table and sequence alike
         code, stdout, stderr = run("search", str(source), "--budget", "-3")
         assert (code, stdout) == (2, b"")

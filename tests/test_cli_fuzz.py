@@ -142,7 +142,7 @@ def _run(draw):
     else:
         argv = ["search", source] + _flags(draw, {
             "--d": _value(1, 9), "--k": _value(1, 10),
-            "--budget": st.one_of(_value(1, 500), _value(-3, -1))},
+            "--budget": st.one_of(_value(0, 500), _value(-3, -1))},
             ["--best-effort", "--reverse-orientation"]) + out
     return argv, draw(_input_bytes())
 

@@ -276,7 +276,7 @@ def test_longest_monochromatic_matches_naive():
             assert colors == {result.color}
 
 
-SEARCH_BUDGETS = (None, 1, 2, 3, 7, 20, 100, 1000)
+SEARCH_BUDGETS = (None, 0, 1, 2, 3, 7, 20, 100, 1000)
 
 
 def cut_search(table, budget=None):
@@ -288,6 +288,8 @@ def cut_search(table, budget=None):
 def assert_cut_search_matches(table, budgets=SEARCH_BUDGETS):
     for budget in budgets:
         assert cut_search(table, budget) == reference_longest_monochromatic(table, budget=budget)
+        assert branch_and_bound(table, None, budget=budget) == \
+            reference_longest_monochromatic(table, budget=budget, cut=False)
     # the cut moves nodes only: the exhaustive answer is the uncut one
     assert cut_search(table)[:4] == reference_longest_monochromatic(table, cut=False)[:4]
 
@@ -473,10 +475,11 @@ def test_longest_monochromatic_deep_table():
 def test_longest_monochromatic_budget():
     table = rand_table(seeded(7), 9, 3)
     full = cut_search(table)
-    capped = cut_search(table, budget=5)
-    assert not capped.exhaustive
-    assert capped.size <= full.size
-    assert capped.nodes_visited <= full.nodes_visited
+    # every budget exit, the root's at 0 too, and the first that completes
+    for budget in range(full.nodes_visited + 1):
+        capped = cut_search(table, budget)
+        assert capped == reference_longest_monochromatic(table, budget=budget)
+        assert capped.exhaustive == (budget == full.nodes_visited)
 
 
 def test_search_result_json():
