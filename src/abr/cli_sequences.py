@@ -220,10 +220,8 @@ def check_sequence(obj, args):
         d = lifted.dimension
         if len(lifted) < d + 2:
             raise TooFewPointsError(f"one-switch needs at least {d + 2} points")
-        from .coloring import certify_one_switch
-
         count = comb(len(lifted), d + 2)
-        max_switches = max(certify_one_switch(lifted.kernel, tup)[3]
+        max_switches = max(lifted.kernel.one_switch(tup)[3]
                            for tup in combinations(range(len(lifted)), d + 2))
         _report(args, f"one-switch: ok subtuples={count} max_switch_count={max_switches}",
                 {"check": "one-switch", "ok": True, "subtuples": count,
@@ -231,10 +229,11 @@ def check_sequence(obj, args):
         return EXIT_OK
 
     # identities
-    from .coloring import vandermonde_divdiff_residual
     from .sequences import PlanarSequence
 
     if isinstance(obj, PlanarSequence):
+        from .coloring import vandermonde_divdiff_residual
+
         if args.d < 1:
             raise InvariantError(f"order must be a positive int, got {args.d}")
         if len(obj) < args.d + 1:

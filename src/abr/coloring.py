@@ -26,8 +26,10 @@ block are the tests' cross-checks, not run-time ones.  The lifted table
 integer keys of ``paths``, one key pass per middle, like every search of a
 sequence; they, and ``LazyDivdiffColors``, the keyed coloring of every
 sequence search, live in ``paths`` and are re-exported here.  The
-one-switch certificate reads ``linalg.SignKernel``, like the lifted
-identities check.
+one-switch certificate is the Fraction face of ``linalg.SignKernel``'s
+integer core ``one_switch``, which ``check one-switch`` runs directly, so
+only the tests, ``color --cross-check`` and a planar ``check identities``
+load this module.
 """
 
 from collections import namedtuple
@@ -35,23 +37,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .errors import (
-    BadShapeError,
-    DegenerateInputError,
-    IdentityViolationError,
-    InvariantError,
-    WrongOrientationError,
-)
-from .linalg import (
-    Matrix,
-    SignKernel,
-    as_fraction,
-    cleared_column,
-    det,
-    signed_minor_kernel,
-)
+from .errors import BadShapeError, DegenerateInputError, InvariantError, WrongOrientationError
+from .linalg import Matrix, SignKernel, det, signed_minor_kernel
 from .paths import LazyDivdiffColors, color_table, divdiff_color_table  # noqa: F401  re-exported
-from .sequences import moment_coordinates
+from .sequences import as_fraction, moment_coordinates
 from .tables import Color
 
 
@@ -287,8 +276,8 @@ def one_switch_certificate(points, *, allow_zero=False):
         raise InvariantError(f"need d+2 = {d + 2} points in R^{d}, got {len(pts)}")
     if d < 2:
         raise BadShapeError("need at least two rows")
-    kernel = SignKernel([cleared_column(pt) for pt in pts])
-    minors, d_ints, zeros, switches = certify_one_switch(kernel, tuple(range(d + 2)), allow_zero)
+    kernel = SignKernel(pts)
+    minors, d_ints, zeros, switches = kernel.one_switch(tuple(range(d + 2)), allow_zero)
     # An integer minor or determinant is the rational one times its columns' scales.
     scales = [column[0] for column in kernel.columns]
     total = prod(scales)
@@ -297,40 +286,3 @@ def one_switch_certificate(points, *, allow_zero=False):
     ratios = tuple(minors[(j, d + 1)] / minors[(0, j)] for j in range(1, d + 1))
     return OneSwitchCertificate(d_values, minors, ratios, switches, zeros)
 
-
-def certify_one_switch(kernel, tup, allow_zero=False):
-    """Integer core of ``one_switch_certificate`` over the kernel columns
-    ``tup``, every check included: returns the minors (keyed by deleted
-    position pairs), deletion determinants, zero positions, switch count."""
-    d = len(tup) - 2
-    last = d + 1
-    minors = kernel.pair_minors(tup)
-    for (a, b), value in minors.items():
-        if value <= 0:
-            problem = "vanishes" if value == 0 else "is negative; projections are not cyclic"
-            raise DegenerateInputError(f"projection minor delta[{a},{b}] {problem}",
-                                       witness=(a, b))
-    d_values = tuple(kernel.value(tup[:j] + tup[j + 1:]) for j in range(d + 2))
-    zero_positions = tuple(j for j, v in enumerate(d_values) if v == 0)
-    if zero_positions and not allow_zero:
-        raise DegenerateInputError(
-            f"deletion determinant D_{zero_positions[0]} vanishes",
-            witness=zero_positions,
-        )
-    # Column scales leave one common factor in the three terms of each
-    # identity and one common positive factor in every ratio.
-    for j in range(1, d + 1):
-        lhs = d_values[j] * minors[(0, last)]
-        rhs = d_values[0] * minors[(j, last)] + d_values[last] * minors[(0, j)]
-        if lhs != rhs:
-            raise IdentityViolationError(f"deletion identity fails at j={j}")
-    for j in range(1, d):
-        if not minors[(j, last)] * minors[(0, j + 1)] > minors[(j + 1, last)] * minors[(0, j)]:
-            raise IdentityViolationError("minor ratios are not strictly decreasing")
-    signs = [v > 0 for v in d_values if v != 0]
-    switches = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    if switches > 1:
-        raise IdentityViolationError(
-            f"deletion signs switch {switches} times; the certificate forbids more than one"
-        )
-    return minors, d_values, zero_positions, switches

@@ -11,17 +11,19 @@ then run fraction-free (Bareiss) elimination over plain Python integers.
 Column clearing matters: the matrices built in this package have columns
 that share one point's denominator, while a row mixes denominators of every
 point, so per-column scales stay small where per-row scales would explode.
-``SignKernel``, behind every validator, one-switch certificate and lifted
-identities check, clears each point once and caches its minors; its cleared
-columns also feed the key engine of ``paths``, which keys a lifted sequence
-by Bareiss cofactors (a planar one has closed-form keys and loads no
-``linalg``).
+``SignKernel`` is the one integer kernel of a sequence: built from its
+points, it clears each once and caches its minors, and it holds the
+one-switch core (``one_switch``) and the Bareiss cofactors (``cofactors``)
+that key a lifted sequence in ``paths``.  Every validator, one-switch
+certificate and lifted identities check reads it; a planar sequence has
+closed-form keys and loads no ``linalg``.
 """
 
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import BadIndicesError, BadShapeError, Frozen, InvariantError, NonSquareError
+from .errors import (BadIndicesError, BadShapeError, DegenerateInputError, Frozen,
+                     IdentityViolationError, InvariantError, NonSquareError)
 from .sequences import as_fraction
 
 
@@ -119,20 +121,24 @@ def cleared_column(coords):
 
 
 class SignKernel:
-    """Integer determinants over subsets of cleared columns of d+1 rows:
-    ``minor(sub)`` is the d x d minor of rows 0..d-1 over a d-subset, cached
-    in ``minors`` (at most ``max_cached``, about 150-200 bytes each);
-    ``value(tup)`` is the determinant over a (d+1)-subset by Laplace
-    expansion along row d, d+1 multiply-adds of cached minors, and
+    """Integer determinants over subsets of the points' cleared columns of
+    d+1 rows: ``minor(sub)`` is the d x d minor of rows 0..d-1 over a
+    d-subset, cached in ``minors`` (at most ``max_cached``, about 150-200
+    bytes each); ``value(tup)`` is the determinant over a (d+1)-subset by
+    Laplace expansion along row d, d+1 multiply-adds of cached minors, and
     ``pair_minors(tup)`` the minors of a (d+2)-subset keyed by the deleted
     position pair (a, b): ``complementary_minors`` times the columns' scales."""
 
     max_cached = 1 << 18
 
-    def __init__(self, columns):
-        self.columns = columns
-        self.d = len(columns[0]) - 1
+    def __init__(self, points):
+        self.columns = [cleared_column(pt) for pt in points]
+        self.d = d = len(self.columns[0]) - 1
         self.minors = {}
+        # per row r, the sign and the rows of each minor of ``cofactors``
+        self.plans = [[(-1 if pos & 1 else 1, [q for q in keep if q != i])
+                       for pos, i in enumerate(keep)]
+                      for keep in ([q for q in range(d + 1) if q != r] for r in range(d + 1))]
 
     def minor(self, sub):
         value = self.minors.get(sub)
@@ -154,6 +160,51 @@ class SignKernel:
             term = cols[tup[j]][d] * self.minor(tup[:j] + tup[j + 1:])
             total += -term if (d - j) & 1 else term
         return total
+
+    def cofactors(self, middle, r):
+        """c with c . u = det of the rows other than r of [u, M], M the
+        columns of the d - 1 points ``middle``, u on those rows: d Bareiss
+        minors of order d - 1."""
+        rows = list(zip(*(self.columns[m] for m in middle)))
+        return [sign * _int_det_bareiss([rows[q] for q in minor])
+                for sign, minor in self.plans[r]]
+
+    def one_switch(self, tup, allow_zero=False):
+        """Integer core of ``coloring.one_switch_certificate`` over the columns
+        ``tup``, every check included: the minors keyed by deleted position
+        pairs, the deletion determinants, zero positions and switch count."""
+        d = len(tup) - 2
+        last = d + 1
+        minors = self.pair_minors(tup)
+        for (a, b), value in minors.items():
+            if value <= 0:
+                problem = "vanishes" if value == 0 else "is negative; projections are not cyclic"
+                raise DegenerateInputError(f"projection minor delta[{a},{b}] {problem}",
+                                           witness=(a, b))
+        d_values = tuple(self.value(tup[:j] + tup[j + 1:]) for j in range(d + 2))
+        zero_positions = tuple(j for j, v in enumerate(d_values) if v == 0)
+        if zero_positions and not allow_zero:
+            raise DegenerateInputError(
+                f"deletion determinant D_{zero_positions[0]} vanishes",
+                witness=zero_positions,
+            )
+        # Column scales leave one common factor in the three terms of each
+        # identity and one common positive factor in every ratio.
+        for j in range(1, d + 1):
+            lhs = d_values[j] * minors[(0, last)]
+            rhs = d_values[0] * minors[(j, last)] + d_values[last] * minors[(0, j)]
+            if lhs != rhs:
+                raise IdentityViolationError(f"deletion identity fails at j={j}")
+        for j in range(1, d):
+            if not minors[(j, last)] * minors[(0, j + 1)] > minors[(j + 1, last)] * minors[(0, j)]:
+                raise IdentityViolationError("minor ratios are not strictly decreasing")
+        signs = [v > 0 for v in d_values if v != 0]
+        switches = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        if switches > 1:
+            raise IdentityViolationError(
+                f"deletion signs switch {switches} times; the certificate forbids more than one"
+            )
+        return minors, d_values, zero_positions, switches
 
 
 def signed_minor_kernel(p):

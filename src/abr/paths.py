@@ -9,12 +9,13 @@ order-d divided difference.  Per middle M, one ``keys_of(M, xs)`` call keys
 the points outside M's span, and (a, M, e) is + exactly when e's key
 exceeds a's.  Planar keys are in closed form, O(d^2) per middle: the
 order-(d-1) divided difference over M and x is (h_x - p_M(t_x)) /
-omega_M(t_x).  Lifted keys take two cofactor vectors of M by Bareiss, so
-only a lifted sequence, whose kernel has loaded it already, reads
-``linalg``.  ``LazyDivdiffColors`` is that coloring, planar at an order or
-lifted at its dimension, and every key read here goes through it, middle
-by middle in the walk of ``tables._middles``.  ``_key_table`` builds the
-dense tables from the keys, one run of lex-ordered bits per window (a, M),
+omega_M(t_x).  Lifted keys take two cofactor vectors of M from the
+sequence's ``linalg.SignKernel`` (``cofactors``, by Bareiss), so only a
+lifted sequence, whose kernel has loaded ``linalg`` already, reads it.
+``LazyDivdiffColors`` is that coloring, planar at an order or lifted at
+its dimension, and every key read here goes through it, middle by middle
+in the walk of ``tables._middles``.  ``_key_table`` builds the dense
+tables from the keys, one run of lex-ordered bits per window (a, M),
 placed by ``tables._rank``: ``divdiff_color_table`` of every planar
 command, ``color`` and ``check one-switch`` too, and ``color_table`` of a
 lifted one.  ``longest_monotone_path`` sorts the runs into the longest path
@@ -238,35 +239,26 @@ def _cleared(values):
 def _lifted_forms(s, d):
     """The rows of a lifted sequence's kernel columns, and per middle M
     ``(height, j, other)`` of ``_window_keys``: M's cofactors of the height
-    row, and of the last row j they do not all vanish on, each by d Bareiss
-    minors.  j is row 0 when they all do, a middle whose projections are
-    affinely dependent, which ``keys_of``'s orientation check refuses.
-    The d-tuples that hold both ends of the sequence are no (u, M), so
-    their projection minors are checked here, once."""
-    from .linalg import _int_det_bareiss
-
-    n, minor, columns = len(s), s.kernel.minor, s.kernel.columns
-    if any(minor((0, *inner, n - 1)) <= 0 for inner in combinations(range(1, n - 1), d - 2)):
+    row, and of the last row j they do not all vanish on, each from
+    ``SignKernel.cofactors``.  j is row 0 when they all do, a middle whose
+    projections are affinely dependent, which ``keys_of``'s orientation
+    check refuses.  The d-tuples that hold both ends of the sequence are no
+    (u, M), so their projection minors are checked here, once."""
+    n, kernel = len(s), s.kernel
+    if any(kernel.minor((0, *inner, n - 1)) <= 0
+           for inner in combinations(range(1, n - 1), d - 2)):
         raise WrongOrientationError("projections are not cyclically ordered")
-    # per row r, the sign and the rows of each minor that w_r's cofactors take
-    plans = [[(-1 if pos & 1 else 1, [q for q in keep if q != i]) for pos, i in enumerate(keep)]
-             for keep in ([q for q in range(d + 1) if q != r] for r in range(d + 1))]
-
-    def cofactors(rows, r):
-        """c with c . u = det of the rows other than r of [u, M], u on those rows"""
-        return [sign * _int_det_bareiss([rows[q] for q in minor]) for sign, minor in plans[r]]
 
     def forms(middle):
-        rows = list(zip(*(columns[m] for m in middle)))
-        height = cofactors(rows, d)
+        height = kernel.cofactors(middle, d)
         j = max((i for i in range(d) if height[i]), default=0)
-        other = cofactors(rows, j)
+        other = kernel.cofactors(middle, j)
         hg, og = gcd(*height) or 1, gcd(*other) or 1
         if (height[j] < 0) != (j & 1):  # sigma(M) w_j is -(other . u) here
             og = -og
         return [c // hg for c in height], j, [c // og for c in other]
 
-    return list(zip(*columns)), forms
+    return list(zip(*kernel.columns)), forms
 
 
 def _dot(vec, rows):

@@ -13,13 +13,13 @@ validators below check that, plus the nondegeneracy conditions the coloring
 oracles rely on.  At run time the key engine of ``paths`` decides both as
 it keys a sequence; the validators name the lex-least witness once it has
 refused one, report the budgeted status of ``generate moment``, and are
-the tests' references.  They share one scan loop over integer kernel
-values: a lifted sequence's ``kernel`` (built lazily, its columns keyed by
-``paths``), or ``moment_kernel`` on a planar sequence's moment lift, which
-only ``validate_d_general_position`` reads: every planar color is computed
-from the closed-form keys of ``paths``.  Both kernels import ``linalg``
-when they are built, so a planar command loads no ``linalg``.
-``moment_coordinates`` forms the lift's rational coordinates.
+the tests' references.  They share one scan loop over the values of a
+``linalg.SignKernel``: a lifted sequence's ``kernel`` (built lazily, and
+keyed by ``paths``), or, in ``validate_d_general_position`` alone, one
+built on a planar sequence's ``moment_coordinates``, the lift's rational
+coordinates: every planar color is computed from the closed-form keys of
+``paths``.  Both import ``linalg`` when they build the kernel, so a planar
+command loads no ``linalg``.
 
 Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
 
@@ -160,9 +160,9 @@ class LiftedSequence(Frozen):
     @cached_property
     def kernel(self):
         """Integer kernel of the columns (1, z_i, h_i), shared by every pass."""
-        from .linalg import SignKernel, cleared_column
+        from .linalg import SignKernel
 
-        return SignKernel([cleared_column(pt) for pt in self.points])
+        return SignKernel(self.points)
 
 
 def moment_lift(p, d):
@@ -181,16 +181,6 @@ def moment_coordinates(points, d):
     """The moment-lift coordinates (t, t^2, ..., t^(d-1), h) of planar
     points (t, h); order d = 1 gives (h,)."""
     return [tuple(t ** e for e in range(1, d)) + (h,) for t, h in points]
-
-
-def moment_kernel(points, d):
-    """Integer kernel of the moment-lift columns of planar points with
-    increasing t.  The determinant of a (d+1)-tuple is Vandermonde(t) > 0
-    times its order-d divided difference, so the kernel value has the
-    divided difference's sign."""
-    from .linalg import SignKernel, cleared_column
-
-    return SignKernel([cleared_column(c) for c in moment_coordinates(points, d)])
 
 
 def _scan(n, r, value, zero_reason, negative_reason, max_failures, max_tuples):
@@ -238,13 +228,16 @@ def validate_general_position(s, *, max_failures=16, max_tuples=None):
 def validate_d_general_position(p, d, *, max_failures=16, max_tuples=None):
     """Check that every increasing (d+1)-tuple of a planar sequence has a
     nonzero order-d divided difference (no d+1 points on one polynomial
-    graph of degree < d)."""
+    graph of degree < d): the kernel value of a (d+1)-tuple of the moment
+    columns is Vandermonde(t) > 0 times its order-d divided difference."""
     if not isinstance(d, int) or d < 1:
         raise InvariantError(f"order must be a positive int, got {d!r}")
     if len(p) <= d:  # refused before any power of t is formed
         raise TooFewPointsError(f"need at least {d + 1} points, got {len(p)}")
-    return _scan(len(p), d + 1, moment_kernel(p.points, d).value, ZERO_DIVIDED_DIFFERENCE,
-                 None, max_failures, max_tuples)
+    from .linalg import SignKernel
+
+    return _scan(len(p), d + 1, SignKernel(moment_coordinates(p.points, d)).value,
+                 ZERO_DIVIDED_DIFFERENCE, None, max_failures, max_tuples)
 
 
 _PLANAR_FIELDS = {"kind", "points"}

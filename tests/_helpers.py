@@ -166,10 +166,11 @@ def _kernel_table(value, n, r, what):
 def kernel_divdiff_table(p, order):
     """The dense order-d divided-difference table from the moment-lift
     kernel signs."""
-    from abr.sequences import moment_kernel
+    from abr.linalg import SignKernel
+    from abr.sequences import moment_coordinates
 
-    return _kernel_table(moment_kernel(p.points, order).value, len(p), order + 1,
-                         "divided difference")
+    return _kernel_table(SignKernel(moment_coordinates(p.points, order)).value, len(p),
+                         order + 1, "divided difference")
 
 
 def kernel_color_table(s):

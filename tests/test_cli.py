@@ -234,8 +234,10 @@ def test_check_identities(tmp_path):
 ], ids=["d2-random", "d3-reversed", "d3-flat", "d4-reversed-random"])
 def test_lifted_identities_build_no_matrix(tmp_path, monkeypatch, capsys, d, n, heights, flip):
     # cyclic, reversed and degenerate input alike: every three-term relation
-    # of every (d+2)-tuple is checked on the kernel's integer minors
-    from abr import cli, linalg
+    # of every (d+2)-tuple is checked on the kernel's integer minors.
+    # coloring is imported first, so that its own bindings are patched and
+    # restored too, and a matrix built through them is caught as well
+    from abr import cli, coloring, linalg
 
     src = tmp_path / "m.json"
     cli.main(["generate", "moment", "--d", str(d), "--n", str(n), "--heights", heights,
@@ -248,8 +250,9 @@ def test_lifted_identities_build_no_matrix(tmp_path, monkeypatch, capsys, d, n, 
     def forbidden(*args, **kwargs):
         raise AssertionError("a Fraction matrix was built")
 
-    for name in ("Matrix", "det", "plucker_residual"):
-        monkeypatch.setattr(linalg, name, forbidden)
+    for module in (linalg, coloring):
+        for name in ("Matrix", "det", "plucker_residual"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
     assert (cli.main(["check", "identities", str(src)]), *capsys.readouterr()) == (
         0, f"identities: ok checked={comb(n, d + 2) * comb(d + 2, 4)}\n", "")
 

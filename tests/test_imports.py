@@ -138,6 +138,20 @@ def test_generate_random_loads_no_coloring(tmp_path):
     assert not loaded & {"abr.coloring", "abr.search"}
 
 
+def test_integer_checks_load_no_coloring(tmp_path):
+    # one-switch and lifted identities read the sequence's SignKernel alone;
+    # only the planar identities and color's cross-check run Fraction oracles
+    _lifted(tmp_path)
+    _planar(tmp_path)
+    for argv in (["check", "one-switch", "s.json", "--format", "json"],
+                 ["check", "identities", "s.json", "--format", "json"]):
+        loaded = _loaded(tmp_path, argv)
+        assert "abr.linalg" in loaded and "abr.coloring" not in loaded, argv
+    for argv in (["check", "identities", "p.json", "--d", "3", "--format", "json"],
+                 ["color", "s.json", "-o", "C", "--cross-check"]):
+        assert "abr.coloring" in _loaded(tmp_path, argv), argv
+
+
 def test_lifted_search_loads_paths_and_no_constructions_or_dataclasses(tmp_path):
     # the monotone-path DP: no generator, no branch and bound over a table
     _lifted(tmp_path)

@@ -25,16 +25,21 @@ from abr import (
     validate_d_general_position,
     validate_general_position,
 )
-from abr.linalg import SignKernel, cleared_column
-from abr.sequences import moment_kernel
+from abr.linalg import SignKernel
+from abr.sequences import moment_coordinates
 
-from _helpers import rand_fraction, rand_planar_tuple, seeded
+from _helpers import det_cofactor, rand_fraction, rand_planar_tuple, seeded
 
 F = Fraction
 
 
 def sign(value):
     return (value > 0) - (value < 0)
+
+
+def moment_kernel(points, d):
+    """The kernel of the moment-lift columns (1, t, ..., t^(d-1), h)."""
+    return SignKernel(moment_coordinates(points, d))
 
 
 def lifted_matrix(points):
@@ -136,7 +141,7 @@ def test_kernel_value_is_scaled_determinant():
     rng = seeded(77)
     for d in (2, 3, 4):
         pts = [tuple(rand_fraction(rng, 9) for _ in range(d)) for _ in range(d + 1)]
-        kernel = SignKernel([cleared_column(pt) for pt in pts])
+        kernel = SignKernel(pts)
         scale = 1
         for column in kernel.columns:
             scale *= column[0]
@@ -146,10 +151,30 @@ def test_kernel_value_is_scaled_determinant():
 def test_kernel_cache_is_bounded(monkeypatch):
     inst = random_cyclic_instance(2, 12, 3)
     monkeypatch.setattr(SignKernel, "max_cached", 5)
-    kernel = SignKernel(inst.kernel.columns)
+    kernel = SignKernel(inst.points)
     for tup in combinations(range(12), 3):
         assert kernel.value(tup) == inst.kernel.value(tup)
     assert len(kernel.minors) == 5
+
+
+def test_cofactors_expand_the_determinant_along_the_new_column():
+    # c . u, u on the rows other than r, is det of those rows of [u, M],
+    # for every row r and random integer u
+    rng = seeded(3131)
+    for d in range(2, 7):
+        for _ in range(4):
+            kernel = SignKernel([tuple(rand_fraction(rng, 8) for _ in range(d))
+                                 for _ in range(d + 3)])
+            middle = tuple(sorted(rng.sample(range(d + 3), d - 1)))
+            for r in range(d + 1):
+                c = kernel.cofactors(middle, r)
+                assert len(c) == d
+                for _ in range(3):
+                    u = [rng.randrange(-1000, 1001) for _ in range(d + 1)]
+                    rows = [[u[q]] + [kernel.columns[m][q] for m in middle]
+                            for q in range(d + 1) if q != r]
+                    kept = [u[q] for q in range(d + 1) if q != r]
+                    assert sum(a * b for a, b in zip(c, kept)) == det_cofactor(rows)
 
 
 def test_pair_minors_are_scaled_complementary_minors():

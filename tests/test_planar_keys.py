@@ -175,7 +175,6 @@ def test_planar_builds_and_searches_form_no_determinant(tmp_path, monkeypatch, c
         raise AssertionError("a Bareiss determinant was formed")
 
     monkeypatch.setattr(linalg, "_int_det_bareiss", forbidden)
-    monkeypatch.setattr(paths, "_int_det_bareiss", forbidden, raising=False)
     assert divdiff_color_table(p, 3) == table
     assert longest_monotone_path(p, 3) == result
     assert main(["check", "transitive", src, "--d", "3"]) == 0
