@@ -6,8 +6,8 @@ structural and results are canonical.  Floats are rejected everywhere: a
 binary float smuggled into an exact pipeline silently poisons every
 determinant sign downstream.
 
-Determinants clear denominators column by column (``cleared_column``) and
-then run fraction-free (Bareiss) elimination over plain Python integers.
+Determinants clear denominators column by column (``sequences.cleared_column``)
+and then run fraction-free (Bareiss) elimination over plain Python integers.
 Column clearing matters: the matrices built in this package have columns
 that share one point's denominator, while a row mixes denominators of every
 point, so per-column scales stay small where per-row scales would explode.
@@ -20,11 +20,11 @@ closed-form keys and loads no ``linalg``.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .errors import (BadIndicesError, BadShapeError, DegenerateInputError, Frozen,
                      IdentityViolationError, InvariantError, NonSquareError)
-from .sequences import as_fraction
+from .sequences import as_fraction, cleared_column
 
 
 class Matrix(Frozen):
@@ -111,13 +111,6 @@ def det(m):
     columns = [cleared_column(m.column(j)) for j in range(m.cols)]
     grid = [[column[i + 1] for column in columns] for i in range(m.rows)]
     return Fraction(_int_det_bareiss(grid), prod(column[0] for column in columns))
-
-
-def cleared_column(coords):
-    """Integer column (L, L*x_1, ..., L*x_k) for a point x; L > 0 is the lcm
-    of the denominators, so determinant signs are unchanged."""
-    scale = lcm(*(x.denominator for x in coords))
-    return (scale,) + tuple(x.numerator * (scale // x.denominator) for x in coords)
 
 
 class SignKernel:

@@ -14,28 +14,29 @@ sequence's ``linalg.SignKernel`` (``cofactors``, by Bareiss), so only a
 lifted sequence, whose kernel has loaded ``linalg`` already, reads it.
 ``LazyDivdiffColors`` is that coloring, planar at an order or lifted at
 its dimension, and every key read here goes through it, middle by middle
-in the walk of ``tables._middles``.  ``_key_table`` builds the dense
-tables from the keys, one run of lex-ordered bits per window (a, M),
-placed by ``tables._rank``: ``divdiff_color_table`` of every planar
-command, ``color`` and ``check one-switch`` too, and ``color_table`` of a
-lifted one.  ``longest_monotone_path`` sorts the runs into the longest path
-from each window, and ``search._window_path``, the table search's front
-end too, rebuilds the witness from the coloring's rows.  Only that search
-imports ``search``; ``constructions.random_cyclic_instance`` reads the key
-pass ``_keyed_middles`` alone, which decides general position with no
-search.  Nothing here imports ``coloring``, so a planar ``check``, or
-``color`` without ``--cross-check``, compiles neither, nor ``linalg``.
+in the walk of ``tables._middles``; it checks the input once, and keys on
+first read.  ``_key_table`` builds the dense tables from the keys, one run
+of lex-ordered bits per window (a, M), placed by ``tables._rank``:
+``divdiff_color_table`` of every planar command, ``color`` and ``check
+one-switch`` too, and ``color_table`` of a lifted one.
+``longest_monotone_path`` sorts the runs into the longest path from each
+window, and ``search._window_path``, the table search's front end too,
+rebuilds the witness from the coloring's rows.  Only that search imports
+``search``; ``constructions.random_cyclic_instance`` reads the key pass
+``_keyed_middles`` alone, which decides general position with no search.
+Nothing here imports ``coloring``, so a planar ``check``, or ``color``
+without ``--cross-check``, compiles neither, nor ``linalg``.
 """
 
 from bisect import bisect_left
+from functools import cached_property
 from itertools import combinations, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, floordiv, itemgetter, lshift, mul
 
 from .errors import DegenerateInputError, InvariantError, WrongOrientationError
-from .sequences import LiftedSequence, PlanarSequence
-from .tables import (Color, ColoringTable, _check_shape, _dense_cells, _guarded_comb, _middles,
-                     _rank)
+from .sequences import LiftedSequence, PlanarSequence, cleared_column
+from .tables import Color, ColoringTable, _check_shape, _guarded_comb, _middles, _rank
 
 
 def divdiff_color_table(p, order):
@@ -62,9 +63,10 @@ def _key_table(s, d):
     order, the e passed so far in a bit mask: at each point a, the e above
     a (all unless M is empty) make (a, M, e) +, and they sit at the
     contiguous bits ``_rank(a, M) - (n - 1 - e)``, one run per window."""
-    n = len(s)
-    store = bytearray((_dense_cells(n, d + 1) + 7) // 8)
-    for middle, xs, lo, keys in _keyed_middles(LazyDivdiffColors(s, d)):
+    coloring = LazyDivdiffColors(s, d)
+    n = coloring.n
+    store = bytearray((_guarded_comb(n, d + 1, "tuples") + 7) // 8)
+    for middle, xs, lo, keys in _keyed_middles(coloring):
         mask, first = 0, lo if middle else 0
         for j in sorted(range(len(xs)), key=keys.__getitem__, reverse=True):
             prefix = (xs[j], *middle)
@@ -100,14 +102,11 @@ def longest_monotone_path(s, order=None):
     ``nodes_visited`` counts the windows settled; more than
     MAX_DENSE_CELLS are refused before any key.
     """
-    if not isinstance(s, (PlanarSequence, LiftedSequence)):
-        raise InvariantError("longest_monotone_path needs a PlanarSequence or LiftedSequence")
     from .search import _lengths, _window_path
 
-    n, d = len(s), s.dimension if isinstance(s, LiftedSequence) else _planar_order(order)
-    _check_shape(n, d + 1)
+    coloring = LazyDivdiffColors(s, s.dimension if isinstance(s, LiftedSequence) else order)
+    n, d = coloring.n, coloring.r - 1
     windows = _guarded_comb(n, d, "windows")
-    coloring = LazyDivdiffColors(s, d)
     runs = _lengths(n, d, windows), _lengths(n, d, windows)
     (_order_one_runs if d == 1 else _window_runs)(_keyed_middles(coloring), n, d, runs)
     return _window_path(coloring, runs, windows)
@@ -117,8 +116,10 @@ class LazyDivdiffColors:
     """The coloring of a planar sequence at ``order``, or of a lifted one at
     its dimension, read a tuple or a row at a time, and no table that a
     check takes: Q + (y,) is + when y's key under the middle Q[1:] exceeds
-    Q[0]'s.  Nothing is kept, and a row is keyed whole, so a degenerate
-    tuple anywhere in a row that is read raises, even outside the mask."""
+    Q[0]'s.  It alone checks the kind, order and shape of the input, and
+    keys on first read.  Nothing else is kept, and a row is keyed whole, so
+    a degenerate tuple anywhere in a row that is read raises, even outside
+    the mask."""
 
     def __init__(self, s, order):
         if isinstance(s, LiftedSequence):
@@ -127,13 +128,18 @@ class LazyDivdiffColors:
                     f"a lifted sequence of dimension {s.dimension} has no order-{order} coloring")
             self._what = "lifted determinant"
         elif isinstance(s, PlanarSequence):
-            _planar_order(order)
+            if not isinstance(order, int):
+                raise InvariantError(f"a planar sequence needs an integer order, got {order!r}")
             self._what = "divided difference"
         else:
             raise InvariantError("LazyDivdiffColors needs a PlanarSequence or LiftedSequence")
         self.n, self.r = len(s), order + 1
         _check_shape(self.n, self.r)
-        self.keys_of = _window_keys(s, order)
+        self._s = s
+
+    @cached_property
+    def keys_of(self):
+        return _window_keys(self._s, self.r - 1)
 
     def color(self, tup):
         _rank(tup, self.n, self.r, self.r)
@@ -154,13 +160,6 @@ class LazyDivdiffColors:
 
     def _vanishes(self, tup):
         return DegenerateInputError(f"{self._what} vanishes at {tup}", witness=tup)
-
-
-def _planar_order(order):
-    """``order``, which a planar sequence's coloring needs as an int."""
-    if not isinstance(order, int):
-        raise InvariantError(f"a planar sequence needs an integer order, got {order!r}")
-    return order
 
 
 def _window_keys(s, d):
@@ -199,17 +198,17 @@ def _window_keys(s, d):
 
 
 def _planar_forms(s, d):
-    """The rows of a planar sequence's moment columns, t and h each cleared
-    by one lcm, and per middle M the two vectors of ``_window_keys`` in
-    closed form, O(d^2) integer operations.  With V(M) the Vandermonde
-    determinant of M, omega_M = prod (X - t_m) and p_M interpolating h on
-    M, (x, M)'s projection minor is (-1)^(d-1) V(M) omega_M(t_x), and its
-    cofactors without the last power row give (-1)^(d-1) V(M) (h_x -
-    p_M(t_x)): w is (-1)^(d-1) omega_M, and the other vector (-1)^(d-1)
-    (-V(M) p_M, V(M)) over its gcd.  Newton's recursion builds them with
-    no division: m above the points S so far multiplies V(S) by
+    """The rows of a planar sequence's moment columns, t and h each cleared by
+    one lcm (``cleared_column``), and per middle M the two vectors of
+    ``_window_keys`` in closed form, O(d^2) integer operations.  With V(M) the
+    Vandermonde determinant of M, omega_M = prod (X - t_m) and p_M
+    interpolating h on M, (x, M)'s projection minor is (-1)^(d-1) V(M)
+    omega_M(t_x), and its cofactors without the last power row give (-1)^(d-1)
+    V(M) (h_x - p_M(t_x)): w is (-1)^(d-1) omega_M, and the other vector
+    (-1)^(d-1) (-V(M) p_M, V(M)) over its gcd.  Newton's recursion builds them
+    with no division: m above the points S so far multiplies V(S) by
     omega_S(t_m) and V(S) p_S too, then adds V(S) (h_m - p_S(t_m)) omega_S."""
-    t, h = (_cleared(column) for column in zip(*s.points))
+    t, h = (cleared_column(column)[1:] for column in zip(*s.points))
     sign = 1 if d & 1 else -1  # (-1)^(d-1)
 
     def forms(middle):
@@ -228,12 +227,6 @@ def _planar_forms(s, d):
         return [sign * c for c in omega], d - 1, [-c // g for c in vp] + [v // g]
 
     return [[x ** e for x in t] for e in range(d)] + [h], forms
-
-
-def _cleared(values):
-    """Rationals times the lcm of their denominators, as ints."""
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values]
 
 
 def _lifted_forms(s, d):

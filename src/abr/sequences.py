@@ -28,7 +28,8 @@ Wire format (UTF-8 JSON, all rationals as "p/q" or "p" strings):
 
 Unknown fields are rejected rather than ignored.  A rational is read by
 ``parse_rational`` and written by ``format_rational``, both here with
-``as_fraction``, which refuses floats; the JSON codec itself
+``as_fraction``, which refuses floats, and ``cleared_column``, a point's
+integer column for ``linalg`` and ``paths``; the JSON codec itself
 (``load_json`` / ``dump_json``) lives in ``tables``.
 """
 
@@ -38,6 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .errors import Frozen, InvariantError, ParseError, TooFewPointsError, TooLargeError
 from .tables import dump_json, load_json
@@ -60,6 +62,13 @@ def as_fraction(value):
             f"floating point value {value!r} is not exact; use Fraction or int"
         )
     return Fraction(value)
+
+
+def cleared_column(coords):
+    """Integer column (L, L*x_1, ..., L*x_k) for a point x; L > 0 is the lcm
+    of the denominators, so determinant signs are unchanged."""
+    scale = lcm(*(x.denominator for x in coords))
+    return (scale,) + tuple(x.numerator * (scale // x.denominator) for x in coords)
 
 
 def parse_rational(text):

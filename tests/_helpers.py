@@ -364,3 +364,23 @@ def all_pairs_cupcap(a, b):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def fail_base_search(monkeypatch):
+    """Patch ``constructions.verify_cluster_parabola`` so that the base
+    search fails at every base up to 4: base 2 reports a run of 2m + 1
+    points, and base 4 a vanishing divided difference.  Returns the
+    attempts ``cluster_parabola_sequence`` then lists."""
+    from abr import Color, DegenerateInputError, SearchResult, constructions
+
+    def verify(seq, m):
+        if seq == constructions.build_cluster_parabola(m, 2)[0]:
+            return SearchResult(2 * m + 1, tuple(range(2 * m + 1)), Color.POSITIVE, True, 1,
+                                "monotone-path")
+        assert seq == constructions.build_cluster_parabola(m, 4)[0]
+        raise DegenerateInputError("divided difference vanishes at (0, 1, 2, 3)",
+                                   witness=(0, 1, 2, 3))
+
+    monkeypatch.setattr(constructions, "verify_cluster_parabola", verify)
+    return ((2, "monochromatic subsequence of size 5 at (0, 1, 2, 3, 4)"),
+            (4, "degenerate quadruple (0, 1, 2, 3)"))

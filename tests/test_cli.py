@@ -10,7 +10,7 @@ import pytest
 
 from abr import parse_sequence
 
-from _helpers import rand_table, seeded
+from _helpers import fail_base_search, rand_table, seeded
 
 CLI = [sys.executable, "-m", "abr.cli"]
 
@@ -91,6 +91,18 @@ def test_generate_em_refuses_depth_beyond_guard(tmp_path, capsys, argv, message)
     assert (code, stdout) == (2, "")
     assert stderr == f"error: {message}, beyond the 16777216-point guard\n"
     assert elapsed < 1.0 and not out.exists()
+
+
+def test_generate_em_names_each_failed_base(tmp_path, monkeypatch, capsys):
+    from abr import cli
+
+    attempts = fail_base_search(monkeypatch)
+    out = tmp_path / "E"
+    assert cli.main(["generate", "em", "--m", "2", "--max-base", "4", "-o", str(out)]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert stderr == "error: no base in [2, 4] yields a verified depth-2 instance\n" + "".join(
+        f"  base {base}: {reason}\n" for base, reason in attempts)
 
 
 def test_generate_cupcap_and_search_pipeline(tmp_path):

@@ -10,6 +10,7 @@ from abr import (
     Color,
     GenerationFailedError,
     InvariantError,
+    ParameterSearchFailedError,
     PlanarSequence,
     TooLargeError,
     moment_lift,
@@ -29,7 +30,7 @@ from abr import (
 )
 from abr.constructions import _exponent_schedule, _increasing_rationals, _random_rational
 
-from _helpers import all_pairs_cupcap, naive_longest_monochromatic, seeded
+from _helpers import all_pairs_cupcap, fail_base_search, naive_longest_monochromatic, seeded
 
 
 def test_exponent_schedule_frozen():
@@ -137,6 +138,14 @@ def test_depth_beyond_window_guard_is_refused_before_building(monkeypatch):
     monkeypatch.setattr(constructions, "build_cluster_parabola", forbidden)
     with pytest.raises(TooLargeError, match="windows exceed the dense-table guard"):
         cluster_parabola_sequence(5)
+
+
+def test_a_failed_base_search_lists_every_attempt(monkeypatch):
+    attempts = fail_base_search(monkeypatch)
+    with pytest.raises(ParameterSearchFailedError) as info:
+        cluster_parabola_sequence(2, max_base=4)
+    assert str(info.value) == "no base in [2, 4] yields a verified depth-2 instance"
+    assert info.value.attempts == attempts
 
 
 def test_report_json_shapes():

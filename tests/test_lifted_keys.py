@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abr import (DegenerateInputError, InvariantError, LazyDivdiffColors, LiftedSequence,
-                 PlanarSequence, WrongOrientationError, color_table, longest_monotone_path,
-                 longest_window_path, moment_lift, random_cyclic_instance,
+                 PlanarSequence, WrongOrientationError, color_table, divdiff_color_table,
+                 longest_monotone_path, longest_window_path, moment_lift, random_cyclic_instance,
                  validate_cyclic_projections, validate_general_position)
 
 from _helpers import every_read, kernel_color_table, reference_longest_monochromatic
@@ -124,11 +124,34 @@ def test_the_keyed_coloring_of_a_lifted_sequence_is_at_its_dimension():
 def test_a_planar_sequence_needs_an_integer_order():
     p = PlanarSequence(tuple((t, t ** 3) for t in range(6)))
     for order in (None, "3", 3.0):
-        for build in (LazyDivdiffColors, longest_monotone_path):
-            with pytest.raises(InvariantError, match="^a planar sequence needs an integer order"):
+        # the table too: its tuple guard comes after this check
+        for build in (LazyDivdiffColors, divdiff_color_table, longest_monotone_path):
+            with pytest.raises(InvariantError) as info:
                 build(p, order)
+            assert str(info.value) == f"a planar sequence needs an integer order, got {order!r}"
     with pytest.raises(InvariantError, match=r"got None$"):
         longest_monotone_path(p)
+
+
+def test_the_keyed_coloring_keys_on_first_read(monkeypatch):
+    from abr import paths
+
+    def forbidden(s, d):
+        raise AssertionError(f"keyed at order {d}")
+
+    p = PlanarSequence(tuple((t, t ** 3 + t % 3) for t in range(6)))
+    s = random_cyclic_instance(3, 7, 74, bits=8)
+    monkeypatch.setattr(paths, "_window_keys", forbidden)
+    for read in (lambda colors: colors.keys_of, lambda colors: colors.color((0, 1, 2, 3))):
+        for colors in (LazyDivdiffColors(p, 3), LazyDivdiffColors(s, 3)):
+            with pytest.raises(AssertionError, match="^keyed at order 3$"):
+                read(colors)
+    monkeypatch.undo()
+    # a non-cyclic end d-tuple is reported on the first read, not before
+    clockwise = LiftedSequence(3, tuple((t, -t * t, t ** 3) for t in range(6)))
+    colors = LazyDivdiffColors(clockwise, 3)
+    with pytest.raises(WrongOrientationError, match="not cyclically ordered"):
+        colors.color((0, 1, 2, 3))
 
 
 def test_projections_that_are_not_cyclic_are_refused():
