@@ -1,29 +1,22 @@
-"""Command-line front end.
-
-Subcommands: ``generate`` (moment | random | em | cupcap), ``color``,
-``check`` (monotone | transitive | one-switch | identities), ``search``.
-Artifacts (sequence JSON, coloring tables, search results) go to the
+"""Command-line front end: ``generate`` (moment | random | em | cupcap),
+``color``, ``check`` (monotone | transitive | one-switch | identities) and
+``search``.  ``_parse`` reads argv as argparse did, by one table, ``_SPEC``,
+which ``cli_help`` renders for -h and usage errors.  Artifacts go to the
 ``-o`` file when given, else to standard output; one-line summaries go to
-standard output when the artifact went to a file, else to standard error;
-error messages always go to standard error.  All numeric I/O is exact
-rational strings, so command pipelines are lossless, and every command is
-deterministic in its arguments — identical invocations produce identical
-bytes.
+standard output when the artifact went to a file, else to standard error, as
+do errors.  Numeric I/O is exact rational strings; identical invocations
+produce identical bytes.  Exit codes: 0 success, 2 usage or malformed input,
+3 generation failure, 4 degenerate or wrongly oriented input, 5 violated
+property or identity, 6 search budget exhausted (unless --best-effort).
 
-Exit codes: 0 success, 2 usage or malformed input, 3 generation failure,
-4 degenerate or wrongly oriented input, 5 violated property or identity,
-6 search budget exhausted (suppressed by --best-effort).
-
-Only ``errors`` and ``tables`` are imported up front; every other module is
-imported by the handler that runs it, so a command on a table loads no
-sequence, rational or construction code.  The sequence commands
-(``generate``, ``color``, ``check one-switch|identities``, and the lift of
-a lifted ``check``/``search``) live in ``cli_sequences``, imported only when
-one runs, so a table or planar ``check``/``search`` never compiles them.
+Only ``errors`` and ``tables`` are imported up front; each handler imports
+what it runs, and the sequence commands live in ``cli_sequences``, so a
+table or planar ``check``/``search`` never compiles them.
 """
 
-import argparse
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import (AbrError, DegenerateInputError, GenerationFailedError, IdentityViolationError,
                      InvariantError, ParameterSearchFailedError, ParseError, WrongOrientationError)
@@ -183,101 +176,138 @@ def _cmd_search(args):
 
 # -------------------------------------------------------------------- main
 
-def _sequence_command(name):
-    """The handler ``name`` of ``cli_sequences``, imported when it runs."""
-    def run(args):
-        from . import cli_sequences
+_HELP = ("-h/--help", bool, False, "show this help message and exit")
+_D = ("--d", int, 3, "lift dimension (default 3)")
+_N = ("--n", int, ..., "number of points")
+_SEED = ("--seed", int, 0, "seed of the random points or heights (default 0)")
+_ORDER = ("--d", int, 3, "divided-difference order / lift dimension for planar input (default 3)")
+_INPUT = ("input", str, "sequence or table file, or - for stdin")
+_REVERSE = ("--reverse-orientation", bool, False, "repair a sequence cyclic in reverse")
+_OUTPUT = ("-o/--output", str, None, "artifact file (default: stdout)")
 
-        return getattr(cli_sequences, name)(args)
-    return run
+# The command line.  A command is (help, handler: a function or the name of
+# one in cli_sequences, positionals, options); a group has handler None and one
+# positional, help None, mapping each subcommand to its command.  A positional
+# is (name, type, help), an option (names, type, default: ... if required, help).
+_SPEC = ("Exact above-below colorings of lifted point sequences: generators, color oracles, "
+         "structure checks, and searches.", None, (("command", {
+    "generate": ("write an instance as sequence JSON", None, (("kind", {
+        "moment": ("moment-curve lift of integer nodes 0..n-1", "generate_moment", (), (
+            _D, _N, ("--heights", ("power", "cubic", "square", "zero", "random"), "power",
+                     "height rule for h_i (default: t^d)"), _SEED, _OUTPUT)),
+        "random": ("seeded random cyclic instance", "generate_random", (), (
+            _D, _N, _SEED, ("--bits", int, 16, "rational coordinate size (default 16)"), _OUTPUT)),
+        "em": ("doubly-exponential cluster construction", "generate_em", (), (
+            ("--m", int, ..., "recursion depth: 2^(2^(m-1)) points"),
+            ("--base", int, 2, "starting scale base (default 2)"),
+            ("--max-base", int, None, "largest scale base tried (default 2^64)"),
+            ("--no-verify", bool, False, "emit the --base instance unverified"), _OUTPUT)),
+        "cupcap": ("classical no-k-cup/no-k-cap extremal set", "generate_cupcap", (), (
+            ("--k", int, ..., "cup and cap length k"), _OUTPUT))}, None),), ()),
+    "color": ("color every (d+1)-tuple of a sequence", "color_sequence", (
+        ("input", str, "sequence JSON file, or - for stdin"),), (
+        _ORDER, ("--cross-check", bool, False, "recompute every color with the other oracles"),
+        _REVERSE, ("--format", ("csv", "json"), "csv", "table format (default csv)"), _OUTPUT)),
+    "check": ("structure and identity checks", _cmd_check, (("what", (
+        "monotone", "transitive", "one-switch", "identities"), "the check to run"), _INPUT), (
+        _ORDER, _REVERSE, ("--format", ("text", "json"), "text", "report format (default text)"))),
+    "search": ("longest monochromatic subset of a coloring", _cmd_search, (_INPUT,), (
+        _ORDER, ("--k", int, None, "report whether size k is reached"),
+        ("--budget", int, None, "node budget of the branch and bound on a table"),
+        ("--best-effort", bool, False, "exit 0 even when the budget ran out"), _REVERSE, _OUTPUT)),
+}, None),), ())
+_VALUE = re.compile(r"(?s)-\d+$|-\d*\.\d+$|.* ")  # values to argparse: numbers, or with a space
 
 
-def _add_output(p):
-    p.add_argument("-o", "--output", default=None, help="artifact file (default: stdout)")
+def _dest(names):
+    return names.split("/")[-1].lstrip("-").replace("-", "_")
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="abr",
-        description="Exact above-below colorings of lifted point sequences: "
-        "generators, color oracles, structure checks, and searches.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option(token, names, leave):
+    """argparse's reading of a token before "--": None for a value, else
+    (option, or None if unknown; the name it matched; value attached, or None)."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    head, eq, tail = token.partition("=")
+    tail = tail if eq else None
+    found = ([(names[head], head, tail)] if head in names else  # name, or name=value
+             [(names[n], n, tail) for n in names if n.startswith(head)] if token[1] == "-" else
+             [(names[token[:2]], token[:2], token[2:])] if token[:2] in names else [])  # -Xvalue
+    if len(found) > 1:
+        leave(f"ambiguous option: {token} could match {', '.join(f[1] for f in found)}")
+    return found[0] if found else None if _VALUE.match(token) else (None, token, None)
 
-    gen = sub.add_parser("generate", help="write an instance as sequence JSON")
-    kinds = gen.add_subparsers(dest="kind", required=True)
 
-    p = kinds.add_parser("moment", help="moment-curve lift of integer nodes 0..n-1")
-    p.add_argument("--d", type=int, default=3, help="lift dimension (default 3)")
-    p.add_argument("--n", type=int, required=True, help="number of points")
-    p.add_argument("--heights", choices=("power", "cubic", "square", "zero", "random"),
-                   default="power", help="height rule for h_i (default: t^d)")
-    p.add_argument("--seed", type=int, default=0, help="seed for --heights random")
-    _add_output(p)
-    p.set_defaults(func=_sequence_command("generate_moment"))
+def _parse(argv):
+    """The namespace of ``argv`` as argparse read it, or exit 0 after -h, 2 after an error."""
+    args, extras, prog, node, tokens = SimpleNamespace(), [], "abr", _SPEC, list(argv)
 
-    p = kinds.add_parser("random", help="seeded random cyclic instance")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bits", type=int, default=16, help="rational coordinate size")
-    _add_output(p)
-    p.set_defaults(func=_sequence_command("generate_random"))
+    def leave(message=None):  # with no message, -h's help
+        from . import cli_help
 
-    p = kinds.add_parser("em", help="doubly-exponential cluster construction")
-    p.add_argument("--m", type=int, required=True, help="recursion depth: 2^(2^(m-1)) points")
-    p.add_argument("--base", type=int, default=2, help="starting scale base (default 2)")
-    p.add_argument("--max-base", type=int, default=None)  # None: constructions.MAX_BASE
-    p.add_argument("--no-verify", action="store_true",
-                   help="emit the instance at --base without the verification search")
-    _add_output(p)
-    p.set_defaults(func=_sequence_command("generate_em"))
+        cli_help.leave(prog, node, message)
 
-    p = kinds.add_parser("cupcap", help="classical no-k-cup/no-k-cap extremal set")
-    p.add_argument("--k", type=int, required=True)
-    _add_output(p)
-    p.set_defaults(func=_sequence_command("generate_cupcap"))
+    def value(name, kind, token):  # the usage line above an error shows the choices
+        try:
+            if kind in (int, str) or token in kind:
+                return int(token) if kind is int else token
+        except ValueError:
+            pass
+        leave(f"argument {name}: invalid {'int value' if kind is int else 'choice'}: {token!r}")
 
-    p = sub.add_parser("color", help="color every (d+1)-tuple of a sequence")
-    p.add_argument("input", help="sequence JSON file, or - for stdin")
-    p.add_argument("--d", type=int, default=3, help="lift dimension for planar input")
-    p.add_argument("--cross-check", action="store_true",
-                   help="recompute every color with the independent oracles")
-    p.add_argument("--reverse-orientation", action="store_true",
-                   help="repair a sequence whose projections are cyclic in reverse")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_output(p)
-    p.set_defaults(func=_sequence_command("color_sequence"))
-
-    p = sub.add_parser("check", help="structure and identity checks")
-    p.add_argument("what", choices=("monotone", "transitive", "one-switch", "identities"))
-    p.add_argument("input", help="sequence or table file, or - for stdin")
-    p.add_argument("--d", type=int, default=3,
-                   help="divided-difference order / lift dimension for planar input")
-    p.add_argument("--reverse-orientation", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("search", help="longest monochromatic subset of a coloring")
-    p.add_argument("input", help="sequence or table file, or - for stdin")
-    p.add_argument("--d", type=int, default=3, help="order/dimension for sequence input")
-    p.add_argument("--k", type=int, default=None, help="report whether size k is reached")
-    p.add_argument("--budget", type=int, default=None,
-                   help="node budget of the branch and bound, which runs only on a "
-                   "table whose window DP is not certified by its witness (the DP's "
-                   "path lengths prune it); sequence input is searched exactly")
-    p.add_argument("--best-effort", action="store_true",
-                   help="exit 0 even when the budget ran out")
-    p.add_argument("--reverse-orientation", action="store_true")
-    _add_output(p)
-    p.set_defaults(func=_cmd_search)
-
-    return parser
+    while True:
+        _, args.func, positionals, options = node
+        names = {name: opt for opt in (_HELP,) + options for name in opt[0].split("/")}
+        vars(args).update((_dest(opt[0]), opt[2]) for opt in options)
+        # a group reads "--" as a subcommand name, and refuses it
+        cut = tokens.index("--") if args.func and "--" in tokens else len(tokens)
+        found = [_option(t, names, leave) for t in tokens[:cut]] + [None] * (len(tokens) - cut)
+        wanted, taken, i = list(positionals), None, 0
+        while i < len(tokens):
+            token, hit, i = tokens[i], found[i], i + 1
+            if i - 1 == cut:  # dropped where it borders a positional's value
+                extras += [token] * (taken != cut and not (wanted and i < len(tokens)))
+            elif hit is None and wanted:
+                (name, kind, _), taken = wanted.pop(0), i
+                setattr(args, name, value(name, kind, token))
+                if isinstance(kind, dict):
+                    prog, node, tokens = f"{prog} {token}", kind[token], tokens[i:]
+                    break
+            elif hit is None or hit[0] is None:
+                extras.append(token)
+            else:
+                opt, name, attached = hit
+                while opt[1] is bool and attached is not None:  # -hX is -h -X
+                    if name[1] == "-" or "-" + attached[:1] not in names:
+                        leave(f"argument {opt[0]}: ignored explicit argument {attached!r}")
+                    name = "-" + attached[0]
+                    opt, attached = names[name], attached[1:] or None
+                if opt[1] is not bool and attached is None:
+                    if i in (cut, len(tokens)) or found[i] is not None:
+                        leave(f"argument {opt[0]}: expected one argument")
+                    attached, i = tokens[i], i + 1
+                if hit[0] is _HELP:
+                    leave()
+                setattr(args, _dest(opt[0]), opt[1] is bool or value(opt[0], opt[1], attached))
+        else:
+            break
+    missing = [p[0] for p in wanted] + [
+        o[0] for o in options if vars(args)[_dest(o[0])] is ...]
+    if missing:
+        leave("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        prog, node = "abr", _SPEC
+        leave("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
+        if isinstance(args.func, str):  # a sequence command, imported only when one runs
+            from . import cli_sequences
+
+            args.func = getattr(cli_sequences, args.func)
         return args.func(args)
     except AbrError as exc:
         print(f"error: {exc}", file=sys.stderr)

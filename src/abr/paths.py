@@ -84,10 +84,10 @@ def _key_table(s, d):
 
 def longest_monotone_path(s, order=None):
     """Longest monochromatic subsequence of the order-d coloring of a planar
-    sequence, or of a lifted sequence's coloring (d its dimension; ``order``
-    is for planar input, which needs it as an int), exactly, with the tie rule of
-    ``tables.longest_monochromatic``: the most points, then the
-    lexicographically least witness over both colors.
+    sequence, which needs ``order`` as an int, or of a lifted sequence's
+    coloring (d its dimension; ``order`` None or equal to it), exactly, with
+    the tie rule of ``tables.longest_monochromatic``: the most points, then
+    the lexicographically least witness over both colors.
 
     Both colorings are transitive: an order-d divided difference over d+1
     points of a set is a positive combination of those over consecutive
@@ -104,7 +104,9 @@ def longest_monotone_path(s, order=None):
     """
     from .search import _lengths, _window_path
 
-    coloring = LazyDivdiffColors(s, s.dimension if isinstance(s, LiftedSequence) else order)
+    if order is None and isinstance(s, LiftedSequence):
+        order = s.dimension
+    coloring = LazyDivdiffColors(s, order)
     n, d = coloring.n, coloring.r - 1
     windows = _guarded_comb(n, d, "windows")
     runs = _lengths(n, d, windows), _lengths(n, d, windows)

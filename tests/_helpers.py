@@ -5,6 +5,7 @@ enumeration) so they share no code path with the implementations under
 test.
 """
 
+import argparse
 import random
 import re
 from fractions import Fraction
@@ -384,3 +385,90 @@ def fail_base_search(monkeypatch):
     monkeypatch.setattr(constructions, "verify_cluster_parabola", verify)
     return ((2, "monochromatic subsequence of size 5 at (0, 1, 2, 3, 4)"),
             (4, "degenerate quadruple (0, 1, 2, 3)"))
+
+
+def _add_output(p):
+    p.add_argument("-o", "--output", default=None, help="artifact file (default: stdout)")
+
+
+def reference_parser():
+    """The command line as an argparse parser: the reference that
+    ``test_cli_fuzz`` holds ``cli._parse`` to, argv by argv."""
+    from abr import cli, cli_sequences
+
+    parser = argparse.ArgumentParser(
+        prog="abr",
+        description="Exact above-below colorings of lifted point sequences: "
+        "generators, color oracles, structure checks, and searches.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    gen = sub.add_parser("generate", help="write an instance as sequence JSON")
+    kinds = gen.add_subparsers(dest="kind", required=True)
+
+    p = kinds.add_parser("moment", help="moment-curve lift of integer nodes 0..n-1")
+    p.add_argument("--d", type=int, default=3, help="lift dimension (default 3)")
+    p.add_argument("--n", type=int, required=True, help="number of points")
+    p.add_argument("--heights", choices=("power", "cubic", "square", "zero", "random"),
+                   default="power", help="height rule for h_i (default: t^d)")
+    p.add_argument("--seed", type=int, default=0, help="seed for --heights random")
+    _add_output(p)
+    p.set_defaults(func=cli_sequences.generate_moment)
+
+    p = kinds.add_parser("random", help="seeded random cyclic instance")
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bits", type=int, default=16, help="rational coordinate size")
+    _add_output(p)
+    p.set_defaults(func=cli_sequences.generate_random)
+
+    p = kinds.add_parser("em", help="doubly-exponential cluster construction")
+    p.add_argument("--m", type=int, required=True, help="recursion depth: 2^(2^(m-1)) points")
+    p.add_argument("--base", type=int, default=2, help="starting scale base (default 2)")
+    p.add_argument("--max-base", type=int, default=None)  # None: constructions.MAX_BASE
+    p.add_argument("--no-verify", action="store_true",
+                   help="emit the instance at --base without the verification search")
+    _add_output(p)
+    p.set_defaults(func=cli_sequences.generate_em)
+
+    p = kinds.add_parser("cupcap", help="classical no-k-cup/no-k-cap extremal set")
+    p.add_argument("--k", type=int, required=True)
+    _add_output(p)
+    p.set_defaults(func=cli_sequences.generate_cupcap)
+
+    p = sub.add_parser("color", help="color every (d+1)-tuple of a sequence")
+    p.add_argument("input", help="sequence JSON file, or - for stdin")
+    p.add_argument("--d", type=int, default=3, help="lift dimension for planar input")
+    p.add_argument("--cross-check", action="store_true",
+                   help="recompute every color with the independent oracles")
+    p.add_argument("--reverse-orientation", action="store_true",
+                   help="repair a sequence whose projections are cyclic in reverse")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output(p)
+    p.set_defaults(func=cli_sequences.color_sequence)
+
+    p = sub.add_parser("check", help="structure and identity checks")
+    p.add_argument("what", choices=("monotone", "transitive", "one-switch", "identities"))
+    p.add_argument("input", help="sequence or table file, or - for stdin")
+    p.add_argument("--d", type=int, default=3,
+                   help="divided-difference order / lift dimension for planar input")
+    p.add_argument("--reverse-orientation", action="store_true")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cli._cmd_check)
+
+    p = sub.add_parser("search", help="longest monochromatic subset of a coloring")
+    p.add_argument("input", help="sequence or table file, or - for stdin")
+    p.add_argument("--d", type=int, default=3, help="order/dimension for sequence input")
+    p.add_argument("--k", type=int, default=None, help="report whether size k is reached")
+    p.add_argument("--budget", type=int, default=None,
+                   help="node budget of the branch and bound, which runs only on a "
+                   "table whose window DP is not certified by its witness (the DP's "
+                   "path lengths prune it); sequence input is searched exactly")
+    p.add_argument("--best-effort", action="store_true",
+                   help="exit 0 even when the budget ran out")
+    p.add_argument("--reverse-orientation", action="store_true")
+    _add_output(p)
+    p.set_defaults(func=cli._cmd_search)
+
+    return parser

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from abr import parse_sequence
 
-from _helpers import fail_base_search, rand_table, seeded
+from _helpers import fail_base_search, rand_table, reference_parser, seeded
 
 CLI = [sys.executable, "-m", "abr.cli"]
 
@@ -25,6 +26,39 @@ def run(*args, stdin=None):
 def test_no_arguments_is_usage_error():
     code, _, _ = run()
     assert code == 2
+
+
+OPTION = re.compile(r"(?<![\w-])--?[a-z][\w-]*")
+
+
+@pytest.mark.parametrize("command", [[], ["generate"], ["generate", "moment"],
+                                     ["generate", "random"], ["generate", "em"],
+                                     ["generate", "cupcap"], ["color"], ["check"], ["search"]],
+                         ids=lambda command: " ".join(["abr", *command]))
+def test_help_lists_every_option_of_the_spec(capsys, command):
+    # each subcommand, positional and option of the spec on a line with its
+    # help, and every option name argparse's help showed
+    from abr import cli
+
+    node = cli._SPEC
+    for word in command:
+        node = node[2][0][1][word]
+    with pytest.raises(SystemExit) as info:
+        cli.main([*command, "-h"])
+    out = capsys.readouterr().out
+    assert info.value.code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith(" ".join(["usage: abr", *command, "[-h]"]))
+    rows = [(names.split("/"), text) for names, _, _, text in (cli._HELP,) + node[3]]
+    for name, kind, text in node[2]:
+        rows += [([sub], sub_node[0]) for sub, sub_node in kind.items()] if text is None else [
+            ([name], text)]
+    for names, text in rows:
+        assert any(set(names) <= set(line.replace(",", " ").split()) and line.endswith(text)
+                   for line in lines), (names, text)
+    with pytest.raises(SystemExit):
+        reference_parser().parse_args([*command, "-h"])
+    assert set(OPTION.findall(capsys.readouterr().out)) <= set(OPTION.findall(out))
 
 
 def test_generate_moment_roundtrip(tmp_path):

@@ -8,7 +8,12 @@ well inside a bound.  Sizes stay where a command takes well under a
 second: n <= 10 points, order <= 9 for ``color``, ``check`` and ``search``
 (whose planar keys are in closed form), and dimension <= 5 for lifted
 input and the generators; the slow high-order inputs that the guards
-still admit are ROADMAP item 5.
+still admit are ROADMAP item 6.
+
+The same argv, respelled in every form argparse accepted (unique and
+ambiguous prefixes, --opt=value, -oFILE, "--", repeats, options before the
+positionals, stray tokens and -h), must parse to what argparse read from
+them, or be refused by both.
 """
 
 import contextlib
@@ -22,7 +27,10 @@ from math import comb
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from abr import cli
 from abr.cli import main
+
+from _helpers import reference_parser
 
 HOSTILE = st.sampled_from([-1, 0, 10 ** 9])
 
@@ -167,7 +175,7 @@ def test_every_drawn_command_ends_in_a_documented_exit(tmp_path, run):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse refusing the argv
+            except SystemExit as exc:  # the parser refusing the argv
                 code = exc.code
     finally:
         sys.stdin = stdin
@@ -178,3 +186,80 @@ def test_every_drawn_command_ends_in_a_documented_exit(tmp_path, run):
     if code == 2:
         assert sum("error: " in line for line in stderr.splitlines()) == 1, (argv, stderr)
     assert elapsed < 2.0, argv
+
+
+# Tokens inserted anywhere: help, stdin, "--", negative numbers, a stray
+# positional, unknown and ambiguous options, and -h joined to more letters.
+STRAY = ["-h", "--he", "-", "--", "-1", "-.5", "extra", "--foo", "-x", "--b", "--d", "--=x",
+         "-hh", "-ho", "-hx", "--help=x", ""]
+
+
+@st.composite
+def _respelled(draw):
+    """An argv of ``_run`` after up to four rewrites, each into a form that
+    argparse accepted or refused."""
+    argv = [{"{in}": "in", "{out}": "out", "{missing}": "-"}.get(a, a) for a in draw(_run())[0]]
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(argv) - 1))
+        token, after = argv[at], argv[at + 1:at + 2]
+        how = draw(st.sampled_from(["prefix", "join", "repeat", "rotate", "insert"]))
+        if how == "prefix" and token.startswith("--") and len(token) > 3:
+            argv[at] = token[:draw(st.integers(3, len(token) - 1))]
+        elif how == "join" and token.startswith("-") and after:
+            argv[at:at + 2] = [token + "=" * token.startswith("--") + after[0]]
+        elif how == "repeat":
+            argv += argv[at:at + 2]
+        elif how == "rotate":
+            argv = argv[:at] + argv[at + 1:] + [token]
+        elif how == "insert":
+            argv.insert(at, draw(st.sampled_from(STRAY)))
+    return argv
+
+
+def _outcome(parse, argv):
+    """(exit code or None, the namespace with handlers by name, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:
+            return exc.code, None, err.getvalue()
+    fields = dict(vars(args), func=getattr(args.func, "__name__", args.func))
+    return None, fields, err.getvalue()
+
+
+def _assert_read_as_argparse_did(argv):
+    want = _outcome(lambda argv: reference_parser().parse_args(argv), argv)[:2]
+    code, fields, stderr = _outcome(cli._parse, argv)
+    assert (code, fields) == want, argv
+    if code == 2:
+        assert sum("error: " in line for line in stderr.splitlines()) == 1, (argv, stderr)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1500)
+@given(_respelled())
+def test_every_drawn_argv_is_read_as_argparse_read_it(argv):
+    _assert_read_as_argparse_did(argv)
+
+
+def test_each_form_argparse_accepted_or_refused_is_read_alike():
+    for line in [
+            "", "generate", "generate moment", "generate em --m 3 --max-base 4 --budget 10",
+            "generate moment --n 3 --form x", "generate moment --n 3 --he",
+            "generate em --ma 5 --m 2", "generate em --m=3 --m 4 --no-verify --no-verify",
+            "generate em --m", "generate em --m --base 3", "generate random --n=4 -oF -o=G --d=2",
+            "search in --b 3", "search in --bu 3 --be --rev", "search in --budget -1 --k -.5",
+            "search in --d x", "search --d 3 -- in", "search -- -in", "search in --",
+            "search in --d 3 --", "search --d -- 3 in", "search -- -- in", "search in extra more",
+            "check bad in", "check monotone", "check -- monotone in", "check monotone -- in x",
+            "check one-switch - --for json", "check transitive in --d 1_0 --format=text",
+            "color in --f json --cr --reverse-orientation -o -", "color in --format=xml",
+            "-- search in", "generate -- em --m 3", "--foo search in", "-1 search in",
+            "-h", "--h", "-hx", "search -h", "search -hh", "search -ho F", "search -ho",
+            "search -hoF", "search -h=o F", "search -h=", "search --best-effort=1 in",
+            "search -h --b", "check bad -h", "check -h bad", "generate -h", "generate em -h"]:
+        _assert_read_as_argparse_did(line.split())
+    for argv in (["search", "in", "--d", ""], ["search", "in", "-o", ""],
+                 ["search", "in", "-o x"], ["search", "in", "--k", " 3 "],
+                 ["search", "in", "--k", "-1\n"], ["search", "in", "-1 x"]):
+        _assert_read_as_argparse_did(argv)

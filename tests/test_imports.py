@@ -20,7 +20,7 @@ import json, sys
 from abr.cli import main
 for argv in json.loads(sys.argv[1]):
     main(argv)
-watched = ("fractions", "dataclasses", "inspect")
+watched = ("fractions", "dataclasses", "inspect", "argparse", "gettext")
 print(json.dumps(sorted(m for m in sys.modules if m in watched or m.startswith("abr"))),
       file=sys.stderr)
 """
@@ -30,7 +30,9 @@ def _loaded(cwd, *argvs):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argvs)], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert not loaded & {"argparse", "gettext"}  # argv is read by cli's own parser
+    return loaded
 
 
 def test_table_commands_load_only_cli_errors_and_tables(tmp_path):

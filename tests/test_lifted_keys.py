@@ -115,10 +115,17 @@ def test_the_keyed_coloring_reads_like_random_tables_and_names_a_vanishing_deter
 
 
 def test_the_keyed_coloring_of_a_lifted_sequence_is_at_its_dimension():
+    # the search too: its order, when given, is checked by the same gate
     s = random_cyclic_instance(3, 7, 74, bits=8)
-    for order in (1, 2, 4, 7, None):
-        with pytest.raises(InvariantError, match="dimension 3 has no order"):
-            LazyDivdiffColors(s, order)
+    for order in (1, 2, 4, 5, 7):
+        for build in (LazyDivdiffColors, longest_monotone_path):
+            with pytest.raises(InvariantError) as info:
+                build(s, order)
+            want = f"a lifted sequence of dimension 3 has no order-{order} coloring"
+            assert str(info.value) == want
+    with pytest.raises(InvariantError, match="dimension 3 has no order-None"):
+        LazyDivdiffColors(s, None)
+    assert longest_monotone_path(s, 3) == longest_monotone_path(s)
 
 
 def test_a_planar_sequence_needs_an_integer_order():
